@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, attention_weights, dropout, layer_norm, linear
+from .autodiff import Tensor, _node, attention_weights, dropout, layer_norm, linear
 from .exceptions import EmptyPoolError, ShapeError
 from .simplex import MappingKind
 
@@ -124,14 +124,8 @@ def add_positional_embeddings(x: Tensor, table: Tensor) -> Tensor:
         raise ShapeError(
             f"sequence length {n} exceeds positional table capacity {table.shape[0]}"
         )
-    pos = Tensor(table.data[:n], _parents=(table,))
-    if pos.requires_grad:
-        def bw():
-            g = np.zeros_like(table.data)
-            g[:n] = pos.grad
-            table._accum(g)
-        pos._backward = bw
-    return x + pos
+    pad = ((0, table.shape[0] - n), (0, 0))
+    return x + _node(table.data[:n], (table,), lambda g: np.pad(g, pad))
 
 
 def transformer_encoder_layer(

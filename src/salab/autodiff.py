@@ -6,9 +6,17 @@ and accumulates gradients into every ``requires_grad`` leaf.  Only the
 operations the two model families need are implemented; broadcasting is
 supported for elementwise ops and bias adds, with gradients summed back
 down to the operand shape.
+
+Tape contract: every op builds its output with ``_node(data, parents,
+*grad_fns)``, one gradient function per parent.  The output's
+``_backward(g)`` holds the parents and those functions, never the output
+itself, so a graph has no reference cycle and is freed by reference
+counting as soon as the last Tensor of it is dropped.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -31,20 +39,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Dense n-d value with an optional gradient tape entry."""
+    """Dense n-d value; the output of an op also holds its tape entry.
+
+    `_parents` and `_backward` are written by `_node` only, so a leaf has
+    no `_backward`.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.requires_grad = requires_grad
+        self._parents = ()
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -84,8 +95,8 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            if node._parents:
+                node._backward(node.grad)
 
     def detach(self) -> np.ndarray:
         return self.data.copy()
@@ -100,15 +111,7 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data + other.data, _parents=(self, other))
-        if out.requires_grad:
-            def bw():
-                if self.requires_grad:
-                    self._accum(out.grad)
-                if other.requires_grad:
-                    other._accum(out.grad)
-            out._backward = bw
-        return out
+        return _node(self.data + other.data, (self, other), lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
@@ -123,15 +126,11 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data * other.data, _parents=(self, other))
-        if out.requires_grad:
-            def bw():
-                if self.requires_grad:
-                    self._accum(out.grad * other.data)
-                if other.requires_grad:
-                    other._accum(out.grad * self.data)
-            out._backward = bw
-        return out
+        return _node(
+            self.data * other.data, (self, other),
+            lambda g: g * other.data,
+            lambda g: g * self.data,
+        )
 
     __rmul__ = __mul__
 
@@ -142,43 +141,27 @@ class Tensor:
         return _as_tensor(other, self.dtype) * (self ** -1.0)
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data ** exponent, _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(out.grad * exponent * self.data ** (exponent - 1.0))
-            out._backward = bw
-        return out
+        return _node(
+            self.data ** exponent, (self,),
+            lambda g: g * exponent * self.data ** (exponent - 1.0),
+        )
 
     # -- shape ops ------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(out.grad.reshape(self.data.shape))
-            out._backward = bw
-        return out
+        return _node(self.data.reshape(*shape), (self,), lambda g: g.reshape(self.data.shape))
 
     def swapaxes(self, a: int, b: int):
-        out = Tensor(np.swapaxes(self.data, a, b), _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(np.swapaxes(out.grad, a, b))
-            out._backward = bw
-        return out
+        return _node(np.swapaxes(self.data, a, b), (self,), lambda g: np.swapaxes(g, a, b))
 
     # -- reductions -----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
-            out._backward = bw
-        return out
+        expand = axis is not None and not keepdims
+        return _node(
+            self.data.sum(axis=axis, keepdims=keepdims), (self,),
+            lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, self.data.shape),
+        )
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -187,12 +170,7 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(out.grad * (self.data > 0.0))
-            out._backward = bw
-        return out
+        return _node(np.maximum(self.data, 0.0), (self,), lambda g: g * (self.data > 0.0))
 
     # -- linear algebra -------------------------------------------------
 
@@ -204,25 +182,37 @@ class Tensor:
             raise ShapeError(
                 f"matmul mismatch: {self.shape} @ {other.shape}"
             ) from e
-        out = Tensor(data, _parents=(self, other))
-        if out.requires_grad:
-            def bw():
-                if self.requires_grad:
-                    self._accum(out.grad @ np.swapaxes(other.data, -1, -2))
-                if other.requires_grad:
-                    other._accum(np.swapaxes(self.data, -1, -2) @ out.grad)
-            out._backward = bw
-        return out
+        return _node(
+            data, (self, other),
+            lambda g: g @ np.swapaxes(other.data, -1, -2),
+            lambda g: np.swapaxes(self.data, -1, -2) @ g,
+        )
 
     def masked_fill(self, keep_mask: np.ndarray, value: float):
         """Replace entries where keep_mask is False by `value` (no gradient there)."""
         keep = np.broadcast_to(np.asarray(keep_mask, dtype=bool), self.shape)
-        out = Tensor(np.where(keep, self.data, value), _parents=(self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(out.grad * keep)
-            out._backward = bw
-        return out
+        return _node(np.where(keep, self.data, value), (self,), lambda g: g * keep)
+
+
+def _backprop(parents: tuple, grad_fns: tuple, g: np.ndarray) -> None:
+    for parent, grad_fn in zip(parents, grad_fns):
+        if parent.requires_grad:
+            parent._accum(grad_fn(g))
+
+
+def _node(data, parents: tuple, *grad_fns) -> Tensor:
+    """The output Tensor of an op over `parents`.
+
+    `grad_fns[i](g)` maps the output's gradient `g` to the gradient for
+    `parents[i]` (broadcast dimensions are summed away by `_accum`).
+    This is the only place that writes a tape entry.
+    """
+    needs_grad = any(p.requires_grad for p in parents)
+    out = Tensor(data, requires_grad=needs_grad)
+    if needs_grad:
+        out._parents = parents
+    out._backward = partial(_backprop, parents, grad_fns) if needs_grad else None
+    return out
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -250,15 +240,14 @@ def embedding_lookup(ids: np.ndarray, table: Tensor) -> Tensor:
     vocab = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"token id out of range for table with {vocab} rows")
-    out = Tensor(table.data[ids], _parents=(table,))
-    if out.requires_grad:
-        def bw():
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
-            g[0] = 0.0  # padding row stays frozen
-            table._accum(g)
-        out._backward = bw
-    return out
+
+    def grad(g):
+        dtable = np.zeros_like(table.data)
+        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        dtable[0] = 0.0  # padding row stays frozen
+        return dtable
+
+    return _node(table.data[ids], (table,), grad)
 
 
 def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -297,13 +286,7 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
     s = logits.data
     loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    out = Tensor(loss, _parents=(logits,))
-    if out.requires_grad:
-        def bw():
-            sig = 1.0 / (1.0 + np.exp(-s))
-            logits._accum(out.grad * (sig - y))
-        out._backward = bw
-    return out
+    return _node(loss, (logits,), lambda g: g * (1.0 / (1.0 + np.exp(-s)) - y))
 
 
 def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
@@ -313,13 +296,10 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
     score dtype.
     """
     p64 = simplex.apply_mapping_nd(scores.data.astype(np.float64), kind)
-    out = Tensor(p64.astype(scores.dtype), _parents=(scores,))
-    if out.requires_grad:
-        def bw():
-            dz = simplex.mapping_backward_nd(p64, out.grad.astype(np.float64), kind)
-            scores._accum(dz.astype(scores.dtype))
-        out._backward = bw
-    return out
+    return _node(
+        p64.astype(scores.dtype), (scores,),
+        lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(scores.dtype),
+    )
 
 
 def sigmoid_np(s: np.ndarray) -> np.ndarray:

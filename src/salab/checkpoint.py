@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import CheckpointError
+
 MAGIC = b"SALAB1"
 
 
@@ -31,23 +33,30 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read every parameter; a foreign or truncated file raises CheckpointError."""
     path = Path(path)
     data = path.read_bytes()
     if not data.startswith(MAGIC):
-        raise ValueError(f"{path}: not a SALAB1 checkpoint")
+        raise CheckpointError(f"{path}: not a SALAB1 checkpoint")
     off = len(MAGIC)
     params: dict[str, np.ndarray] = {}
     while off < len(data):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(dims)
+        start = off
+        try:
+            (nlen,) = struct.unpack_from("<I", data, off)
+            off += 4
+            name = data[off : off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<I", data, off)
+            off += 4
+            dims = struct.unpack_from(f"<{rank}I", data, off)
+            off += 4 * rank
+            count = int(np.prod(dims)) if rank else 1
+            arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(dims)
+        except (struct.error, ValueError) as e:
+            raise CheckpointError(
+                f"{path}: truncated or corrupt parameter record at byte {start}: {e}"
+            ) from e
         off += 4 * count
         params[name] = arr.astype(np.float32).copy()
     return params

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionRecord
-from .data import PatientDocument, Vocabulary
+from .data import PatientDocument, Vocabulary, pad_and_batch
 from .exceptions import UndefinedMetricError
 from .models import extract_attention_maps, predict_proba
 
@@ -237,8 +237,6 @@ def sentence_support_fraction(record: AttentionRecord) -> float:
 
 def score_documents(model, docs, vocab, batch_size: int = 16) -> list[PredictionRecord]:
     """Run the model over documents and collect prediction records."""
-    from .data import pad_and_batch  # local import to keep module load light
-
     cfg = model.config
     out = []
     for batch in pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):

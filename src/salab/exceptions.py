@@ -23,3 +23,7 @@ class UndefinedMetricError(SalabError, ValueError):
 
 class EmptyDocumentError(SalabError, ValueError):
     """A document contained no tokens after truncation."""
+
+
+class CheckpointError(SalabError, ValueError):
+    """A checkpoint file is foreign or truncated, or does not fit the model."""

@@ -38,7 +38,7 @@ from .autodiff import (
     sigmoid_np,
 )
 from .data import Batch, PatientDocument, Vocabulary, encode_document, pad_and_batch
-from .exceptions import EmptyDocumentError
+from .exceptions import CheckpointError, EmptyDocumentError
 from .rng import derive_rng
 from .simplex import MappingKind
 
@@ -125,9 +125,11 @@ class _BaseModel:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
+            if name not in state:
+                raise CheckpointError(f"parameter {name} missing")
             arr = state[name]
             if arr.shape != p.shape:
-                raise ValueError(f"parameter {name}: shape {arr.shape} vs {p.shape}")
+                raise CheckpointError(f"parameter {name}: shape {arr.shape} vs {p.shape}")
             p.data = arr.astype(self.dtype)
 
     def save(self, path) -> None:
@@ -244,14 +246,6 @@ def predict_proba(logits) -> np.ndarray:
     """Sigmoid over raw logits, overflow-safe."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     return sigmoid_np(arr)
-
-
-def build_model(family: str, config, seed: int = 0, dtype=np.float32):
-    if family == "att":
-        return AttentionClassifier(config, seed, dtype)
-    if family == "tr":
-        return HierarchicalTransformerClassifier(config, seed, dtype)
-    raise ValueError(f"unknown model family: {family!r}")
 
 
 # ---------------------------------------------------------------------------

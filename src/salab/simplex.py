@@ -2,13 +2,14 @@
 
 Four mappings are provided: softmax, sparsemax (Euclidean projection onto
 the simplex, sort-based), exact 1.5-entmax (sort-based), and a generic
-bisection solver for alpha-entmax with alpha > 1.  Each comes in a 1-D
+bisection solver for alpha-entmax with alpha in (1, 4].  Each comes in a 1-D
 public form and an ``*_nd`` form vectorised over the last axis.
 
 All arithmetic runs in float64 regardless of the caller's dtype: the
 threshold selection is branchy and loses support entries in float32.
 Every mapping subtracts the per-row max first, which makes translation
-invariance exact rather than approximate.
+invariance exact rather than approximate; `MappingKind.scaled` is the one
+place that maps scores into a sparse mapping's threshold domain.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 # so the support mask agrees bit-for-bit with the backward pass.
 SPARSE_FLOOR = 1e-12
 
-DEFAULT_BISECT_ITERS = 50
+# Halvings of the bisection bracket [-1, 0], which leave it 2**-50 wide
+# (a few float64 ulps); a fixed count keeps runs bit-reproducible.
+BISECT_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,19 @@ class MappingKind:
 
     @property
     def exponent_alpha(self) -> float:
-        """The alpha value governing the backward rule p**(2 - alpha)."""
+        """The alpha of the backward rule p**(2 - alpha) and of `scaled`."""
         return {"softmax": 1.0, "sparsemax": 2.0, "entmax15": 1.5}.get(
             self.name, self.alpha
         )
 
-    @property
-    def is_sparse(self) -> bool:
-        return self.name != "softmax"
+    def scaled(self, z: np.ndarray) -> np.ndarray:
+        """(alpha - 1) * (z - max z) over the last axis, in float64.
+
+        This is the domain the sparse solvers threshold in: p_i > 0
+        exactly where the scaled score exceeds the threshold tau.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        return (self.exponent_alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,7 @@ def sparsemax_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1 + k*z_(k) > sum of the top k, then threshold at
     tau = (topk_sum - 1) / k and clip.
     """
-    z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = MappingKind.sparsemax().scaled(z)
     n = z.shape[-1]
     zs = -np.sort(-z, axis=-1)
     cs = np.cumsum(zs, axis=-1)
@@ -137,8 +144,7 @@ def sparsemax_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact 1.5-entmax; returns (p, tau) in the z/2 domain."""
-    z = np.asarray(z, dtype=np.float64)
-    z = (z - z.max(axis=-1, keepdims=True)) / 2.0
+    z = MappingKind.entmax15().scaled(z)
     n = z.shape[-1]
     zs = -np.sort(-z, axis=-1)
     k = np.arange(1, n + 1, dtype=np.float64)
@@ -154,25 +160,19 @@ def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, tau[..., 0]
 
 
-def entmax_bisect_nd(
-    z: np.ndarray, alpha: float, max_iter: int = DEFAULT_BISECT_ITERS
-) -> tuple[np.ndarray, np.ndarray]:
+def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Generic alpha-entmax by bisection on the threshold; returns (p, tau).
 
-    Solves sum_i max((alpha-1)*z_i - tau, 0)**(1/(alpha-1)) = 1.  The
-    bracket [min - 1, max] always contains the root, and a fixed
-    iteration count keeps runs bit-reproducible.
+    Solves sum_i max(zz_i - tau, 0)**(1/(alpha-1)) = 1 for the scaled
+    scores zz, whose maximum is 0.  The root lies in [-1, 0]: at -1 the
+    top entry alone contributes 1, at 0 nothing does.  Masked columns
+    (large negative fills) do not widen this bracket.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"entmax bisection requires alpha > 1, got {alpha}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    z = np.asarray(z, dtype=np.float64)
-    zz = (alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
+    zz = MappingKind.entmax(alpha).scaled(z)
     inv = 1.0 / (alpha - 1.0)
-    lo = zz.min(axis=-1, keepdims=True) - 1.0
-    hi = zz.max(axis=-1, keepdims=True)
-    for _ in range(max_iter):
+    lo = np.full(zz.shape[:-1] + (1,), -1.0)
+    hi = np.zeros_like(lo)
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         f = (np.maximum(zz - mid, 0.0) ** inv).sum(axis=-1, keepdims=True) - 1.0
         lo = np.where(f >= 0.0, mid, lo)
@@ -220,15 +220,7 @@ def mapping_backward_nd(
         raise ValueError(
             f"probability/upstream length mismatch: {p.shape} vs {upstream.shape}"
         )
-    a = kind.exponent_alpha
-    if kind.name == "softmax":
-        g = p
-    elif kind.name == "sparsemax":
-        g = (p > 0.0).astype(np.float64)
-    elif kind.name == "entmax15":
-        g = np.sqrt(p)
-    else:
-        g = np.where(p > 0.0, p, 1.0) ** (2.0 - a) * (p > 0.0)
+    g = np.where(p > 0.0, p, 1.0) ** (2.0 - kind.exponent_alpha) * (p > 0.0)
     gu = (g * upstream).sum(axis=-1, keepdims=True)
     gs = g.sum(axis=-1, keepdims=True)
     return g * upstream - (gu / gs) * g
@@ -241,26 +233,26 @@ def softmax(z) -> np.ndarray:
     return softmax_nd(_check_input(z))
 
 
-def _support_info(p: np.ndarray, tau: float) -> SupportInfo:
+def _with_support(z, kind: MappingKind) -> tuple[np.ndarray, SupportInfo]:
+    z = _check_input(z)
+    p, tau = apply_mapping_nd(z, kind, return_threshold=True)
+    # tau thresholds kind.scaled(z); report it against (alpha - 1) * z,
+    # the caller's untranslated coordinates
+    tau = float(tau) + (kind.exponent_alpha - 1.0) * float(z.max())
     mask = p > 0.0
-    return SupportInfo(float(tau), int(mask.sum()), mask)
+    return p, SupportInfo(tau, int(mask.sum()), mask)
 
 
 def sparsemax(z) -> tuple[np.ndarray, SupportInfo]:
-    p, tau = sparsemax_nd(_check_input(z))
-    # report tau in the caller's (untranslated) coordinates
-    shift = float(np.max(np.asarray(z, dtype=np.float64)))
-    return p, _support_info(p, tau + shift)
+    return _with_support(z, MappingKind.sparsemax())
 
 
 def entmax15(z) -> tuple[np.ndarray, SupportInfo]:
-    p, tau = entmax15_nd(_check_input(z))
-    shift = float(np.max(np.asarray(z, dtype=np.float64))) / 2.0
-    return p, _support_info(p, tau + shift)
+    return _with_support(z, MappingKind.entmax15())
 
 
-def entmax_bisect(z, alpha: float, max_iter: int = DEFAULT_BISECT_ITERS) -> np.ndarray:
-    p, _ = entmax_bisect_nd(_check_input(z), alpha, max_iter)
+def entmax_bisect(z, alpha: float) -> np.ndarray:
+    p, _ = entmax_bisect_nd(_check_input(z), alpha)
     return p
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from salab.exceptions import CheckpointError
+from salab.models import AttentionClassifier, LocalModelConfig
 
 
 def test_roundtrip(tmp_path):
@@ -43,3 +45,25 @@ def test_deterministic_bytes(tmp_path):
     save_checkpoint(tmp_path / "1.ckpt", params)
     save_checkpoint(tmp_path / "2.ckpt", params)
     assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
+
+
+def test_every_truncation_raises_checkpoint_error(tmp_path):
+    model = AttentionClassifier(LocalModelConfig(5, embed_dim=2, hidden=2), seed=0)
+    full = tmp_path / "full.ckpt"
+    model.save(full)
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for k in range(len(raw)):
+        cut.write_bytes(raw[:k])
+        with pytest.raises(CheckpointError):
+            model.load(cut)
+    model.load(full)
+
+
+def test_mis_shaped_parameter_raises_checkpoint_error(tmp_path):
+    model = AttentionClassifier(LocalModelConfig(5, embed_dim=2, hidden=2), seed=0)
+    state = model.state_dict()
+    state["emb"] = np.zeros((6, 2), dtype=np.float32)
+    save_checkpoint(tmp_path / "m.ckpt", state)
+    with pytest.raises(CheckpointError, match="emb"):
+        model.load(tmp_path / "m.ckpt")

@@ -98,6 +98,20 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["eval", "--model-dir", str(tmp_path / "nope")]) == 2
 
 
+def test_truncated_checkpoint_exit_code(data_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(
+        ["train", "--data", str(data_dir), "--out", str(run), "--model", "att",
+         "--mapping", "softmax", *TRAIN_FLAGS, "--epochs", "1"]
+    ) == 0
+    ckpt = run / "best.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:20])
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data_dir), "--model-dir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 def test_bad_mapping_exit_code(data_dir, tmp_path):
     assert main(
         ["train", "--data", str(data_dir), "--out", str(tmp_path / "x"),

@@ -1,9 +1,12 @@
 """Model family tests: contracts, padding, determinism, gradients."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from salab import data as dm
+from salab.autodiff import bce_with_logits
 from salab.exceptions import EmptyDocumentError
 from salab.models import (
     AttentionClassifier,
@@ -88,6 +91,25 @@ def test_padding_insensitivity(corpus, family):
     logits_a, _ = model.forward(tight)
     logits_b, _ = model.forward(loose)
     np.testing.assert_allclose(logits_a.data, logits_b.data, atol=1e-6)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+def test_training_step_leaves_no_reference_cycles(corpus, family):
+    """A dropped graph is freed by reference counting, not the cycle collector."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, dropout_rate=0.2), seed=0)
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        logits, _ = model.forward(batch, training=True)
+        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        loss.backward()
+        del logits, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hier_single_sentence_degenerates(corpus):
@@ -175,6 +197,16 @@ def test_extract_attention_maps_filter(corpus):
     tr = HierarchicalTransformerClassifier(tr_cfg(vocab), seed=7)
     recs = extract_attention_maps(tr, doc, vocab)
     assert [r.scope for r in recs] == ["word", "word", "sentence"]
+
+
+@pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2"])
+def test_extract_attention_maps_bisection_rows_validate(corpus, mapping):
+    """Padded word rows of an alpha-entmax model still sum to 1 within 1e-6."""
+    docs, vocab = corpus
+    model = AttentionClassifier(att_cfg(vocab, MappingKind.parse(mapping), max_words=12), seed=7)
+    for doc in docs:
+        for rec in extract_attention_maps(model, doc, vocab):
+            assert rec.weights.shape[-1] < 12  # every row has masked columns
 
 
 @pytest.mark.parametrize("family", ["att", "tr"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salab import simplex as sx
+from salab.attention import MASK_FILL
 from salab.simplex import MappingKind
 
 ALL_KINDS = [
@@ -123,6 +124,18 @@ def test_entmax_bisect_examples():
     np.testing.assert_allclose(
         sx.entmax_bisect([1.0, 0.0], 1.001), sx.softmax([1.0, 0.0]), atol=1e-2
     )
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.5, 2.0, 3.0, 4.0])
+def test_bisect_masked_rows_stay_on_simplex(alpha):
+    """Masked columns (the attention fill) do not loosen the threshold."""
+    rng = np.random.default_rng(10)
+    z = rng.normal(0, 3, (700, 12))
+    masked = rng.random(z.shape).argsort(axis=-1) < (np.arange(700) % 7)[:, None]  # 0-6 of 12
+    z[masked] = MASK_FILL
+    p, _ = sx.entmax_bisect_nd(z, alpha)
+    assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-8
+    assert np.all(p[masked] == 0.0)
 
 
 def test_backward_examples():
