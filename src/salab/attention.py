@@ -48,13 +48,11 @@ class AttentionRecord:
     scope: str = "word"
     sentence_index: int | None = None
 
-    def validate(self, mask: np.ndarray | None = None, tol: float = 1e-6) -> None:
+    def validate(self, tol: float = 1e-6) -> None:
         w = self.weights
         if np.any(w < 0):
             raise ValueError("negative attention weight")
-        rows = w.sum(axis=-1)
-        valid = np.ones(w.shape[-2], dtype=bool) if mask is None else np.asarray(mask)
-        if np.any(np.abs(rows[..., valid] - 1.0) > tol):
+        if np.any(np.abs(w.sum(axis=-1) - 1.0) > tol):
             raise ValueError("attention row does not sum to 1")
 
 
@@ -69,8 +67,8 @@ def scaled_dot_attention(
 
     `mask` marks real key positions with True over the second-to-last
     axis; masked columns are replaced by a large negative fill before
-    the mapping, which zeroes them exactly for every mapping here.
-    The returned weights are detached from the tape.
+    the mapping, which zeroes them exactly for every mapping here, so
+    the returned weights (detached from the tape) need no second masking.
     """
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -82,11 +80,7 @@ def scaled_dot_attention(
             raise EmptyPoolError("attention row with no unmasked key")
         scores = scores.masked_fill(mask[..., None, :], MASK_FILL)
     weights = attention_weights(scores, mapping)
-    out = weights @ v
-    w = weights.data.astype(np.float64)
-    if mask is not None:
-        w = w * mask[..., None, :]  # force exact zeros in the record
-    return out, w
+    return weights @ v, weights.data.astype(np.float64)
 
 
 def multi_head_attention(
@@ -108,13 +102,13 @@ def multi_head_attention(
     def split_heads(t: Tensor) -> Tensor:
         return t.reshape(*t.shape[:-2], n, h, dh).swapaxes(-2, -3)
 
-    q = split_heads(linear(x, params[prefix + "wq"], params.get(prefix + "bq")))
-    k = split_heads(linear(x, params[prefix + "wk"], params.get(prefix + "bk")))
-    v = split_heads(linear(x, params[prefix + "wv"], params.get(prefix + "bv")))
+    q = split_heads(linear(x, params[prefix + "wq"], params[prefix + "bq"]))
+    k = split_heads(linear(x, params[prefix + "wk"], params[prefix + "bk"]))
+    v = split_heads(linear(x, params[prefix + "wv"], params[prefix + "bv"]))
     head_mask = None if mask is None else np.asarray(mask, dtype=bool)[..., None, :]
     att, w = scaled_dot_attention(q, k, v, head_mask, cfg.mapping)
     merged = att.swapaxes(-2, -3).reshape(*x.shape[:-2], n, d)
-    out = linear(merged, params[prefix + "wo"], params.get(prefix + "bo"))
+    out = linear(merged, params[prefix + "wo"], params[prefix + "bo"])
     return out, w
 
 

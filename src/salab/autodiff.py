@@ -98,9 +98,6 @@ class Tensor:
             if node._parents:
                 node._backward(node.grad)
 
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
-
     def item(self) -> float:
         return float(self.data)
 
@@ -336,8 +333,8 @@ class Adam:
     def step(self):
         for name, p in self.params.items():
             g = p.grad
-            if g is not None and np.any(np.isnan(g)):
-                raise PoisonedGradientError(f"NaN gradient in parameter {name!r}")
+            if g is not None and not np.isfinite(g).all():
+                raise PoisonedGradientError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t

@@ -5,14 +5,6 @@ flags.  Every command writes a manifest of its fully resolved config;
 feeding a manifest back through --config reproduces the run.
 """
 
-import os
-
-# Thread caps must be in the environment before numpy spins up its pools.
-_threads = os.environ.get("SALAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import logging
 import sys
@@ -131,35 +123,29 @@ def resolve(defaults: dict, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # model (re)construction
 
-def model_config_from(cfg: dict, vocab_size: int):
-    mapping = MappingKind.parse(cfg["mapping"])
+def build_model(cfg: dict, vocab_size: int, seed: int, dtype=np.float32):
     common = dict(
         vocab_size=vocab_size,
         embed_dim=cfg["embed_dim"],
         hidden=cfg["hidden"],
-        mapping=mapping,
+        mapping=MappingKind.parse(cfg["mapping"]),
         dropout_rate=cfg["dropout"],
         max_words=cfg["max_words"],
         max_sents=cfg["max_sents"],
         shared_qkv=cfg["shared_qkv"],
     )
     if cfg["model"] == "att":
-        return LocalModelConfig(**common)
+        return AttentionClassifier(LocalModelConfig(**common), seed=seed, dtype=dtype)
     if cfg["model"] == "tr":
-        return HierModelConfig(
+        config = HierModelConfig(
             **common,
             word_layers=cfg["layers"],
             sent_layers=cfg["layers"],
             word_heads=cfg["heads"],
             sent_heads=cfg["heads"],
         )
+        return HierarchicalTransformerClassifier(config, seed=seed, dtype=dtype)
     raise ValueError(f"unknown model family {cfg['model']!r}")
-
-
-def build_model(cfg: dict, vocab_size: int, seed: int, dtype=np.float32):
-    config = model_config_from(cfg, vocab_size)
-    cls = AttentionClassifier if cfg["model"] == "att" else HierarchicalTransformerClassifier
-    return cls(config, seed=seed, dtype=dtype)
 
 
 def save_model_dir(out: Path, model, vocab, train_cfg: dict, seed: int) -> None:
@@ -326,11 +312,11 @@ def cmd_heatmap(args) -> int:
     for doc in docs:
         if written >= cfg["limit"]:
             break
-        if not any(set(s) & tokens for s in doc.sentences):
+        if tokens and not any(set(s) & tokens for s in doc.sentences):
             continue
         for rec in extract_attention_maps(model, doc, vocab, filter_tokens=tokens):
-            path = out / f"{doc.id}_s{rec.sentence_index}.csv"
-            export_heatmap(rec, path)
+            name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
+            export_heatmap(rec, out / f"{doc.id}_{name}.csv")
         written += 1
     cfg["command"] = "heatmap"
     write_kv(out / "manifest.kv", cfg)

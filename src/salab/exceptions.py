@@ -14,7 +14,7 @@ class EmptyPoolError(SalabError, ValueError):
 
 
 class PoisonedGradientError(SalabError, RuntimeError):
-    """A gradient contained NaN; the optimizer step was aborted."""
+    """A gradient was non-finite (NaN or Inf); the optimizer step was aborted."""
 
 
 class UndefinedMetricError(SalabError, ValueError):

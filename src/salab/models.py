@@ -37,7 +37,7 @@ from .autodiff import (
     masked_mean_pool,
     sigmoid_np,
 )
-from .data import Batch, PatientDocument, Vocabulary, encode_document, pad_and_batch
+from .data import Batch, PatientDocument, Vocabulary, pad_and_batch
 from .exceptions import CheckpointError, EmptyDocumentError
 from .rng import derive_rng
 from .simplex import MappingKind
@@ -54,7 +54,14 @@ class LocalModelConfig:
     dropout_rate: float = 0.2
     max_words: int = 20
     max_sents: int = 40
-    shared_qkv: bool = False  # one projection reused for Q, K, V
+    # att only: Q, K and V start from one shared matrix, then train apart
+    shared_qkv: bool = False
+
+    def __post_init__(self):
+        if min(self.embed_dim, self.hidden, self.max_words, self.max_sents) < 1:
+            raise ValueError("embed_dim, hidden, max_words and max_sents must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 
 
 @dataclass
@@ -63,6 +70,13 @@ class HierModelConfig(LocalModelConfig):
     sent_layers: int = 1
     word_heads: int = 1
     sent_heads: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if min(self.word_layers, self.sent_layers, self.word_heads, self.sent_heads) < 1:
+            raise ValueError("layers and heads must be >= 1")
+        if self.shared_qkv:
+            raise ValueError("shared_qkv applies to the att family only")
 
 
 def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
@@ -83,15 +97,29 @@ def _safe_mask(mask: np.ndarray) -> np.ndarray:
 
 
 class _BaseModel:
+    """Embedding -> projection -> family encoder -> linear prediction layer.
+
+    A family adds its parameters in `_build_encoder(rng)` and maps the
+    projected words [B*T, W, hidden] to document vectors in `_encode`.
+    """
+
     family = "base"
 
-    def __init__(self, config, seed: int, dtype=np.float32):
-        self.config = config
+    def __init__(self, config, seed: int = 0, dtype=np.float32):
+        self.config = cfg = config
         self.seed = seed
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         self._dropout_rng = derive_rng(seed, "dropout", self.family)
-        self._build(derive_rng(seed, "init", self.family))
+        rng = derive_rng(seed, "init", self.family)
+        emb = _uniform(rng, cfg.embed_dim, (cfg.vocab_size, cfg.embed_dim), dtype)
+        emb[0] = 0.0
+        self._param("emb", emb)
+        self._param("proj_w", _uniform(rng, cfg.embed_dim, (cfg.embed_dim, cfg.hidden), dtype))
+        self._param("proj_b", np.zeros(cfg.hidden, dtype=dtype))
+        self._build_encoder(rng)
+        self._param("pred_w", _uniform(rng, cfg.hidden, (cfg.hidden, 1), dtype))
+        self._param("pred_b", np.zeros(1, dtype=dtype))
 
     def _param(self, name: str, value: np.ndarray) -> Tensor:
         t = Tensor(value.astype(self.dtype), requires_grad=True)
@@ -103,22 +131,27 @@ class _BaseModel:
             self._param(prefix + w, _uniform(rng, d, (d, d), self.dtype))
         for b in ("bq", "bk", "bv", "bo"):
             self._param(prefix + b, np.zeros(d, dtype=self.dtype))
-        self._param(prefix + "ln1_g", np.ones(d, dtype=self.dtype))
-        self._param(prefix + "ln1_b", np.zeros(d, dtype=self.dtype))
-        self._param(prefix + "ln2_g", np.ones(d, dtype=self.dtype))
-        self._param(prefix + "ln2_b", np.zeros(d, dtype=self.dtype))
+        for ln in ("ln1_", "ln2_"):
+            self._param(prefix + ln + "g", np.ones(d, dtype=self.dtype))
+            self._param(prefix + ln + "b", np.zeros(d, dtype=self.dtype))
         self._param(prefix + "ffn_w1", _uniform(rng, d, (d, 2 * d), self.dtype))
         self._param(prefix + "ffn_b1", np.zeros(2 * d, dtype=self.dtype))
         self._param(prefix + "ffn_w2", _uniform(rng, 2 * d, (2 * d, d), self.dtype))
         self._param(prefix + "ffn_b2", np.zeros(d, dtype=self.dtype))
 
-    def _embed_and_project(self, batch: Batch, training: bool):
+    def forward(self, batch: Batch, training: bool = False):
+        """Logits [B] and the attention records of the family's encoder."""
         cfg = self.config
+        B, T, W = batch.token_ids.shape
         if not batch.word_mask.any(axis=(1, 2)).all():
             raise EmptyDocumentError("batch contains a document with zero tokens")
         emb = embedding_lookup(batch.token_ids, self.params["emb"])
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
-        return dropout(x, cfg.dropout_rate, training, self._dropout_rng)
+        x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
+        words = _safe_mask(batch.word_mask.reshape(B * T, W))
+        pooled, records = self._encode(x.reshape(B * T, W, cfg.hidden), batch, words, training)
+        logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
+        return logits.reshape(B), records
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.astype(np.float32) for k, p in self.params.items()}
@@ -144,42 +177,25 @@ class AttentionClassifier(_BaseModel):
 
     family = "att"
 
-    def __init__(self, config: LocalModelConfig, seed: int = 0, dtype=np.float32):
-        super().__init__(config, seed, dtype)
-
-    def _build(self, rng):
+    def _build_encoder(self, rng):
         cfg = self.config
-        emb = _uniform(rng, cfg.embed_dim, (cfg.vocab_size, cfg.embed_dim), self.dtype)
-        emb[0] = 0.0
-        self._param("emb", emb)
-        self._param("proj_w", _uniform(rng, cfg.embed_dim, (cfg.embed_dim, cfg.hidden), self.dtype))
-        self._param("proj_b", np.zeros(cfg.hidden, dtype=self.dtype))
-        if cfg.shared_qkv:
-            shared = _uniform(rng, cfg.hidden, (cfg.hidden, cfg.hidden), self.dtype)
-            for w in ("wq", "wk", "wv"):
-                self._param(w, shared.copy())
-        else:
-            for w in ("wq", "wk", "wv"):
-                self._param(w, _uniform(rng, cfg.hidden, (cfg.hidden, cfg.hidden), self.dtype))
-        self._param("pred_w", _uniform(rng, cfg.hidden, (cfg.hidden, 1), self.dtype))
-        self._param("pred_b", np.zeros(1, dtype=self.dtype))
 
-    def forward(self, batch: Batch, training: bool = False):
+        def init():
+            return _uniform(rng, cfg.hidden, (cfg.hidden, cfg.hidden), self.dtype)
+
+        shared = init() if cfg.shared_qkv else None
+        for w in ("wq", "wk", "wv"):
+            self._param(w, init() if shared is None else shared.copy())
+
+    def _encode(self, x, batch, words, training):
         cfg = self.config
         B, T, W = batch.token_ids.shape
-        x = self._embed_and_project(batch, training)
-        x = x.reshape(B * T, W, cfg.hidden)
-        q = linear(x, self.params["wq"])
-        k = linear(x, self.params["wk"])
-        v = linear(x, self.params["wv"])
-        safe = _safe_mask(batch.word_mask.reshape(B * T, W))
-        att, weights = scaled_dot_attention(q, k, v, safe, cfg.mapping)
+        q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))
+        att, weights = scaled_dot_attention(q, k, v, words, cfg.mapping)
         att = dropout(att, cfg.dropout_rate, training, self._dropout_rng)
         flat = att.reshape(B, T * W, cfg.hidden)
         pooled = masked_mean_pool(flat, batch.word_mask.reshape(B, T * W))
-        logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
-        records = {"word": weights.reshape(B, T, 1, W, W)}
-        return logits.reshape(B), records
+        return pooled, {"word": weights.reshape(B, T, 1, W, W)}
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -187,59 +203,41 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
     family = "tr"
 
-    def __init__(self, config: HierModelConfig, seed: int = 0, dtype=np.float32):
-        super().__init__(config, seed, dtype)
-
-    def _build(self, rng):
+    def _build_encoder(self, rng):
         cfg = self.config
-        emb = _uniform(rng, cfg.embed_dim, (cfg.vocab_size, cfg.embed_dim), self.dtype)
-        emb[0] = 0.0
-        self._param("emb", emb)
-        self._param("proj_w", _uniform(rng, cfg.embed_dim, (cfg.embed_dim, cfg.hidden), self.dtype))
-        self._param("proj_b", np.zeros(cfg.hidden, dtype=self.dtype))
+
+        def level(heads: int, layers: int):
+            return AttentionConfig(cfg.hidden, heads, cfg.mapping, cfg.dropout_rate), layers
+
+        # level name -> (its layers' attention config, its layer count)
+        self._levels = {"word": level(cfg.word_heads, cfg.word_layers),
+                        "sent": level(cfg.sent_heads, cfg.sent_layers)}
         self._param("word_pos", _uniform(rng, cfg.hidden, (cfg.max_words, cfg.hidden), self.dtype))
         self._param("sent_pos", _uniform(rng, cfg.hidden, (cfg.max_sents, cfg.hidden), self.dtype))
-        for layer in range(cfg.word_layers):
-            self._layer_params(f"word{layer}_", rng, cfg.hidden)
-        for layer in range(cfg.sent_layers):
-            self._layer_params(f"sent{layer}_", rng, cfg.hidden)
-        self._param("pred_w", _uniform(rng, cfg.hidden, (cfg.hidden, 1), self.dtype))
-        self._param("pred_b", np.zeros(1, dtype=self.dtype))
+        for name, (_, layers) in self._levels.items():
+            for layer in range(layers):
+                self._layer_params(f"{name}{layer}_", rng, cfg.hidden)
 
-    def _level_cfg(self, heads: int) -> AttentionConfig:
-        cfg = self.config
-        return AttentionConfig(cfg.hidden, heads, cfg.mapping, cfg.dropout_rate)
+    def _level(self, level: str, x: Tensor, mask: np.ndarray, training: bool):
+        """Add the level's positional table, then run its encoder layers."""
+        att_cfg, layers = self._levels[level]
+        x = add_positional_embeddings(x, self.params[f"{level}_pos"])
+        for layer in range(layers):
+            x, weights = transformer_encoder_layer(
+                x, att_cfg, self.params, mask, training,
+                self._dropout_rng, prefix=f"{level}{layer}_",
+            )
+        return x, weights
 
-    def forward(self, batch: Batch, training: bool = False):
+    def _encode(self, x, batch, words, training):
         cfg = self.config
         B, T, W = batch.token_ids.shape
-        x = self._embed_and_project(batch, training)
-        x = x.reshape(B * T, W, cfg.hidden)
-        x = add_positional_embeddings(x, self.params["word_pos"])
-        safe_words = _safe_mask(batch.word_mask.reshape(B * T, W))
-        word_cfg = self._level_cfg(cfg.word_heads)
-        word_weights = None
-        for layer in range(cfg.word_layers):
-            x, word_weights = transformer_encoder_layer(
-                x, word_cfg, self.params, safe_words, training,
-                self._dropout_rng, prefix=f"word{layer}_",
-            )
-        sent_vecs = masked_mean_pool(x, safe_words).reshape(B, T, cfg.hidden)
-        y = add_positional_embeddings(sent_vecs, self.params["sent_pos"])
-        sent_cfg = self._level_cfg(cfg.sent_heads)
-        sent_weights = None
-        for layer in range(cfg.sent_layers):
-            y, sent_weights = transformer_encoder_layer(
-                y, sent_cfg, self.params, batch.sentence_mask, training,
-                self._dropout_rng, prefix=f"sent{layer}_",
-            )
+        x, word_weights = self._level("word", x, words, training)
+        sent_vecs = masked_mean_pool(x, words).reshape(B, T, cfg.hidden)
+        y, sent_weights = self._level("sent", sent_vecs, batch.sentence_mask, training)
         pooled = masked_mean_pool(y, batch.sentence_mask)
-        logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
-        records = {
-            "word": word_weights.reshape(B, T, cfg.word_heads, W, W),
-            "sentence": sent_weights,  # [B, heads, T, T]
-        }
-        return logits.reshape(B), records
+        word_weights = word_weights.reshape(B, T, cfg.word_heads, W, W)
+        return pooled, {"word": word_weights, "sentence": sent_weights}  # sentence: [B, h, T, T]
 
 
 def predict_proba(logits) -> np.ndarray:
@@ -263,41 +261,26 @@ def extract_attention_maps(
     the sentence-level record is omitted.
     """
     cfg = model.config
-    if filter_tokens:
-        for t in filter_tokens:
-            if t not in vocab.token_to_id:
-                log.warning("filter token %r not in vocabulary", t)
-    batches = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)
-    if not batches:
+    for t in filter_tokens or ():
+        if t not in vocab.token_to_id:
+            log.warning("filter token %r not in vocabulary", t)
+    sentences = [s[: cfg.max_words] for s in doc.sentences[: cfg.max_sents] if s]
+    if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")
-    batch = batches[0]
+    batch = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
     _, records = model.forward(batch, training=False)
 
     out: list[AttentionRecord] = []
-    enc = encode_document(doc, vocab, cfg.max_words, cfg.max_sents)
-    sentences = [s[: cfg.max_words] for s in doc.sentences[: cfg.max_sents] if s]
     for t, sent in enumerate(sentences):
-        if filter_tokens and not (set(sent) & filter_tokens):
-            continue
-        n = len(enc[t])
-        rec = AttentionRecord(
-            weights=records["word"][0, t, :, :n, :n].copy(),
-            row_labels=list(sent[:n]),
-            col_labels=list(sent[:n]),
-            scope="word",
-            sentence_index=t,
-        )
-        rec.validate()
-        out.append(rec)
+        if not filter_tokens or set(sent) & filter_tokens:
+            n = len(sent)
+            w = records["word"][0, t, :, :n, :n].copy()
+            out.append(AttentionRecord(w, list(sent), list(sent), "word", sentence_index=t))
     if "sentence" in records and not filter_tokens:
         n = len(sentences)
         labels = [f"s{t}" for t in range(n)]
-        rec = AttentionRecord(
-            weights=records["sentence"][0, :, :n, :n].copy(),
-            row_labels=labels,
-            col_labels=labels,
-            scope="sentence",
-        )
+        w = records["sentence"][0, :, :n, :n].copy()
+        out.append(AttentionRecord(w, labels, labels, "sentence"))
+    for rec in out:
         rec.validate()
-        out.append(rec)
     return out

@@ -256,10 +256,6 @@ def entmax_bisect(z, alpha: float) -> np.ndarray:
     return p
 
 
-def apply_mapping(z, kind: MappingKind) -> np.ndarray:
-    return apply_mapping_nd(_check_input(z), kind)
-
-
 def mapping_backward(p, upstream, kind: MappingKind) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)

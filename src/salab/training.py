@@ -46,6 +46,8 @@ def train_model(
 
     `stop_fn(stats)` may return True to stop early after an epoch.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     cfg = model.config
     opt = Adam(model.params, lr=lr)
     result = TrainResult()

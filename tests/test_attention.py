@@ -84,7 +84,14 @@ def test_all_masked_row_raises():
 
 
 @pytest.mark.parametrize(
-    "kind", [MappingKind.softmax(), MappingKind.sparsemax(), MappingKind.entmax15()]
+    "kind",
+    [
+        MappingKind.softmax(),
+        MappingKind.sparsemax(),
+        MappingKind.entmax15(),
+        MappingKind.entmax(1.3),
+        MappingKind.entmax(3.0),
+    ],
 )
 def test_mask_soundness(kind):
     """Changing a masked position's content never changes the output."""

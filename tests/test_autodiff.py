@@ -193,6 +193,15 @@ def test_adam_rejects_nan_gradient():
         opt.step()
 
 
+def test_adam_rejects_inf_gradient():
+    p = t64(np.array([0.0, 0.0]))
+    opt = Adam({"p": p})
+    p.grad = np.array([1.0, -np.inf])
+    with pytest.raises(PoisonedGradientError, match="non-finite"):
+        opt.step()
+    np.testing.assert_array_equal(p.data, [0.0, 0.0])
+
+
 def test_adam_determinism():
     def run():
         rng = np.random.default_rng(5)

@@ -1,10 +1,17 @@
 """CLI smoke and contract tests on a desk-scale corpus."""
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import salab
 from salab.cli import main, read_kv
+from salab.data import read_jsonl
+from salab.evaluation import read_heatmap
 
 TRAIN_FLAGS = [
     "--epochs", "2", "--lr", "1e-3", "--hidden", "16", "--embed-dim", "8",
@@ -117,6 +124,74 @@ def test_bad_mapping_exit_code(data_dir, tmp_path):
         ["train", "--data", str(data_dir), "--out", str(tmp_path / "x"),
          "--mapping", "sharpmax", *TRAIN_FLAGS]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "tr", "--layers", "0"],
+        ["--epochs", "0"],
+        ["--hidden", "0"],
+        ["--model", "tr", "--shared-qkv", "true"],
+    ],
+)
+def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
+    capsys.readouterr()
+    assert main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "x"), *TRAIN_FLAGS, *flags]
+    ) == 2
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_heatmap_empty_filter_exports_every_map(data_dir, tmp_path):
+    run = tmp_path / "run"
+    assert main(
+        ["train", "--data", str(data_dir), "--out", str(run), "--model", "tr",
+         "--mapping", "sparsemax", *TRAIN_FLAGS, "--epochs", "1"]
+    ) == 0
+    hm = tmp_path / "hm"
+    assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(run),
+                 "--out", str(hm), "--filter", "", "--limit", "2"]) == 0
+    docs = read_jsonl(data_dir / "test.jsonl")[:2]
+    expected = set()
+    for doc in docs:
+        n = len([s for s in doc.sentences[:8] if s])
+        expected |= {f"{doc.id}_s{t}.csv" for t in range(n)} | {f"{doc.id}_sentences.csv"}
+    assert {p.name for p in hm.glob("*.csv")} == expected
+    _, rows, cols = read_heatmap(hm / f"{docs[0].id}_sentences.csv")
+    assert rows == cols == [f"s{t}" for t in range(len(rows))]
+
+
+def test_salab_threads_pins_blas_before_numpy_loads():
+    """`import salab` sets the BLAS thread caps before numpy starts its pools."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SALAB_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(salab.__file__).resolve().parents[1])
+    probe = textwrap.dedent("""
+        import ctypes, os
+        import salab
+        threads = None
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    threads = fn()
+                    break
+        print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "1"
+    assert out[1] in ("1", "None")  # None: no OpenBLAS loaded, so nothing to read
 
 
 def test_gradcheck_command_passes():

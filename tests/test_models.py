@@ -7,7 +7,7 @@ import pytest
 
 from salab import data as dm
 from salab.autodiff import bce_with_logits
-from salab.exceptions import EmptyDocumentError
+from salab.exceptions import EmptyDocumentError, ShapeError
 from salab.models import (
     AttentionClassifier,
     HierarchicalTransformerClassifier,
@@ -110,6 +110,32 @@ def test_training_step_leaves_no_reference_cycles(corpus, family):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_heads_must_divide_hidden_at_build(corpus):
+    _, vocab = corpus
+    with pytest.raises(ShapeError):
+        HierarchicalTransformerClassifier(tr_cfg(vocab, hidden=8, sent_heads=3), seed=0)
+
+
+@pytest.mark.parametrize(
+    "cfg_fn, bad",
+    [
+        (att_cfg, {"hidden": 0}),
+        (att_cfg, {"embed_dim": 0}),
+        (att_cfg, {"max_words": 0}),
+        (att_cfg, {"max_sents": 0}),
+        (att_cfg, {"dropout_rate": 1.0}),
+        (att_cfg, {"dropout_rate": -0.1}),
+        (tr_cfg, {"word_layers": 0}),
+        (tr_cfg, {"sent_heads": 0}),
+        (tr_cfg, {"shared_qkv": True}),
+    ],
+)
+def test_config_rejects_bad_values(corpus, cfg_fn, bad):
+    _, vocab = corpus
+    with pytest.raises(ValueError):
+        cfg_fn(vocab, **bad)
 
 
 def test_hier_single_sentence_degenerates(corpus):
