@@ -247,6 +247,18 @@ def embedding_lookup(ids: np.ndarray, table: Tensor) -> Tensor:
     return _node(table.data[ids], (table,), grad)
 
 
+def scatter_rows_np(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """An [n, ...] zero array with values[i] at row rows[i]."""
+    out = np.zeros((n, *values.shape[1:]), dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def scatter_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """x[i] at row rows[i] of an [n, ...] zero tensor (rows distinct)."""
+    return _node(scatter_rows_np(x.data, rows, n), (x,), lambda g: g[rows])
+
+
 def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     """Mean of x[..., n, d] over the n axis, restricted to mask[..., n]."""
     mask = np.asarray(mask, dtype=bool)

@@ -251,28 +251,27 @@ def _train_once(cfg: dict, seed: int, out: Path):
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    cfg["command"] = "train"
-    write_kv(out / "manifest.kv", cfg)
-    del cfg["command"]
     if cfg["seeds"] <= 1:
         _train_once(cfg, cfg["seed"], out)
-        return 0
-    reports = []
-    for k in range(cfg["seeds"]):
-        seed = cfg["seed"] + k
-        reports.append(_train_once(cfg, seed, out / f"seed{seed}"))
-    summary = {}
-    for name in ("auc_roc", "auc_pr", "brier"):
-        values = np.array([getattr(r, name) for r in reports])
-        summary[f"{name}_mean"] = f"{values.mean():.6f}"
-        summary[f"{name}_sd"] = f"{values.std(ddof=1):.6f}"
-    summary["runs"] = str(len(reports))
-    write_kv(out / "summary.kv", summary)
-    print(
-        f"{cfg['seeds']} runs: auc_roc {summary['auc_roc_mean']} "
-        f"± {summary['auc_roc_sd']}"
-    )
+    else:
+        reports = []
+        for k in range(cfg["seeds"]):
+            seed = cfg["seed"] + k
+            reports.append(_train_once(cfg, seed, out / f"seed{seed}"))
+        summary = {}
+        for name in ("auc_roc", "auc_pr", "brier"):
+            values = np.array([getattr(r, name) for r in reports])
+            summary[f"{name}_mean"] = f"{values.mean():.6f}"
+            summary[f"{name}_sd"] = f"{values.std(ddof=1):.6f}"
+        summary["runs"] = str(len(reports))
+        write_kv(out / "summary.kv", summary)
+        print(
+            f"{cfg['seeds']} runs: auc_roc {summary['auc_roc_mean']} "
+            f"± {summary['auc_roc_sd']}"
+        )
+    # written only once the run succeeded, so a rejected setting leaves nothing
+    cfg["command"] = "train"
+    write_kv(out / "manifest.kv", cfg)
     return 0
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import DatasetError
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -179,20 +180,42 @@ def write_jsonl(path, docs: list[PatientDocument]) -> None:
             )
 
 
+def _parse_document(line: str) -> PatientDocument:
+    """One JSONL line as a document; DatasetError names what is wrong."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DatasetError(f"not valid JSON ({e.msg})") from None
+    if not isinstance(rec, dict):
+        raise DatasetError("not a JSON object")
+    if "id" not in rec:
+        raise DatasetError('no "id"')
+    label = rec.get("label")
+    if isinstance(label, bool) or label not in (0, 1):
+        raise DatasetError(f'"label" must be 0 or 1, got {label!r}')
+    sentences = rec.get("sentences")
+    if not (isinstance(sentences, list)
+            and all(isinstance(s, list) and all(isinstance(t, str) for t in s)
+                    for s in sentences)):
+        raise DatasetError('"sentences" must be a list of lists of strings')
+    return PatientDocument(id=str(rec["id"]), sentences=sentences, label=int(label))
+
+
 def read_jsonl(path) -> list[PatientDocument]:
+    """Documents of a JSON Lines file; one object per line:
+    {"id": ..., "label": 0 | 1, "sentences": [[token, ...], ...]}.
+
+    Raises DatasetError "<path>:<line>: <reason>" for a malformed line.
+    """
     docs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            docs.append(
-                PatientDocument(
-                    id=str(rec["id"]),
-                    sentences=[list(map(str, s)) for s in rec["sentences"]],
-                    label=int(rec["label"]),
-                )
-            )
+            try:
+                docs.append(_parse_document(line))
+            except DatasetError as e:
+                raise DatasetError(f"{path}:{lineno}: {e}") from None
     return docs
 
 
@@ -227,6 +250,7 @@ def split_dataset(
 
 @dataclass
 class Batch:
+    # T and W are the batch's own most sentences and longest sentence
     token_ids: np.ndarray  # [B, T, W] int64, 0 = pad
     word_mask: np.ndarray  # [B, T, W] bool
     sentence_mask: np.ndarray  # [B, T] bool
@@ -253,6 +277,9 @@ def pad_and_batch(
     max_sents: int,
     batch_size: int,
 ) -> list[Batch]:
+    """Consecutive batches of `batch_size` documents, each padded to its
+    own longest document and sentence; `max_words` and `max_sents` only
+    truncate."""
     if min(max_words, max_sents, batch_size) < 1:
         raise ValueError("max_words, max_sents, batch_size must be >= 1")
     kept: list[tuple[PatientDocument, list[list[int]]]] = []
@@ -267,9 +294,11 @@ def pad_and_batch(
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
         b = len(chunk)
-        ids = np.zeros((b, max_sents, max_words), dtype=np.int64)
-        wmask = np.zeros((b, max_sents, max_words), dtype=bool)
-        smask = np.zeros((b, max_sents), dtype=bool)
+        n_sents = max(len(enc) for _, enc in chunk)
+        n_words = max(len(sent) for _, enc in chunk for sent in enc)
+        ids = np.zeros((b, n_sents, n_words), dtype=np.int64)
+        wmask = np.zeros((b, n_sents, n_words), dtype=bool)
+        smask = np.zeros((b, n_sents), dtype=bool)
         labels = np.zeros(b, dtype=np.float64)
         doc_ids = []
         for i, (doc, enc) in enumerate(chunk):

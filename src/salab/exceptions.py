@@ -27,3 +27,7 @@ class EmptyDocumentError(SalabError, ValueError):
 
 class CheckpointError(SalabError, ValueError):
     """A checkpoint file is foreign or truncated, or does not fit the model."""
+
+
+class DatasetError(SalabError, ValueError):
+    """A dataset file has a line that is not a well-formed document."""

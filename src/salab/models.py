@@ -9,6 +9,10 @@ word positional embeddings, masked mean per sentence, sentence positional
 embeddings, sentence-level transformer, masked mean over sentences, then
 the same linear prediction layer.
 
+The word level of both runs on the real sentences of a batch only,
+gathered into [N, W]; its results go back to their [B, T] slots through
+`scatter_rows`.
+
 Both are parameterized by the simplex mapping; swapping the mapping never
 changes parameter shapes, so checkpoints are interchangeable.
 """
@@ -35,6 +39,8 @@ from .autodiff import (
     embedding_lookup,
     linear,
     masked_mean_pool,
+    scatter_rows,
+    scatter_rows_np,
     sigmoid_np,
 )
 from .data import Batch, PatientDocument, Vocabulary, pad_and_batch
@@ -84,23 +90,14 @@ def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _safe_mask(mask: np.ndarray) -> np.ndarray:
-    """Word mask with position 0 forced on for fully padded sentences.
-
-    Keeps attention/pooling well defined for pad sentences; their output
-    never reaches the loss because the true masks exclude them later.
-    """
-    safe = mask.copy()
-    empty = ~mask.any(axis=-1)
-    safe[empty, 0] = True
-    return safe
-
-
 class _BaseModel:
     """Embedding -> projection -> family encoder -> linear prediction layer.
 
     A family adds its parameters in `_build_encoder(rng)` and maps the
-    projected words [B*T, W, hidden] to document vectors in `_encode`.
+    projected words of the N real sentences, [N, W, hidden], to document
+    vectors in `_encode(x, batch, rows, words, training)`: `rows` are
+    those sentences' indices in the flattened [B*T] slots and `words` is
+    their word mask [N, W], with at least one real word in every row.
     """
 
     family = "base"
@@ -145,11 +142,12 @@ class _BaseModel:
         B, T, W = batch.token_ids.shape
         if not batch.word_mask.any(axis=(1, 2)).all():
             raise EmptyDocumentError("batch contains a document with zero tokens")
-        emb = embedding_lookup(batch.token_ids, self.params["emb"])
+        word_mask = batch.word_mask.reshape(B * T, W)
+        rows = np.flatnonzero(word_mask.any(axis=-1))
+        emb = embedding_lookup(batch.token_ids.reshape(B * T, W)[rows], self.params["emb"])
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
-        words = _safe_mask(batch.word_mask.reshape(B * T, W))
-        pooled, records = self._encode(x.reshape(B * T, W, cfg.hidden), batch, words, training)
+        pooled, records = self._encode(x, batch, rows, word_mask[rows], training)
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
         return logits.reshape(B), records
 
@@ -187,15 +185,15 @@ class AttentionClassifier(_BaseModel):
         for w in ("wq", "wk", "wv"):
             self._param(w, init() if shared is None else shared.copy())
 
-    def _encode(self, x, batch, words, training):
+    def _encode(self, x, batch, rows, words, training):
         cfg = self.config
         B, T, W = batch.token_ids.shape
         q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))
         att, weights = scaled_dot_attention(q, k, v, words, cfg.mapping)
         att = dropout(att, cfg.dropout_rate, training, self._dropout_rng)
-        flat = att.reshape(B, T * W, cfg.hidden)
+        flat = scatter_rows(att, rows, B * T).reshape(B, T * W, cfg.hidden)
         pooled = masked_mean_pool(flat, batch.word_mask.reshape(B, T * W))
-        return pooled, {"word": weights.reshape(B, T, 1, W, W)}
+        return pooled, {"word": scatter_rows_np(weights, rows, B * T).reshape(B, T, 1, W, W)}
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -229,14 +227,13 @@ class HierarchicalTransformerClassifier(_BaseModel):
             )
         return x, weights
 
-    def _encode(self, x, batch, words, training):
-        cfg = self.config
+    def _encode(self, x, batch, rows, words, training):
         B, T, W = batch.token_ids.shape
         x, word_weights = self._level("word", x, words, training)
-        sent_vecs = masked_mean_pool(x, words).reshape(B, T, cfg.hidden)
+        sent_vecs = scatter_rows(masked_mean_pool(x, words), rows, B * T).reshape(B, T, -1)
         y, sent_weights = self._level("sent", sent_vecs, batch.sentence_mask, training)
         pooled = masked_mean_pool(y, batch.sentence_mask)
-        word_weights = word_weights.reshape(B, T, cfg.word_heads, W, W)
+        word_weights = scatter_rows_np(word_weights, rows, B * T).reshape(B, T, -1, W, W)
         return pooled, {"word": word_weights, "sentence": sent_weights}  # sentence: [B, h, T, T]
 
 

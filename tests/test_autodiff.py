@@ -14,6 +14,7 @@ from salab.autodiff import (
     layer_norm,
     linear,
     masked_mean_pool,
+    scatter_rows,
 )
 from salab.exceptions import EmptyPoolError, PoisonedGradientError, ShapeError
 from salab.simplex import MappingKind
@@ -122,6 +123,22 @@ def test_relu_and_arithmetic_gradcheck():
 
     def f():
         return ((x.relu() * 2.0 + 1.0) * x - x / 2.0).sum()
+
+    assert grad_check(f, {"x": x}) <= 1e-7
+
+
+def test_scatter_rows_places_rows_and_gradcheck():
+    rng = np.random.default_rng(4)
+    x = t64(rng.normal(0, 1, (3, 2, 4)))
+    rows = np.array([0, 2, 5])
+    out = scatter_rows(x, rows, 6)
+    assert out.shape == (6, 2, 4)
+    np.testing.assert_array_equal(out.data[rows], x.data)
+    assert not out.data[[1, 3, 4]].any()
+    weight = t64(rng.normal(0, 1, (6, 2, 4)), grad=False)
+
+    def f():
+        return (scatter_rows(x, rows, 6) * weight).sum()
 
     assert grad_check(f, {"x": x}) <= 1e-7
 

@@ -143,6 +143,30 @@ def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_malformed_jsonl_exit_code(data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("validation.jsonl", "test.jsonl"):
+        (bad / name).write_bytes((data_dir / name).read_bytes())
+    lines = (data_dir / "train.jsonl").read_text().splitlines()
+    lines[4] = '{"id": "x", "label": 7, "sentences": [["dnr"]]}'
+    (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "x"), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "train.jsonl:5:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["att", "tr"])
+def test_train_at_default_caps(data_dir, tmp_path, model):
+    """The default --max-words 50 --max-sents 1000 only truncate, so a batch
+    stays the size of its own documents."""
+    assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                 "--model", model, "--epochs", "1"]) == 0
 
 
 def test_heatmap_empty_filter_exports_every_map(data_dir, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from salab import data as dm
 from salab.evaluation import PredictionRecord, auc_roc
+from salab.exceptions import DatasetError
 
 
 def test_tokenize_examples():
@@ -84,6 +85,31 @@ def test_jsonl_roundtrip(tmp_path):
     assert again == docs
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"id": "d1", "label": 0, "sentences": [["a"]]', "not valid JSON"),
+        ('[1, 2]', "not a JSON object"),
+        ('{"label": 0, "sentences": [["a"]]}', '"id"'),
+        ('{"id": "d1", "label": 7, "sentences": [["a"]]}', '"label"'),
+        ('{"id": "d1", "sentences": [["a"]]}', '"label"'),
+        ('{"id": "d1", "label": true, "sentences": [["a"]]}', '"label"'),
+        ('{"id": "d1", "label": 1, "sentences": "dnr"}', '"sentences"'),
+        ('{"id": "d1", "label": 1, "sentences": ["dnr"]}', '"sentences"'),
+        ('{"id": "d1", "label": 1, "sentences": [["dnr", 3]]}', '"sentences"'),
+        ('{"id": "d1", "label": 1}', '"sentences"'),
+    ],
+)
+def test_read_jsonl_rejects_malformed_line(tmp_path, line, reason):
+    path = tmp_path / "d.jsonl"
+    good = '{"id": "d0", "label": 1, "sentences": [["a", "b"], []]}'
+    path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        dm.read_jsonl(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert reason in str(info.value)
+
+
 def test_split_disjoint_and_stable():
     docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=200, seed=15))
     s1 = dm.split_dataset(docs, seed=4)
@@ -100,11 +126,20 @@ def test_pad_and_batch_examples():
     vocab = dm.build_vocab([["t1", "t2", "t3"]], min_freq=1)
     doc = dm.PatientDocument("d0", [["t1", "t2", "t3"]], 0)
     batch = dm.pad_and_batch([doc], vocab, max_words=5, max_sents=2, batch_size=4)[0]
+    # padded to the batch's own longest document and sentence, not to the caps
+    assert batch.token_ids.shape == batch.word_mask.shape == (1, 1, 3)
     ids = batch.token_ids[0, 0]
-    assert list(ids[:3]) == [vocab.encode(t) for t in ("t1", "t2", "t3")]
-    assert list(ids[3:]) == [0, 0]
-    assert list(batch.word_mask[0, 0]) == [True, True, True, False, False]
-    assert list(batch.sentence_mask[0]) == [True, False]
+    assert list(ids) == [vocab.encode(t) for t in ("t1", "t2", "t3")]
+    assert list(batch.word_mask[0, 0]) == [True, True, True]
+    assert list(batch.sentence_mask[0]) == [True]
+
+    longer = dm.PatientDocument("d1", [["t1"], ["t2", "t3", "t1", "t2"]], 1)
+    batch = dm.pad_and_batch([doc, longer], vocab, max_words=5, max_sents=3, batch_size=4)[0]
+    assert batch.token_ids.shape == (2, 2, 4)
+    assert list(batch.token_ids[0, 0]) == [*ids, 0]
+    assert not batch.token_ids[0, 1].any()
+    assert list(batch.word_mask[0, 0]) == [True, True, True, False]
+    assert batch.sentence_mask.tolist() == [[True, False], [True, True]]
 
 
 def test_pad_and_batch_remainder_and_truncation():
@@ -114,6 +149,30 @@ def test_pad_and_batch_remainder_and_truncation():
     assert len(batches) == 1 and batches[0].token_ids.shape[0] == 7
     # earliest two sentences kept
     assert batches[0].sentence_mask[0].sum() == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=7), max_size=6),
+             min_size=1, max_size=9),
+    st.integers(1, 8), st.integers(1, 5), st.integers(1, 4),
+)
+def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents, batch_size):
+    vocab = dm.build_vocab([["a", "b", "c"]], min_freq=1)
+    docs = [dm.PatientDocument(f"d{i}", s, 0) for i, s in enumerate(sentence_lists)]
+    kept = [enc for enc in (dm.encode_document(d, vocab, max_words, max_sents) for d in docs)
+            if enc]
+    batches = dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size)
+    assert [b.token_ids.shape[0] for b in batches] == [
+        len(kept[i : i + batch_size]) for i in range(0, len(kept), batch_size)
+    ]
+    for k, batch in enumerate(batches):
+        chunk = kept[k * batch_size : (k + 1) * batch_size]
+        shape = (len(chunk), max(map(len, chunk)), max(len(s) for enc in chunk for s in enc))
+        assert batch.token_ids.shape == batch.word_mask.shape == shape
+        assert batch.sentence_mask.shape == shape[:2]
+        assert np.array_equal(batch.word_mask, batch.token_ids != 0)
+        assert np.array_equal(batch.sentence_mask, batch.word_mask.any(axis=-1))
 
 
 def test_mask_pad_consistency():

@@ -94,6 +94,49 @@ def test_padding_insensitivity(corpus, family):
 
 
 @pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("mapping", ["sparsemax", "entmax15", "entmax:1.3"])
+def test_packed_batch_matches_batch_padded_to_caps(corpus, family, mapping):
+    """A packed batch and the same batch padded out to (max_sents, max_words)
+    give the same logits and the same word maps on the real positions."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.parse(mapping), max_words=9, max_sents=6), seed=3)
+    packed = dm.pad_and_batch(docs[:5], vocab, 9, 6, 5)[0]
+    B, T, W = packed.token_ids.shape
+    assert T < 6 and W < 9
+    grow = ((0, 0), (0, 6 - T), (0, 9 - W))
+    padded = dm.Batch(
+        np.pad(packed.token_ids, grow), np.pad(packed.word_mask, grow),
+        np.pad(packed.sentence_mask, grow[:2]), packed.labels, packed.doc_ids,
+    )
+    logits_p, rec_p = model.forward(packed)
+    logits_d, rec_d = model.forward(padded)
+    np.testing.assert_allclose(logits_p.data, logits_d.data, rtol=0, atol=1e-6)
+    real = packed.word_mask[:, :, None, :, None] & packed.word_mask[:, :, None, None, :]
+    word_d = rec_d["word"][:, :T, :, :W, :W]
+    assert rec_d["word"].shape[1:] == (6, rec_p["word"].shape[2], 9, 9)
+    np.testing.assert_allclose(
+        np.where(real, rec_p["word"], 0.0), np.where(real, word_d, 0.0), rtol=0, atol=1e-6
+    )
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+def test_each_document_scores_as_if_alone(corpus, family):
+    """The real sentences of a packed batch go back to their own document's slots."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.entmax15()), seed=2)
+    batch = dm.pad_and_batch(docs[:6], vocab, 6, 4, 6)[0]
+    logits, records = model.forward(batch)
+    for i, doc in enumerate(docs[:6]):
+        alone = dm.pad_and_batch([doc], vocab, 6, 4, 1)[0]
+        logit, rec = model.forward(alone)
+        _, T, W = alone.token_ids.shape
+        np.testing.assert_allclose(logits.data[i], logit.data[0], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(records["word"][i, :T, :, :W, :W], rec["word"][0], atol=1e-6)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
 def test_training_step_leaves_no_reference_cycles(corpus, family):
     """A dropped graph is freed by reference counting, not the cycle collector."""
     docs, vocab = corpus
