@@ -118,9 +118,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_as_tensor(other, self.dtype))
 
-    def __rsub__(self, other):
-        return _as_tensor(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
         return _node(
@@ -133,9 +130,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return self * (_as_tensor(other, self.dtype) ** -1.0)
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other, self.dtype) * (self ** -1.0)
 
     def __pow__(self, exponent: float):
         return _node(
@@ -295,7 +289,13 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
     s = logits.data
     loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    return _node(loss, (logits,), lambda g: g * (1.0 / (1.0 + np.exp(-s)) - y))
+
+    def backward(g):
+        # where exp(-s) overflows to inf, 1/(1+inf) = 0 is the right limit
+        with np.errstate(over="ignore"):
+            return g * (1.0 / (1.0 + np.exp(-s)) - y)
+
+    return _node(loss, (logits,), backward)
 
 
 def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:

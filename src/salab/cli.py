@@ -100,23 +100,27 @@ def write_kv(path, cfg: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _coerce(value, template):
+def _coerce(key: str, value: str, template):
     if isinstance(template, bool):
-        return value in (True, "true", "True", "1")
+        if value.lower() not in ("true", "false", "1", "0"):
+            raise ValueError(f"{key} must be true, false, 1 or 0, got {value!r}")
+        return value.lower() in ("true", "1")
     return type(template)(value)
 
 
 def resolve(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        file_cfg = read_kv(args.config)
-        for k, v in file_cfg.items():
-            if k in cfg:
-                cfg[k] = _coerce(v, defaults[k])
+        for k, v in read_kv(args.config).items():
+            if k == "command":  # every manifest names the command it came from
+                continue
+            if k not in defaults:
+                raise ValueError(f"{args.config}: {k!r} is not a setting of this command")
+            cfg[k] = _coerce(k, v, defaults[k])
     for k in defaults:
         v = getattr(args, k, None)
         if v is not None:
-            cfg[k] = _coerce(v, defaults[k])
+            cfg[k] = _coerce(k, v, defaults[k])
     return cfg
 
 
@@ -165,7 +169,7 @@ def load_model_dir(model_dir):
     cfg = dict(TRAIN_DEFAULTS)
     for k, v in kv.items():
         if k in cfg:
-            cfg[k] = _coerce(v, cfg[k])
+            cfg[k] = _coerce(k, v, cfg[k])
     vocab = datamod.Vocabulary.load(model_dir / "vocab.txt")
     model = build_model(cfg, len(vocab), seed=int(kv.get("seed", 0)))
     model.load(model_dir / "best.ckpt")
@@ -305,13 +309,14 @@ def cmd_heatmap(args) -> int:
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], "test"))
     tokens = {t for t in cfg["filter"].split(",") if t}
+    caps = model.config.max_words, model.config.max_sents
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = 0
     for doc in docs:
         if written >= cfg["limit"]:
             break
-        if tokens and not any(set(s) & tokens for s in doc.sentences):
+        if tokens and not any(set(s) & tokens for s in datamod.kept_sentences(doc, *caps)):
             continue
         for rec in extract_attention_maps(model, doc, vocab, filter_tokens=tokens):
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
@@ -405,6 +410,9 @@ def main(argv=None) -> int:
         code = args.fn(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e}", file=sys.stderr)
+        code = 2
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
         code = 2
     except PoisonedGradientError as e:
         print(f"error: poisoned gradient: {e}", file=sys.stderr)

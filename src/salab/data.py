@@ -258,16 +258,17 @@ class Batch:
     doc_ids: list[str] = field(default_factory=list)
 
 
+def kept_sentences(doc: PatientDocument, max_words: int, max_sents: int) -> list[list[str]]:
+    """The sentences a model reads of `doc`: its earliest `max_sents`, each
+    cut to its earliest `max_words` tokens, with empty ones dropped."""
+    return [cut for sent in doc.sentences[:max_sents] if (cut := sent[:max_words])]
+
+
 def encode_document(
     doc: PatientDocument, vocab: Vocabulary, max_words: int, max_sents: int
 ) -> list[list[int]]:
-    """Truncate (earliest kept) and map tokens to ids; drops empty sentences."""
-    out = []
-    for sent in doc.sentences[:max_sents]:
-        ids = [vocab.encode(t) for t in sent[:max_words]]
-        if ids:
-            out.append(ids)
-    return out
+    """The ids of the document's kept sentences."""
+    return [[vocab.encode(t) for t in s] for s in kept_sentences(doc, max_words, max_sents)]
 
 
 def pad_and_batch(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionRecord
-from .data import PatientDocument, Vocabulary, pad_and_batch
+from .data import PatientDocument, Vocabulary, kept_sentences, pad_and_batch
 from .exceptions import UndefinedMetricError
 from .models import extract_attention_maps, predict_proba
 
@@ -207,11 +207,12 @@ def directive_attention_mass(
     vocab: Vocabulary,
     directive_tokens: set[str],
 ) -> AttentionMassSummary:
+    caps = model.config.max_words, model.config.max_sents
     masses: list[float] = []
     zero_cols = 0
     nondir_cols = 0
     for doc in docs:
-        if not any(set(s) & directive_tokens for s in doc.sentences):
+        if not any(set(s) & directive_tokens for s in kept_sentences(doc, *caps)):
             continue
         for rec in extract_attention_maps(model, doc, vocab, filter_tokens=directive_tokens):
             w = rec.weights[0]  # head 0, [n, n]
@@ -252,14 +253,11 @@ def score_documents(model, docs, vocab, batch_size: int = 16) -> list[Prediction
 
 def export_heatmap(record: AttentionRecord, path, head: int = 0) -> None:
     """CSV grid: header = column tokens, first cell of each row = row token."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + record.col_labels)
-            for label, row in zip(record.row_labels, record.weights[head]):
-                writer.writerow([label] + [f"{v:.6f}" for v in row])
-    except OSError as e:
-        raise OSError(f"failed writing heatmap to {path}: {e}") from e
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + record.col_labels)
+        for label, row in zip(record.row_labels, record.weights[head]):
+            writer.writerow([label] + [f"{v:.6f}" for v in row])
 
 
 def read_heatmap(path) -> tuple[np.ndarray, list[str], list[str]]:

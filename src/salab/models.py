@@ -43,7 +43,7 @@ from .autodiff import (
     scatter_rows_np,
     sigmoid_np,
 )
-from .data import Batch, PatientDocument, Vocabulary, pad_and_batch
+from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_batch
 from .exceptions import CheckpointError, EmptyDocumentError
 from .rng import derive_rng
 from .simplex import MappingKind
@@ -261,7 +261,7 @@ def extract_attention_maps(
     for t in filter_tokens or ():
         if t not in vocab.token_to_id:
             log.warning("filter token %r not in vocabulary", t)
-    sentences = [s[: cfg.max_words] for s in doc.sentences[: cfg.max_sents] if s]
+    sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
     if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")
     batch = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]

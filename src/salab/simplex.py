@@ -1,9 +1,9 @@
 """Probability-simplex mappings that normalise attention scores.
 
-Four mappings are provided: softmax, sparsemax (Euclidean projection onto
-the simplex, sort-based), exact 1.5-entmax (sort-based), and a generic
-bisection solver for alpha-entmax with alpha in (1, 4].  Each comes in a 1-D
-public form and an ``*_nd`` form vectorised over the last axis.
+A mapping is alpha-entmax, named by alpha alone.  Softmax (alpha 1), sparsemax
+(2, the Euclidean projection onto the simplex) and 1.5-entmax have exact
+solvers, the last two sort-based; every other alpha in (1, 4] bisects.  Each
+comes in a 1-D public form and an ``*_nd`` form vectorised over the last axis.
 
 All arithmetic runs in float64 regardless of the caller's dtype: the
 threshold selection is branchy and loses support entries in float32.
@@ -27,43 +27,42 @@ SPARSE_FLOOR = 1e-12
 BISECT_ITERS = 50
 
 
+# the named spellings of alpha; any other alpha is spelled entmax:<alpha>
+_NAMED_ALPHAS = {"softmax": 1.0, "entmax15": 1.5, "sparsemax": 2.0}
+_NAMES = {alpha: name for name, alpha in _NAMED_ALPHAS.items()}
+
+
 @dataclass(frozen=True)
 class MappingKind:
-    """Which normaliser to use inside attention.
+    """Which normaliser to use inside attention: alpha-entmax at `alpha`.
 
-    ``alpha`` is only meaningful for the generic entmax family; the three
-    named mappings correspond to alpha = 1 (softmax), 1.5, and 2.
+    alpha = 1 is softmax; otherwise alpha lies in (1, 4].
     """
 
-    name: str
-    alpha: float | None = None
+    alpha: float
 
     def __post_init__(self):
-        if self.name not in ("softmax", "sparsemax", "entmax15", "entmax"):
-            raise ValueError(f"unknown mapping name: {self.name!r}")
-        if self.name == "entmax":
-            if self.alpha is None or not (1.0 < self.alpha <= 4.0):
-                raise ValueError(
-                    f"entmax alpha must lie in (1, 4], got {self.alpha!r}"
-                )
-        elif self.alpha is not None:
-            raise ValueError(f"{self.name} does not take an alpha")
+        if not (self.alpha == 1.0 or 1.0 < self.alpha <= 4.0):
+            raise ValueError(f"alpha must be 1 or lie in (1, 4], got {self.alpha!r}")
 
     @classmethod
     def softmax(cls) -> "MappingKind":
-        return cls("softmax")
+        return cls(1.0)
 
     @classmethod
     def sparsemax(cls) -> "MappingKind":
-        return cls("sparsemax")
+        return cls(2.0)
 
     @classmethod
     def entmax15(cls) -> "MappingKind":
-        return cls("entmax15")
+        return cls(1.5)
 
     @classmethod
     def entmax(cls, alpha: float) -> "MappingKind":
-        return cls("entmax", float(alpha))
+        """alpha-entmax for alpha in (1, 4]; alpha = 1 is spelled softmax."""
+        if not 1.0 < float(alpha) <= 4.0:
+            raise ValueError(f"entmax alpha must lie in (1, 4], got {alpha!r}")
+        return cls(float(alpha))
 
     @classmethod
     def parse(cls, text: str) -> "MappingKind":
@@ -71,19 +70,16 @@ class MappingKind:
         text = text.strip().lower()
         if text.startswith("entmax:"):
             return cls.entmax(float(text.split(":", 1)[1]))
-        return cls(text)
-
-    def __str__(self) -> str:
-        if self.name == "entmax":
-            return f"entmax:{self.alpha:g}"
-        return self.name
+        if text not in _NAMED_ALPHAS:
+            raise ValueError(f"unknown mapping name: {text!r}")
+        return cls(_NAMED_ALPHAS[text])
 
     @property
-    def exponent_alpha(self) -> float:
-        """The alpha of the backward rule p**(2 - alpha) and of `scaled`."""
-        return {"softmax": 1.0, "sparsemax": 2.0, "entmax15": 1.5}.get(
-            self.name, self.alpha
-        )
+    def name(self) -> str:
+        return _NAMES.get(self.alpha, f"entmax:{self.alpha:g}")
+
+    def __str__(self) -> str:
+        return self.name
 
     def scaled(self, z: np.ndarray) -> np.ndarray:
         """(alpha - 1) * (z - max z) over the last axis, in float64.
@@ -92,7 +88,7 @@ class MappingKind:
         exactly where the scaled score exceeds the threshold tau.
         """
         z = np.asarray(z, dtype=np.float64)
-        return (self.exponent_alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
+        return (self.alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -186,13 +182,13 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
 def apply_mapping_nd(
     z: np.ndarray, kind: MappingKind, return_threshold: bool = False
 ):
-    """Dispatch over the last axis. Threshold rows are NaN for softmax."""
-    if kind.name == "softmax":
+    """Dispatch on alpha over the last axis. Threshold rows are NaN for softmax."""
+    if kind.alpha == 1.0:
         p = softmax_nd(z)
         tau = np.full(p.shape[:-1], np.nan)
-    elif kind.name == "sparsemax":
+    elif kind.alpha == 2.0:
         p, tau = sparsemax_nd(z)
-    elif kind.name == "entmax15":
+    elif kind.alpha == 1.5:
         p, tau = entmax15_nd(z)
     else:
         p, tau = entmax_bisect_nd(z, kind.alpha)
@@ -220,7 +216,7 @@ def mapping_backward_nd(
         raise ValueError(
             f"probability/upstream length mismatch: {p.shape} vs {upstream.shape}"
         )
-    g = np.where(p > 0.0, p, 1.0) ** (2.0 - kind.exponent_alpha) * (p > 0.0)
+    g = np.where(p > 0.0, p, 1.0) ** (2.0 - kind.alpha) * (p > 0.0)
     gu = (g * upstream).sum(axis=-1, keepdims=True)
     gs = g.sum(axis=-1, keepdims=True)
     return g * upstream - (gu / gs) * g
@@ -238,7 +234,7 @@ def _with_support(z, kind: MappingKind) -> tuple[np.ndarray, SupportInfo]:
     p, tau = apply_mapping_nd(z, kind, return_threshold=True)
     # tau thresholds kind.scaled(z); report it against (alpha - 1) * z,
     # the caller's untranslated coordinates
-    tau = float(tau) + (kind.exponent_alpha - 1.0) * float(z.max())
+    tau = float(tau) + (kind.alpha - 1.0) * float(z.max())
     mask = p > 0.0
     return p, SupportInfo(tau, int(mask.sum()), mask)
 

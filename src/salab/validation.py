@@ -12,7 +12,7 @@ from .simplex import MappingKind
 
 def boundary_margin(z: np.ndarray, kind: MappingKind) -> float:
     """Distance of the closest score to the support threshold (inf for softmax)."""
-    if kind.name == "softmax":
+    if kind.alpha == 1.0:
         return float("inf")
     _, tau = simplex.apply_mapping_nd(z, kind, return_threshold=True)
     return float(np.min(np.abs(kind.scaled(z) - tau)))

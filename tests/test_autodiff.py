@@ -1,5 +1,7 @@
 """Autodiff primitives: forward values, backward vs finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ def test_bce_examples():
     assert bce_with_logits(t64(np.array(20.0)), np.array(1.0)).item() <= 1e-8
     # symmetric saturated case must not overflow
     assert np.isfinite(bce_with_logits(t64(np.array(-500.0)), np.array(0.0)).item())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_saturated_logits_raise_no_warning(dtype):
+    logits = Tensor(np.array([-200.0, 200.0, -200.0, 200.0], dtype=dtype), requires_grad=True)
+    labels = np.array([0.0, 1.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = bce_with_logits(logits, labels)
+        loss.sum().backward()
+    assert np.isfinite(loss.data).all() and np.isfinite(logits.grad).all()
+    np.testing.assert_allclose(loss.data, [0.0, 0.0, 200.0, 200.0], atol=1e-30)
+    np.testing.assert_allclose(logits.grad, [0.0, 0.0, -1.0, 1.0], atol=1e-30)
 
 
 def test_relu_and_arithmetic_gradcheck():

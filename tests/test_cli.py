@@ -10,7 +10,7 @@ import pytest
 
 import salab
 from salab.cli import main, read_kv
-from salab.data import read_jsonl
+from salab.data import PatientDocument, read_jsonl, write_jsonl
 from salab.evaluation import read_heatmap
 
 TRAIN_FLAGS = [
@@ -133,6 +133,7 @@ def test_bad_mapping_exit_code(data_dir, tmp_path):
         ["--epochs", "0"],
         ["--hidden", "0"],
         ["--model", "tr", "--shared-qkv", "true"],
+        ["--shared-qkv", "yes"],
     ],
 )
 def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
@@ -143,6 +144,18 @@ def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unknown_config_key_exit_code(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.kv"
+    cfg.write_text("hiden=4\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "x"), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "hiden" in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 
@@ -186,6 +199,47 @@ def test_heatmap_empty_filter_exports_every_map(data_dir, tmp_path):
     assert {p.name for p in hm.glob("*.csv")} == expected
     _, rows, cols = read_heatmap(hm / f"{docs[0].id}_sentences.csv")
     assert rows == cols == [f"s{t}" for t in range(len(rows))]
+
+
+@pytest.fixture(scope="module")
+def att_run(data_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("att_run")
+    assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", "att",
+                 "--mapping", "sparsemax", *TRAIN_FLAGS, "--epochs", "1"]) == 0
+    return run
+
+
+def test_heatmap_skips_documents_whose_directives_are_truncated(att_run, tmp_path, capsys):
+    """With --max-sents 8 --max-words 12, a directive past either cap is not
+    read by the model: its document is neither exported nor counted."""
+    filler = [["w1", "w2", "w3"]] * 9
+    docs = [
+        PatientDocument("latesent", filler + [["w4", "dnr"]], 1),
+        PatientDocument("early", [["dnr", "w1"]] + filler, 1),
+        PatientDocument("lateword", [["w1"] * 12 + ["cmo"]], 1),
+        PatientDocument("other", [["w2", "dni"]], 0),
+    ]
+    write_jsonl(tmp_path / "test.jsonl", docs)
+    hm = tmp_path / "hm"
+    capsys.readouterr()
+    assert main(["heatmap", "--data", str(tmp_path / "test.jsonl"), "--model-dir", str(att_run),
+                 "--out", str(hm), "--limit", "3"]) == 0
+    exported = {p.name.rsplit("_", 1)[0] for p in hm.glob("*.csv")}
+    assert exported == {"early", "other"}
+    assert f"exported heatmaps for {len(exported)} documents" in capsys.readouterr().out
+
+
+def test_unwritable_out_exit_code(data_dir, att_run, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["gen-data", "--out", str(blocker / "sub"), "--n-docs", "20"],
+                 ["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+                  "--out", str(blocker)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert str(blocker) in err and "Traceback" not in err
 
 
 def test_salab_threads_pins_blas_before_numpy_loads():

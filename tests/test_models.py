@@ -268,7 +268,7 @@ def test_extract_attention_maps_filter(corpus):
     assert [r.scope for r in recs] == ["word", "word", "sentence"]
 
 
-@pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2"])
+@pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])
 def test_extract_attention_maps_bisection_rows_validate(corpus, mapping):
     """Padded word rows of an alpha-entmax model still sum to 1 within 1e-6."""
     docs, vocab = corpus
@@ -276,6 +276,26 @@ def test_extract_attention_maps_bisection_rows_validate(corpus, mapping):
     for doc in docs:
         for rec in extract_attention_maps(model, doc, vocab):
             assert rec.weights.shape[-1] < 12  # every row has masked columns
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("spelling,name", [("entmax:2", "sparsemax"), ("entmax:1.5", "entmax15")])
+def test_entmax_spelling_runs_the_named_mapping(corpus, family, spelling, name):
+    """An alpha gets one solver however it is spelled: logits and maps are
+    bit-identical."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    batch = dm.pad_and_batch(docs, vocab, 6, 4, len(docs))[0]
+    outs = []
+    for text in (spelling, name):
+        model = family(cfg_fn(vocab, MappingKind.parse(text)), seed=11)
+        logits, records = model.forward(batch)
+        outs.append((logits.data, records))
+    (la, ra), (lb, rb) = outs
+    np.testing.assert_array_equal(la, lb)
+    assert ra.keys() == rb.keys()
+    for level in ra:
+        np.testing.assert_array_equal(ra[level], rb[level])
 
 
 @pytest.mark.parametrize("family", ["att", "tr"])

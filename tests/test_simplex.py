@@ -185,6 +185,18 @@ def test_mapping_kind_parse_roundtrip():
         assert str(MappingKind.parse(text)) == text
 
 
+def test_mapping_kind_is_its_alpha():
+    assert MappingKind.parse("entmax:2") == MappingKind.sparsemax()
+    assert MappingKind.parse("entmax:1.5") == MappingKind.entmax15()
+    assert str(MappingKind.parse("entmax:2")) == "sparsemax"
+    assert [k.alpha for k in ALL_KINDS] == [1.0, 2.0, 1.5, 1.3]
+    for bad in ("entmax:1", "entmax:4.5", "sharpmax"):
+        with pytest.raises(ValueError):
+            MappingKind.parse(bad)
+    with pytest.raises(ValueError):
+        MappingKind(0.5)
+
+
 # ---------------------------------------------------------------------------
 # randomized oracle agreement
 
