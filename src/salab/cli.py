@@ -105,7 +105,10 @@ def _coerce(key: str, value: str, template):
         if value.lower() not in ("true", "false", "1", "0"):
             raise ValueError(f"{key} must be true, false, 1 or 0, got {value!r}")
         return value.lower() in ("true", "1")
-    return type(template)(value)
+    try:
+        return type(template)(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {type(template).__name__}, got {value!r}") from None
 
 
 def resolve(defaults: dict, args: argparse.Namespace) -> dict:
@@ -309,6 +312,8 @@ def cmd_heatmap(args) -> int:
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], "test"))
     tokens = {t for t in cfg["filter"].split(",") if t}
+    for t in sorted(tokens - vocab.token_to_id.keys()):
+        log.warning("filter token %r not in vocabulary", t)
     caps = model.config.max_words, model.config.max_sents
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,6 @@ changes parameter shapes, so checkpoints are interchangeable.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +46,6 @@ from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_ba
 from .exceptions import CheckpointError, EmptyDocumentError
 from .rng import derive_rng
 from .simplex import MappingKind
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -258,9 +255,6 @@ def extract_attention_maps(
     the sentence-level record is omitted.
     """
     cfg = model.config
-    for t in filter_tokens or ():
-        if t not in vocab.token_to_id:
-            log.warning("filter token %r not in vocabulary", t)
     sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
     if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")

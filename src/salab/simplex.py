@@ -2,8 +2,10 @@
 
 A mapping is alpha-entmax, named by alpha alone.  Softmax (alpha 1), sparsemax
 (2, the Euclidean projection onto the simplex) and 1.5-entmax have exact
-solvers, the last two sort-based; every other alpha in (1, 4] bisects.  Each
-comes in a 1-D public form and an ``*_nd`` form vectorised over the last axis.
+solvers, the last two sort-based.  Every other alpha finds its threshold by
+root finding: Newton's method for alpha in (1, 2), bisection for alpha in
+(2, 4].  Each comes in a 1-D public form and an ``*_nd`` form vectorised over
+the last axis.
 
 All arithmetic runs in float64 regardless of the caller's dtype: the
 threshold selection is branchy and loses support entries in float32.
@@ -22,9 +24,19 @@ import numpy as np
 # so the support mask agrees bit-for-bit with the backward pass.
 SPARSE_FLOOR = 1e-12
 
-# Halvings of the bisection bracket [-1, 0], which leave it 2**-50 wide
-# (a few float64 ulps); a fixed count keeps runs bit-reproducible.
+# Halvings of the bisection bracket [-1, 0] for alpha >= 2, which leave it
+# 2**-50 wide (a few float64 ulps); a fixed count keeps runs bit-reproducible.
 BISECT_ITERS = 50
+
+# Newton steps for 1 < alpha < 2, from the sort-based lower bound in
+# `entmax_bisect_nd`.  The count is fixed, not a convergence test, so runs
+# are bit-reproducible and a row's result does not depend on the other rows
+# in its batch.  Over all-equal, two-level, Gaussian, uniform, exponential,
+# Cauchy and geometric rows of length 2 to 1000 at alpha 1.0001 to 1.999,
+# at most 6 steps brought every row within 1e-12 of a 200-step bisection
+# (or within twice that bisection's own error, where it is larger); from
+# tau = -1 it took 11.  One step of margin gives 7.
+NEWTON_ITERS = 7
 
 
 # the named spellings of alpha; any other alpha is spelled entmax:<alpha>
@@ -157,23 +169,43 @@ def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generic alpha-entmax by bisection on the threshold; returns (p, tau).
+    """Generic alpha-entmax by root finding on the threshold; returns (p, tau).
 
-    Solves sum_i max(zz_i - tau, 0)**(1/(alpha-1)) = 1 for the scaled
-    scores zz, whose maximum is 0.  The root lies in [-1, 0]: at -1 the
-    top entry alone contributes 1, at 0 nothing does.  Masked columns
+    Solves f(tau) = sum_i max(zz_i - tau, 0)**(1/(alpha-1)) - 1 = 0 for the
+    scaled scores zz, whose maximum is 0.  The root lies in [-1, 0]: at -1
+    the top entry alone contributes 1, at 0 nothing does.  Masked columns
     (large negative fills) do not widen this bracket.
+
+    For 1 < alpha < 2, f is convex and decreasing, so Newton's method
+    started below the root climbs to it without overshooting; the top entry
+    stays in the support, so the slope is never 0.  The start is the largest
+    of the lower bounds mean(top k of zz) - k**(1 - alpha), k = 1..n: by
+    Jensen's inequality the top k entries alone already give f >= 0 there,
+    and k = 1 is the bracket's -1.  For alpha >= 2, f is concave with a
+    slope that blows up at the support's edge, and the bracket is bisected.
+    (At alpha = 2 the Newton step would compute 0**0 = 1 for entries outside
+    the support.)
     """
     zz = MappingKind.entmax(alpha).scaled(z)
     inv = 1.0 / (alpha - 1.0)
-    lo = np.full(zz.shape[:-1] + (1,), -1.0)
-    hi = np.zeros_like(lo)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f = (np.maximum(zz - mid, 0.0) ** inv).sum(axis=-1, keepdims=True) - 1.0
-        lo = np.where(f >= 0.0, mid, lo)
-        hi = np.where(f >= 0.0, hi, mid)
-    tau = 0.5 * (lo + hi)
+    if inv > 1.0:
+        zs = -np.sort(-zz, axis=-1)
+        k = np.arange(1, zz.shape[-1] + 1, dtype=np.float64)
+        tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
+        for _ in range(NEWTON_ITERS):
+            d = np.maximum(zz - tau, 0.0)
+            t = d ** (inv - 1.0)
+            f = (t * d).sum(axis=-1, keepdims=True) - 1.0
+            tau += f / (inv * t.sum(axis=-1, keepdims=True))
+    else:
+        lo = np.full(zz.shape[:-1] + (1,), -1.0)
+        hi = np.zeros_like(lo)
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            f = (np.maximum(zz - mid, 0.0) ** inv).sum(axis=-1, keepdims=True) - 1.0
+            lo = np.where(f >= 0.0, mid, lo)
+            hi = np.where(f >= 0.0, hi, mid)
+        tau = 0.5 * (lo + hi)
     p = np.maximum(zz - tau, 0.0) ** inv
     p[p < SPARSE_FLOOR] = 0.0
     return p, tau[..., 0]
@@ -248,6 +280,7 @@ def entmax15(z) -> tuple[np.ndarray, SupportInfo]:
 
 
 def entmax_bisect(z, alpha: float) -> np.ndarray:
+    """alpha-entmax of a 1-D vector by `entmax_bisect_nd`'s root finding."""
     p, _ = entmax_bisect_nd(_check_input(z), alpha)
     return p
 

@@ -1,5 +1,6 @@
 """CLI smoke and contract tests on a desk-scale corpus."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -147,6 +148,25 @@ def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key, value", [("hidden", "abc"), ("lr", "fast"), ("seed", "1.5")])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bad_number_names_its_setting(data_dir, tmp_path, capsys, key, value, via_config):
+    if via_config:
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text(f"{key}={value}\n")
+        flags = ["--config", str(cfg)]
+    else:
+        flags = [f"--{key.replace('_', '-')}", value]
+    capsys.readouterr()
+    assert main(
+        ["train", "--data", str(data_dir), "--out", str(tmp_path / "x"), *flags]
+    ) == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1
+    assert f"{key} must be" in lines[0] and repr(value) in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key_exit_code(data_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.kv"
     cfg.write_text("hiden=4\n")
@@ -227,6 +247,15 @@ def test_heatmap_skips_documents_whose_directives_are_truncated(att_run, tmp_pat
     exported = {p.name.rsplit("_", 1)[0] for p in hm.glob("*.csv")}
     assert exported == {"early", "other"}
     assert f"exported heatmaps for {len(exported)} documents" in capsys.readouterr().out
+
+
+def test_heatmap_warns_once_per_unknown_filter_token(data_dir, att_run, tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="salab")
+    assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+                 "--out", str(tmp_path / "hm"), "--filter", "dnr,zzz", "--limit", "3"]) == 0
+    assert len(list((tmp_path / "hm").glob("*.csv"))) >= 3
+    warned = [r.getMessage() for r in caplog.records if "not in vocabulary" in r.getMessage()]
+    assert warned == ["filter token 'zzz' not in vocabulary"]
 
 
 def test_unwritable_out_exit_code(data_dir, att_run, tmp_path, capsys):

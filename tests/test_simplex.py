@@ -63,6 +63,28 @@ def entmax15_root_oracle(z: np.ndarray) -> np.ndarray:
     return np.maximum(z - 0.5 * (lo + hi), 0.0) ** 2
 
 
+def entmax_bisect_oracle(z: np.ndarray, alpha: float, iters: int = 200):
+    """alpha-entmax over the last axis by `iters` halvings of [-1, 0].
+
+    Thresholds (alpha - 1) * (z - max z), whose root lies in [-1, 0];
+    returns (p, tau) with p snapped below `SPARSE_FLOOR` like the solvers.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    zz = (alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
+    inv = 1.0 / (alpha - 1.0)
+    lo = np.full(zz.shape[:-1] + (1,), -1.0)
+    hi = np.zeros_like(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f = (np.maximum(zz - mid, 0.0) ** inv).sum(axis=-1, keepdims=True) - 1.0
+        lo = np.where(f >= 0.0, mid, lo)
+        hi = np.where(f >= 0.0, hi, mid)
+    tau = 0.5 * (lo + hi)
+    p = np.maximum(zz - tau, 0.0) ** inv
+    p[p < sx.SPARSE_FLOOR] = 0.0
+    return p, tau[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 
@@ -224,6 +246,61 @@ def test_bisect_agrees_with_exact_algorithms():
         assert np.abs(sx.entmax_bisect(z, 2.0) - sp).max() <= 1e-6
         ent, _ = sx.entmax15(z)
         assert np.abs(sx.entmax_bisect(z, 1.5) - ent).max() <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# alpha-entmax root finding: Newton below alpha 2, bisection from 2 up
+
+def _masked_rows(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0, 3, (700, 12))
+    masked = rng.random(z.shape).argsort(axis=-1) < (np.arange(700) % 7)[:, None]  # 0-6 of 12
+    z[masked] = MASK_FILL
+    return z, masked
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.7, 1.99])
+def test_newton_masked_rows_match_bisection_oracle(alpha):
+    z, masked = _masked_rows(11)
+    p, _ = sx.entmax_bisect_nd(z, alpha)
+    ref, _ = entmax_bisect_oracle(z, alpha)
+    assert np.abs(p - ref).max() <= 1e-12
+    np.testing.assert_array_equal(p == 0.0, ref == 0.0)
+    assert np.all(p[masked] == 0.0)
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.3])
+def test_newton_long_rows_match_bisection_oracle(n, alpha):
+    rng = np.random.default_rng(12)
+    z = np.concatenate([
+        np.zeros((1, n)),
+        np.full((1, n), 7.0),
+        1.0 + 1e-9 * rng.normal(size=(2, n)),
+        *(rng.normal(0, sigma, (3, n)) for sigma in (0.01, 1.0, 10.0)),
+    ])
+    p, _ = sx.entmax_bisect_nd(z, alpha)
+    ref, _ = entmax_bisect_oracle(z, alpha)
+    assert np.abs(p - ref).max() <= 1e-12
+    assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.7])
+def test_newton_row_does_not_depend_on_its_batch(alpha):
+    z, _ = _masked_rows(13)
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    for i in (0, 3, 6, 350, 699):
+        p_i, tau_i = sx.entmax_bisect_nd(z[i], alpha)
+        assert np.array_equal(p_i, p[i]) and tau_i == tau[i]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_bisection_unchanged_from_alpha_2(alpha):
+    """From alpha 2 up the solver is the 50-halving bisection, bit for bit."""
+    z, _ = _masked_rows(14)
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    ref, ref_tau = entmax_bisect_oracle(z, alpha, iters=50)
+    assert np.array_equal(p, ref) and np.array_equal(tau, ref_tau)
 
 
 # ---------------------------------------------------------------------------
