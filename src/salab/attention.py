@@ -119,7 +119,8 @@ def add_positional_embeddings(x: Tensor, table: Tensor) -> Tensor:
             f"sequence length {n} exceeds positional table capacity {table.shape[0]}"
         )
     pad = ((0, table.shape[0] - n), (0, 0))
-    return x + _node(table.data[:n], (table,), lambda g: np.pad(g, pad))
+    return _node(x.data + table.data[:n], (x, table), lambda g: g,
+                 lambda g: np.pad(g.sum(axis=tuple(range(g.ndim - 2))), pad))
 
 
 def transformer_encoder_layer(

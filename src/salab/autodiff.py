@@ -68,9 +68,9 @@ class Tensor:
         return self.data.dtype
 
     def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
+        # out of place: `g` may be shared with another parent or read-only
+        g = _unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -219,10 +219,12 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x W + b on the last axis."""
     if x.shape[-1] != W.shape[0]:
         raise ShapeError(f"linear: input {x.shape} vs weight {W.shape}")
-    y = x @ W
-    if b is not None:
-        y = y + b
-    return y
+    d, o = W.shape
+    y = x.data @ W.data
+    grad_fns = (lambda g: g @ W.data.T, lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, o))
+    if b is None:
+        return _node(y, (x, W), *grad_fns)
+    return _node(y + b.data, (x, W, b), *grad_fns, lambda g: g.reshape(-1, o).sum(axis=0))
 
 
 def embedding_lookup(ids: np.ndarray, table: Tensor) -> Tensor:
@@ -259,16 +261,23 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     counts = mask.sum(axis=-1)
     if np.any(counts == 0):
         raise EmptyPoolError("masked mean over a fully masked axis")
-    w = (mask / counts[..., None]).astype(x.dtype)
-    return (x * Tensor(w[..., None])).sum(axis=-2)
+    w = (mask / counts[..., None]).astype(x.dtype)[..., None]
+    return _node((x.data * w).sum(axis=-2), (x,), lambda g: np.expand_dims(g, -2) * w)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * gain + bias
+    k = x.dtype.type(1 / x.shape[-1])
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * k
+    r = ((c * c).sum(axis=-1, keepdims=True) * k + x.dtype.type(eps)) ** -0.5
+    xhat = c * r
+
+    def dx(g):
+        gx = g * gain.data
+        return r * (gx - k * (gx.sum(axis=-1, keepdims=True)
+                              + xhat * (gx * xhat).sum(axis=-1, keepdims=True)))
+
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), dx, lambda g: g * xhat, lambda g: g)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -309,17 +318,6 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
         p64.astype(scores.dtype), (scores,),
         lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(scores.dtype),
     )
-
-
-def sigmoid_np(s: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on raw arrays."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 # ---------------------------------------------------------------------------

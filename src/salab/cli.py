@@ -314,19 +314,17 @@ def cmd_heatmap(args) -> int:
     tokens = {t for t in cfg["filter"].split(",") if t}
     for t in sorted(tokens - vocab.token_to_id.keys()):
         log.warning("filter token %r not in vocabulary", t)
-    caps = model.config.max_words, model.config.max_sents
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = 0
     for doc in docs:
         if written >= cfg["limit"]:
             break
-        if tokens and not any(set(s) & tokens for s in datamod.kept_sentences(doc, *caps)):
-            continue
-        for rec in extract_attention_maps(model, doc, vocab, filter_tokens=tokens):
+        records = extract_attention_maps(model, doc, vocab, filter_tokens=tokens)
+        for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")
-        written += 1
+        written += bool(records)
     cfg["command"] = "heatmap"
     write_kv(out / "manifest.kv", cfg)
     print(f"exported heatmaps for {written} documents to {out}")
@@ -337,13 +335,8 @@ def cmd_gradcheck(args) -> int:
     cfg = resolve(GRADCHECK_DEFAULTS, args)
     tol = cfg["tol"]
     failures = 0
-    kinds = [
-        MappingKind.softmax(),
-        MappingKind.sparsemax(),
-        MappingKind.entmax15(),
-        MappingKind.entmax(1.3),
-    ]
-    for kind in kinds:
+    names = ("softmax", "sparsemax", "entmax15", "entmax:1.3", "entmax:1.7", "entmax:3")
+    for kind in map(MappingKind.parse, names):
         err = mapping_max_grad_error(kind, trials=cfg["trials"], seed=cfg["seed"])
         ok = err <= tol
         failures += not ok
@@ -357,7 +350,7 @@ def cmd_gradcheck(args) -> int:
     )
     vocab = datamod.build_vocab((s for d in corpus for s in d.sentences), min_freq=1)
     for family in ("att", "tr"):
-        for mapping in ("softmax", "entmax15", "sparsemax"):
+        for mapping in ("softmax", "entmax15", "sparsemax", "entmax:1.3"):
             run = dict(
                 TRAIN_DEFAULTS, model=family, mapping=mapping, hidden=8,
                 embed_dim=6, max_words=5, max_sents=3, dropout=0.0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionRecord
-from .data import PatientDocument, Vocabulary, kept_sentences, pad_and_batch
+from .data import PatientDocument, Vocabulary, pad_and_batch
 from .exceptions import UndefinedMetricError
 from .models import extract_attention_maps, predict_proba
 
@@ -41,16 +41,8 @@ def auc_roc(records: list[PredictionRecord]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC-ROC needs both classes present")
     # average ranks implement the ties-count-half convention
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -207,13 +199,10 @@ def directive_attention_mass(
     vocab: Vocabulary,
     directive_tokens: set[str],
 ) -> AttentionMassSummary:
-    caps = model.config.max_words, model.config.max_sents
     masses: list[float] = []
     zero_cols = 0
     nondir_cols = 0
     for doc in docs:
-        if not any(set(s) & directive_tokens for s in kept_sentences(doc, *caps)):
-            continue
         for rec in extract_attention_maps(model, doc, vocab, filter_tokens=directive_tokens):
             w = rec.weights[0]  # head 0, [n, n]
             is_dir = np.array([t in directive_tokens for t in rec.col_labels])

@@ -40,7 +40,6 @@ from .autodiff import (
     masked_mean_pool,
     scatter_rows,
     scatter_rows_np,
-    sigmoid_np,
 )
 from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_batch
 from .exceptions import CheckpointError, EmptyDocumentError
@@ -236,8 +235,13 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
 def predict_proba(logits) -> np.ndarray:
     """Sigmoid over raw logits, overflow-safe."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return sigmoid_np(arr)
+    s = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    e = np.exp(s[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +256,13 @@ def extract_attention_maps(
     """Word-level records per sentence (plus a sentence-level record for tr).
 
     With a filter, only sentences containing a filter token are kept and
-    the sentence-level record is omitted.
+    the sentence-level record is omitted; when no kept sentence matches,
+    the result is empty and the model is not run.
     """
     cfg = model.config
     sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
+    if filter_tokens and not any(set(sent) & filter_tokens for sent in sentences):
+        return []
     if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")
     batch = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]

@@ -246,3 +246,64 @@ def test_adam_determinism():
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops against the Tensor-op chains they replace
+
+def _ln_chain(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * ((var + eps) ** -0.5) * gain + bias
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_fused_forward_equals_op_chain(dtype, shape):
+    rng = np.random.default_rng(8)
+
+    def t(*s):
+        return Tensor(rng.normal(0, 1, s).astype(dtype), requires_grad=True)
+
+    x, W, b = t(*shape), t(4, 3), t(3)
+    np.testing.assert_array_equal(linear(x, W, b).data, (x @ W + b).data)
+    np.testing.assert_array_equal(linear(x, W).data, (x @ W).data)
+    gain, bias = t(4), t(4)
+    np.testing.assert_array_equal(layer_norm(x, gain, bias).data, _ln_chain(x, gain, bias).data)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_gradcheck_3d(with_bias):
+    rng = np.random.default_rng(9)
+    x, W, b = t64(rng.normal(0, 1, (2, 3, 4))), t64(rng.normal(0, 1, (4, 5))), t64(rng.normal(0, 1, 5))
+    u = Tensor(rng.normal(0, 1, (2, 3, 5)))
+    params = {"x": x, "W": W, "b": b} if with_bias else {"x": x, "W": W}
+
+    def f():
+        return (linear(x, W, b if with_bias else None) * u).sum()
+
+    assert grad_check(f, params) <= 1e-7
+
+
+def test_layer_norm_gradcheck_3d():
+    rng = np.random.default_rng(10)
+    x, g, b = t64(rng.normal(0, 1, (2, 3, 5))), t64(rng.normal(1, 0.1, 5)), t64(rng.normal(0, 0.1, 5))
+    u = Tensor(rng.normal(0, 1, (2, 3, 5)))
+
+    def f():
+        return (layer_norm(x, g, b) * u).sum()
+
+    assert grad_check(f, {"x": x, "g": g, "b": b}) <= 1e-6
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_shared_gradient_arrays_are_not_aliased(swap):
+    """`+` hands one gradient array to both parents; a later gradient for
+    one parent must not write into the other's."""
+    x, y = t64([1.0, 2.0]), t64([3.0, 4.0])
+    w, v = np.array([0.5, -1.5]), np.array([2.0, 0.25])
+    s = (y + x) if swap else (x + y)
+    ((s * w).sum() + (x * v).sum()).backward()
+    np.testing.assert_array_equal(y.grad, w)
+    np.testing.assert_array_equal(x.grad, w + v)

@@ -268,6 +268,22 @@ def test_extract_attention_maps_filter(corpus):
     assert [r.scope for r in recs] == ["word", "word", "sentence"]
 
 
+def test_extract_attention_maps_filter_without_match_skips_forward(corpus, monkeypatch):
+    _, vocab = corpus
+    model = AttentionClassifier(att_cfg(vocab), seed=7)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran for a document the filter rules out")
+
+    monkeypatch.setattr(model, "forward", no_forward)
+    doc = dm.PatientDocument("n", [["w0", "w1"], ["w2"]], 0)
+    assert extract_attention_maps(model, doc, vocab, filter_tokens={"cmo"}) == []
+    empty = dm.PatientDocument("e", [], 0)
+    assert extract_attention_maps(model, empty, vocab, filter_tokens={"cmo"}) == []
+    with pytest.raises(EmptyDocumentError):
+        extract_attention_maps(model, empty, vocab)
+
+
 @pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])
 def test_extract_attention_maps_bisection_rows_validate(corpus, mapping):
     """Padded word rows of an alpha-entmax model still sum to 1 within 1e-6."""
