@@ -57,30 +57,42 @@ class AttentionRecord:
 
 
 def scaled_dot_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: np.ndarray | None,
-    mapping: MappingKind,
+    q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, mapping: MappingKind,
+    heads: int | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Att(Q, K, V) over the last two axes; returns (output, weights).
+    """Att(Q, K, V) over the last two axes; returns (output, float64 weights).
 
-    `mask` marks real key positions with True over the second-to-last
-    axis; masked columns are replaced by a large negative fill before
-    the mapping, which zeroes them exactly for every mapping here, so
-    the returned weights (detached from the tape) need no second masking.
+    Three tape nodes: masked scaled scores, mapping, value mix.  `heads` splits
+    the last axis into heads inside them (weights [..., heads, n, n]).  Keys
+    `mask` marks False score MASK_FILL, which every mapping maps to exactly 0.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
+    if q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    d = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise EmptyPoolError("attention row with no unmasked key")
-        scores = scores.masked_fill(mask[..., None, :], MASK_FILL)
-    weights = attention_weights(scores, mapping)
-    return weights @ v, weights.data.astype(np.float64)
+        mask = np.expand_dims(mask, -2 if heads is None else (-3, -2))
+
+    def split(a):
+        return a if heads is None else np.swapaxes(a.reshape(*a.shape[:-1], heads, -1), -2, -3)
+
+    def merge(a):
+        return a if heads is None else np.swapaxes(a, -2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
+
+    def dscores(g):
+        return (g if mask is None else g * mask) * scale
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
+    s = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    scores = _node(s if mask is None else np.where(mask, s, MASK_FILL), (q, k),
+                   lambda g: merge(dscores(g) @ kh),
+                   lambda g: merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ dscores(g), -1, -2)))
+    p = attention_weights(scores, mapping)
+    out = _node(merge(p.data @ vh), (p, v), lambda g: split(g) @ np.swapaxes(vh, -1, -2),
+                lambda g: merge(np.swapaxes(p.data, -1, -2) @ split(g)))
+    return out, p.data.astype(np.float64)
 
 
 def multi_head_attention(
@@ -95,21 +107,9 @@ def multi_head_attention(
     Returns the output and per-head weights [..., h, n, n].
     Expects parameters {prefix}wq/wk/wv/wo and biases {prefix}bq/bk/bv/bo.
     """
-    d, h = cfg.model_dim, cfg.heads
-    n = x.shape[-2]
-    dh = d // h
-
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(*t.shape[:-2], n, h, dh).swapaxes(-2, -3)
-
-    q = split_heads(linear(x, params[prefix + "wq"], params[prefix + "bq"]))
-    k = split_heads(linear(x, params[prefix + "wk"], params[prefix + "bk"]))
-    v = split_heads(linear(x, params[prefix + "wv"], params[prefix + "bv"]))
-    head_mask = None if mask is None else np.asarray(mask, dtype=bool)[..., None, :]
-    att, w = scaled_dot_attention(q, k, v, head_mask, cfg.mapping)
-    merged = att.swapaxes(-2, -3).reshape(*x.shape[:-2], n, d)
-    out = linear(merged, params[prefix + "wo"], params[prefix + "bo"])
-    return out, w
+    q, k, v = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
+    att, w = scaled_dot_attention(q, k, v, mask, cfg.mapping, cfg.heads)
+    return linear(att, params[prefix + "wo"], params[prefix + "bo"]), w
 
 
 def add_positional_embeddings(x: Tensor, table: Tensor) -> Tensor:

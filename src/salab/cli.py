@@ -257,8 +257,13 @@ def _train_once(cfg: dict, seed: int, out: Path):
 
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
+    for key in ("seeds", "epochs", "batch", "min_freq"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {cfg[key]}")
+    if not 0 < cfg["lr"] < np.inf:
+        raise ValueError(f"lr must be finite and > 0, got {cfg['lr']}")
     out = Path(cfg["out"])
-    if cfg["seeds"] <= 1:
+    if cfg["seeds"] == 1:
         _train_once(cfg, cfg["seed"], out)
     else:
         reports = []

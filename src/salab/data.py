@@ -72,9 +72,6 @@ class Vocabulary:
     def encode(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def decode(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
     def save(self, path) -> None:
         Path(path).write_text(
             "\n".join(self.id_to_token[2:]) + "\n", encoding="utf-8"
@@ -140,7 +137,10 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
     """Draw labels, then plant one directive token per selected document."""
     ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
     filler_probs = ranks ** -cfg.zipf_exponent
-    filler_probs /= filler_probs.sum()
+    cdf = (filler_probs / filler_probs.sum()).cumsum()
+    if not (cdf.size and cdf[-1] > 0):
+        raise ValueError(f"no Zipf law over {cfg.vocab_size} tokens at zipf {cfg.zipf_exponent}")
+    cdf /= cdf[-1]  # the CDF Generator.choice(p=filler_probs) builds on every call
     filler_tokens = [f"w{i}" for i in range(cfg.vocab_size)]
 
     docs: list[PatientDocument] = []
@@ -151,7 +151,7 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
         sentences = []
         for _ in range(n_sent):
             n_word = int(rng.integers(cfg.min_words, cfg.max_words + 1))
-            idx = rng.choice(cfg.vocab_size, size=n_word, p=filler_probs)
+            idx = cdf.searchsorted(rng.random(n_word), side="right")
             sentences.append([filler_tokens[i] for i in idx])
         p_dir = (
             cfg.p_directive_given_positive if label else cfg.p_directive_given_negative

@@ -1,16 +1,19 @@
 """Attention layer tests: masking, sparsity contrast, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
 from salab.attention import (
+    MASK_FILL,
     AttentionConfig,
     add_positional_embeddings,
     multi_head_attention,
     scaled_dot_attention,
     transformer_encoder_layer,
 )
-from salab.autodiff import Tensor, bce_with_logits, grad_check
+from salab.autodiff import Tensor, attention_weights, bce_with_logits, grad_check
 from salab.exceptions import EmptyPoolError, ShapeError
 from salab.simplex import MappingKind
 
@@ -81,6 +84,14 @@ def test_all_masked_row_raises():
     q, k, v = (rand_t(rng, 2, 4) for _ in range(3))
     with pytest.raises(EmptyPoolError):
         scaled_dot_attention(q, k, v, np.array([False, False]), MappingKind.softmax())
+
+
+def test_mismatched_shapes_raise_shape_error():
+    rng = np.random.default_rng(16)
+    q = rand_t(rng, 2, 3, 4)
+    for k in (rand_t(rng, 3, 3, 4), rand_t(rng, 2, 3, 6)):
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(q, k, k, None, MappingKind.softmax())
 
 
 @pytest.mark.parametrize(
@@ -227,3 +238,73 @@ def test_encoder_layer_gradcheck():
         return bce_with_logits(out.sum(axis=-1), labels).mean()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
+
+
+def op_chain_attention(q, k, v, mask, mapping, heads):
+    """Attention as a chain of Tensor ops: the head split and merge of
+    multi-head attention around swapaxes, matmul, scale, masked_fill, the
+    mapping and the value matmul."""
+    if heads is not None:
+        q, k, v = (t.reshape(*t.shape[:-1], heads, t.shape[-1] // heads).swapaxes(-2, -3)
+                   for t in (q, k, v))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        keep = mask[..., None, :] if heads is None else mask[..., None, None, :]
+        scores = scores.masked_fill(keep, MASK_FILL)
+    weights = attention_weights(scores, mapping)
+    out = weights @ v
+    if heads is not None:
+        out = out.swapaxes(-2, -3)
+        out = out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
+    return out, weights.data.astype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("heads", [None, 1, 2])
+def test_attention_call_equals_op_chain_bit_for_bit(heads, masked, dtype):
+    rng = np.random.default_rng(13)
+    inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
+    upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype))
+    mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else None
+    results = []
+    for attend in (scaled_dot_attention, op_chain_attention):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
+        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), heads)
+        (out * upstream).sum().backward()
+        results.append((out.data, w, q.grad, k.grad, v.grad))
+    for new, old in zip(*results):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
+def test_multi_head_gradcheck_masked_entmax13():
+    rng = np.random.default_rng(14)
+    x = rand_t(rng, 2, 4, 4)
+    params = mha_params(rng, 4)
+    cfg = AttentionConfig(4, 2, MappingKind.entmax(1.3))
+    mask = np.array([[True, True, True, False], [True, True, False, False]])
+
+    def f():
+        out, _ = multi_head_attention(x, cfg, params, mask)
+        return (out * out).sum()
+
+    assert grad_check(f, {"x": x, **params}) <= 1e-4
+
+
+@pytest.mark.parametrize("heads", [None, 2])
+def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
+    rng = np.random.default_rng(15)
+    q, k, v = (rand_t(rng, 2, 3, 4) for _ in range(3))
+    made = []
+    init = Tensor.__init__
+
+    def counted_init(t, *args, **kwargs):
+        made.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    scaled_dot_attention(q, k, v, np.array([True, True, False]), MappingKind.softmax(), heads)
+    monkeypatch.undo()
+    assert len(made) == 3
+    assert all(t._parents for t in made)

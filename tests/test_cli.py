@@ -167,6 +167,22 @@ def test_bad_number_names_its_setting(data_dir, tmp_path, capsys, key, value, vi
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", "0"), ("seeds", "-2"), ("epochs", "0"), ("batch", "0"), ("min_freq", "0"),
+    ("lr", "-1"), ("lr", "0"), ("lr", "nan"), ("lr", "inf"),
+])
+def test_train_checks_settings_before_reading_data(tmp_path, capsys, key, value):
+    capsys.readouterr()
+    assert main(
+        ["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x"),
+         f"--{key.replace('_', '-')}", value]
+    ) == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1
+    assert f"{key} must be" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key_exit_code(data_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.kv"
     cfg.write_text("hiden=4\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from salab import data as dm
 from salab.evaluation import PredictionRecord, auc_roc
 from salab.exceptions import DatasetError
+from salab.rng import derive_rng
 
 
 def test_tokenize_examples():
@@ -76,6 +77,40 @@ def test_corpus_determinism_byte_identical(tmp_path):
     for name in ("a.jsonl", "b.jsonl"):
         dm.write_jsonl(tmp_path / name, dm.generate_synthetic_corpus(cfg))
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+def corpus_by_choice(cfg):
+    """The corpus drawn with Generator.choice(p=...) for every sentence."""
+    ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
+    probs = ranks ** -cfg.zipf_exponent
+    probs /= probs.sum()
+    docs = []
+    for d in range(cfg.n_documents):
+        rng = derive_rng(cfg.seed, "corpus", d)
+        label = int(rng.random() < cfg.positive_rate)
+        sentences = []
+        for _ in range(int(rng.integers(cfg.min_sentences, cfg.max_sentences + 1))):
+            n_word = int(rng.integers(cfg.min_words, cfg.max_words + 1))
+            sentences.append([f"w{i}" for i in rng.choice(cfg.vocab_size, size=n_word, p=probs)])
+        p_dir = cfg.p_directive_given_positive if label else cfg.p_directive_given_negative
+        if rng.random() < p_dir:
+            token = cfg.directive_tokens[rng.integers(len(cfg.directive_tokens))]
+            s = int(rng.integers(len(sentences)))
+            sentences[s].insert(int(rng.integers(len(sentences[s]) + 1)), token)
+        docs.append(dm.PatientDocument(id=f"doc{d:06d}", sentences=sentences, label=label))
+    return docs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 21])
+def test_corpus_equals_draws_by_choice(seed):
+    cfg = dm.SyntheticCorpusConfig(n_documents=200, seed=seed)
+    assert dm.generate_synthetic_corpus(cfg) == corpus_by_choice(cfg)
+
+
+@pytest.mark.parametrize("bad", [{"vocab_size": 0}, {"vocab_size": -2}, {"zipf_exponent": float("nan")}])
+def test_corpus_rejects_config_without_filler_distribution(bad):
+    with pytest.raises(ValueError):
+        dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=3, **bad))
 
 
 def test_jsonl_roundtrip(tmp_path):

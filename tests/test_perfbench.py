@@ -16,9 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.slow
-def test_traced_worker_runs(tmp_path):
+@pytest.mark.parametrize("workload", ["train-att-entmax13", "infer-tr-sparsemax"])
+def test_traced_worker_runs(tmp_path, workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "train-att-entmax13",
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
          "--seed", "1", "--trace", "1", "--out", str(tmp_path)],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=300,
     )
