@@ -66,8 +66,9 @@ def scaled_dot_attention(
     the last axis into heads inside them (weights [..., heads, n, n]).  Keys
     `mask` marks False score MASK_FILL, which every mapping maps to exactly 0.
     """
-    if q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
-        raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
+    if (q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape
+            or heads is not None and (heads < 1 or q.shape[-1] % heads)):
+        raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():

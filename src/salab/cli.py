@@ -15,6 +15,7 @@ import numpy as np
 from . import data as datamod
 from .evaluation import compute_metrics, export_heatmap, score_documents
 from .exceptions import (
+    EmptyDocumentError,
     PoisonedGradientError,
     SalabError,
     UndefinedMetricError,
@@ -32,20 +33,15 @@ from .validation import mapping_max_grad_error, model_grad_error
 
 log = logging.getLogger("salab")
 
-GEN_DEFAULTS = {
-    "out": "data",
-    "n_docs": 5000,
-    "vocab_size": 200,
-    "positive_rate": 0.132,
-    "p_dir_pos": 0.9,
-    "p_dir_neg": 0.05,
-    "sent_min": 3,
-    "sent_max": 6,
-    "word_min": 4,
-    "word_max": 10,
-    "zipf": 1.1,
-    "seed": 0,
+GEN_FIELDS = {  # gen-data setting -> SyntheticCorpusConfig field
+    "n_docs": "n_documents", "vocab_size": "vocab_size", "positive_rate": "positive_rate",
+    "p_dir_pos": "p_directive_given_positive", "p_dir_neg": "p_directive_given_negative",
+    "sent_min": "min_sentences", "sent_max": "max_sentences",
+    "word_min": "min_words", "word_max": "max_words",
+    "zipf": "zipf_exponent", "seed": "seed",
 }
+_CORPUS = datamod.SyntheticCorpusConfig()
+GEN_DEFAULTS = {"out": "data", **{k: getattr(_CORPUS, f) for k, f in GEN_FIELDS.items()}}
 
 TRAIN_DEFAULTS = {
     "data": "data",
@@ -74,7 +70,7 @@ HEATMAP_DEFAULTS = {
     "data": "data",
     "model_dir": "run",
     "out": "heatmaps",
-    "filter": "dnr,dni,cmo",
+    "filter": ",".join(_CORPUS.directive_tokens),
     "limit": 5,
 }
 
@@ -189,23 +185,11 @@ def _docs_path(data: str, split: str) -> Path:
 
 def cmd_gen_data(args) -> int:
     cfg = resolve(GEN_DEFAULTS, args)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_cfg = datamod.SyntheticCorpusConfig(
-        n_documents=cfg["n_docs"],
-        vocab_size=cfg["vocab_size"],
-        positive_rate=cfg["positive_rate"],
-        p_directive_given_positive=cfg["p_dir_pos"],
-        p_directive_given_negative=cfg["p_dir_neg"],
-        min_sentences=cfg["sent_min"],
-        max_sentences=cfg["sent_max"],
-        min_words=cfg["word_min"],
-        max_words=cfg["word_max"],
-        zipf_exponent=cfg["zipf"],
-        seed=cfg["seed"],
-    )
+    corpus_cfg = datamod.SyntheticCorpusConfig(**{f: cfg[k] for k, f in GEN_FIELDS.items()})
     docs = datamod.generate_synthetic_corpus(corpus_cfg)
     split = datamod.split_dataset(docs, seed=cfg["seed"])
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     datamod.write_jsonl(out / "train.jsonl", split.train)
     datamod.write_jsonl(out / "validation.jsonl", split.validation)
     datamod.write_jsonl(out / "test.jsonl", split.test)
@@ -325,7 +309,11 @@ def cmd_heatmap(args) -> int:
     for doc in docs:
         if written >= cfg["limit"]:
             break
-        records = extract_attention_maps(model, doc, vocab, filter_tokens=tokens)
+        try:
+            records = extract_attention_maps(model, doc, vocab, filter_tokens=tokens)
+        except EmptyDocumentError as e:
+            log.warning("%s; skipped", e)  # as pad_and_batch words it
+            continue
         for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")

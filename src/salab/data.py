@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary, batching, and the synthetic directive corpus.
+"""Vocabulary, batching, dataset files, and the synthetic directive corpus.
 
 The corpus generator plants a handful of directive tokens ("dnr", "dni",
 "cmo") whose presence is strongly class-conditional, over Zipf-distributed
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +27,6 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
-_PUNCT = set(string.punctuation)
-
 
 @dataclass
 class PatientDocument:
@@ -40,31 +37,13 @@ class PatientDocument:
     label: int
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, peel boundary punctuation off."""
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        head: list[str] = []
-        tail: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            head.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _PUNCT:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(head)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(tail))
-    return tokens
-
-
 class Vocabulary:
-    """token <-> id map with reserved ids 0 (pad) and 1 (unknown)."""
+    """token <-> id map with reserved ids 0 (pad) and 1 (unknown).  No token
+    encodes to 0, so a `<pad>` in a document reads as unknown."""
 
     def __init__(self, tokens: list[str]):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token) if i != PAD_ID}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -84,7 +63,7 @@ class Vocabulary:
 
 
 def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:
-    """Count tokens and keep those at or above min_freq.
+    """Count tokens and keep those at or above min_freq, except <pad> and <unk>.
 
     Ids are assigned by (frequency desc, token asc) so rebuilding from
     the same corpus is deterministic.
@@ -97,7 +76,7 @@ def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:
     if not counts:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
+        (t for t, c in counts.items() if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)),
         key=lambda t: (-counts[t], t),
     )
     return Vocabulary(kept)
@@ -122,6 +101,13 @@ class SyntheticCorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
+        low = [f for f in ("n_documents", "vocab_size", "min_sentences", "min_words")
+               if getattr(self, f) < 1]
+        if low:
+            raise ValueError(f"{', '.join(low)} must be >= 1")
+        for lo, hi in (("min_sentences", "max_sentences"), ("min_words", "max_words")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} {getattr(self, lo)} exceeds {hi} {getattr(self, hi)}")
         for p in (
             self.positive_rate,
             self.p_directive_given_positive,
@@ -138,7 +124,7 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
     ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
     filler_probs = ranks ** -cfg.zipf_exponent
     cdf = (filler_probs / filler_probs.sum()).cumsum()
-    if not (cdf.size and cdf[-1] > 0):
+    if not cdf[-1] > 0:
         raise ValueError(f"no Zipf law over {cfg.vocab_size} tokens at zipf {cfg.zipf_exponent}")
     cdf /= cdf[-1]  # the CDF Generator.choice(p=filler_probs) builds on every call
     filler_tokens = [f"w{i}" for i in range(cfg.vocab_size)]
@@ -184,8 +170,8 @@ def _parse_document(line: str) -> PatientDocument:
     """One JSONL line as a document; DatasetError names what is wrong."""
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"not valid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, an over-long number, deep nesting
+        raise DatasetError(f"not valid JSON ({getattr(e, 'msg', e)})") from None
     if not isinstance(rec, dict):
         raise DatasetError("not a JSON object")
     if "id" not in rec:
@@ -208,13 +194,13 @@ def read_jsonl(path) -> list[PatientDocument]:
     Raises DatasetError "<path>:<line>: <reason>" for a malformed line.
     """
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:  # lines end in "\n", as write_jsonl writes them
+        for lineno, raw in enumerate(fh, 1):
             try:
-                docs.append(_parse_document(line))
-            except DatasetError as e:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    docs.append(_parse_document(line))
+            except (UnicodeDecodeError, DatasetError) as e:
                 raise DatasetError(f"{path}:{lineno}: {e}") from None
     return docs
 
@@ -252,8 +238,8 @@ def split_dataset(
 class Batch:
     # T and W are the batch's own most sentences and longest sentence
     token_ids: np.ndarray  # [B, T, W] int64, 0 = pad
-    word_mask: np.ndarray  # [B, T, W] bool
-    sentence_mask: np.ndarray  # [B, T] bool
+    word_mask: np.ndarray  # [B, T, W] bool, token_ids != 0
+    sentence_mask: np.ndarray  # [B, T] bool, word_mask.any(-1)
     labels: np.ndarray  # [B] float64
     doc_ids: list[str] = field(default_factory=list)
 
@@ -294,20 +280,13 @@ def pad_and_batch(
     batches = []
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
-        b = len(chunk)
         n_sents = max(len(enc) for _, enc in chunk)
         n_words = max(len(sent) for _, enc in chunk for sent in enc)
-        ids = np.zeros((b, n_sents, n_words), dtype=np.int64)
-        wmask = np.zeros((b, n_sents, n_words), dtype=bool)
-        smask = np.zeros((b, n_sents), dtype=bool)
-        labels = np.zeros(b, dtype=np.float64)
-        doc_ids = []
-        for i, (doc, enc) in enumerate(chunk):
+        ids = np.zeros((len(chunk), n_sents, n_words), dtype=np.int64)
+        for i, (_, enc) in enumerate(chunk):
             for t, sent in enumerate(enc):
                 ids[i, t, : len(sent)] = sent
-                wmask[i, t, : len(sent)] = True
-                smask[i, t] = True
-            labels[i] = doc.label
-            doc_ids.append(doc.id)
-        batches.append(Batch(ids, wmask, smask, labels, doc_ids))
+        word_mask = ids != PAD_ID
+        labels = np.array([doc.label for doc, _ in chunk], dtype=np.float64)
+        batches.append(Batch(ids, word_mask, word_mask.any(-1), labels, [d.id for d, _ in chunk]))
     return batches

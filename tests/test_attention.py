@@ -94,6 +94,13 @@ def test_mismatched_shapes_raise_shape_error():
             scaled_dot_attention(q, k, k, None, MappingKind.softmax())
 
 
+@pytest.mark.parametrize("heads", [3, 0])
+def test_heads_not_splitting_the_last_axis_raise_shape_error(heads):
+    q = rand_t(np.random.default_rng(17), 2, 3, 4)
+    with pytest.raises(ShapeError, match=rf"q \(2, 3, 4\).*heads {heads}"):
+        scaled_dot_attention(q, q, q, None, MappingKind.softmax(), heads=heads)
+
+
 @pytest.mark.parametrize(
     "kind",
     [

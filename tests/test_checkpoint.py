@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from salab.exceptions import CheckpointError
@@ -67,3 +69,15 @@ def test_mis_shaped_parameter_raises_checkpoint_error(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", state)
     with pytest.raises(CheckpointError, match="emb"):
         model.load(tmp_path / "m.ckpt")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=200))
+def test_load_of_any_bytes_returns_params_or_raises_checkpoint_error(tmp_path, payload):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + payload)
+    try:
+        params = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(isinstance(v, np.ndarray) and v.dtype == np.float32 for v in params.values())

@@ -102,6 +102,22 @@ def test_config_file_flag_override(data_dir, tmp_path):
     assert manifest["seed"] == "8"
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--word-min", "6", "--word-max", "2"], "min_words 6 exceeds max_words 2"),
+    (["--sent-min", "5", "--sent-max", "2"], "min_sentences 5 exceeds max_sentences 2"),
+    (["--vocab-size", "0"], "vocab_size"),
+    (["--zipf", "nan"], "zipf nan"),
+    (["--n-docs", "0"], "n_documents"),
+])
+def test_bad_gen_data_setting_writes_nothing(tmp_path, capsys, flags, names):
+    capsys.readouterr()
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--n-docs", "20", *flags]) == 2
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and names in lines[0] and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["eval", "--model-dir", str(tmp_path / "nope")]) == 2
 
@@ -265,6 +281,22 @@ def test_heatmap_skips_documents_whose_directives_are_truncated(att_run, tmp_pat
     assert f"exported heatmaps for {len(exported)} documents" in capsys.readouterr().out
 
 
+def test_heatmap_skips_an_empty_document_under_any_filter(att_run, tmp_path, capsys, caplog):
+    caplog.set_level(logging.WARNING, logger="salab")
+    write_jsonl(tmp_path / "test.jsonl", [PatientDocument("empty", [[]], 1),
+                                          PatientDocument("full", [["w1", "dnr"]], 1)])
+    for name, filt in (("all", ""), ("dir", "dnr")):
+        caplog.clear()
+        capsys.readouterr()
+        assert main(["heatmap", "--data", str(tmp_path / "test.jsonl"), "--model-dir",
+                     str(att_run), "--out", str(tmp_path / name), "--filter", filt]) == 0
+        assert {p.name.rsplit("_", 1)[0] for p in (tmp_path / name).glob("*.csv")} == {"full"}
+        assert (tmp_path / name / "manifest.kv").exists()
+        assert "exported heatmaps for 1 documents" in capsys.readouterr().out
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skipped == (["document empty empty after truncation; skipped"] if not filt else [])
+
+
 def test_heatmap_warns_once_per_unknown_filter_token(data_dir, att_run, tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="salab")
     assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
@@ -285,6 +317,21 @@ def test_unwritable_out_exit_code(data_dir, att_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
         assert str(blocker) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"id": "x", "label": 0, "sentences": [["\xff"]]}', b"[" * 100_000],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_undecodable_jsonl_line_exit_code(att_run, tmp_path, capsys, raw):
+    path = tmp_path / "test.jsonl"
+    path.write_bytes(b'{"id": "d0", "label": 1, "sentences": [["w1"]]}\n' + raw + b"\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(path), "--model-dir", str(att_run),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert f"{path}:2:" in err and "Traceback" not in err
 
 
 def test_salab_threads_pins_blas_before_numpy_loads():

@@ -1,29 +1,16 @@
-"""Tokenizer, vocabulary, synthetic corpus, and batching tests."""
+"""Vocabulary, synthetic corpus, dataset file, and batching tests."""
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salab import data as dm
 from salab.evaluation import PredictionRecord, auc_roc
 from salab.exceptions import DatasetError
 from salab.rng import derive_rng
-
-
-def test_tokenize_examples():
-    assert dm.tokenize("DNR discussed.") == ["dnr", "discussed", "."]
-    assert dm.tokenize("") == []
-    assert dm.tokenize("comfort measures only") == ["comfort", "measures", "only"]
-    assert dm.tokenize("(cmo)") == ["(", "cmo", ")"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.text())
-def test_tokenize_never_yields_empty_tokens(text):
-    toks = dm.tokenize(text)
-    assert all(toks)
-    assert toks == [t.lower() for t in toks]
 
 
 def test_build_vocab_threshold_boundaries():
@@ -43,6 +30,21 @@ def test_build_vocab_deterministic_and_empty():
     assert v1.id_to_token[2:] == ["a", "b", "c"]
     with pytest.raises(ValueError):
         dm.build_vocab([], min_freq=1)
+
+
+def test_build_vocab_never_keeps_reserved_tokens():
+    vocab = dm.build_vocab([["a", "<pad>", "<unk>", "b"]] * 3, min_freq=1)
+    assert vocab.id_to_token == ["<pad>", "<unk>", "a", "b"]
+    assert vocab.token_to_id == {"<unk>": dm.UNK_ID, "a": 2, "b": 3}
+
+
+def test_vocab_file_listing_reserved_tokens_keeps_every_id(tmp_path):
+    """Older vocab.txt files list a frequent <pad> or <unk> again; each
+    keeps its position and the later id, as models trained on it expect."""
+    (tmp_path / "vocab.txt").write_text("<pad>\n<unk>\na\nb\n", encoding="utf-8")
+    vocab = dm.Vocabulary.load(tmp_path / "vocab.txt")
+    assert vocab.id_to_token == ["<pad>", "<unk>", "<pad>", "<unk>", "a", "b"]
+    assert [vocab.encode(t) for t in ("<pad>", "<unk>", "a", "b", "zzz")] == [2, 3, 4, 5, 1]
 
 
 def test_vocab_save_load_roundtrip(tmp_path):
@@ -113,6 +115,18 @@ def test_corpus_rejects_config_without_filler_distribution(bad):
         dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=3, **bad))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"n_documents": 0}, "n_documents must be >= 1"),
+    ({"vocab_size": 0, "min_words": -1}, "vocab_size, min_words must be >= 1"),
+    ({"min_sentences": 0}, "min_sentences must be >= 1"),
+    ({"min_words": 6, "max_words": 2}, "min_words 6 exceeds max_words 2"),
+    ({"min_sentences": 5, "max_sentences": 2}, "min_sentences 5 exceeds max_sentences 2"),
+])
+def test_corpus_config_names_its_bad_fields(bad, message):
+    with pytest.raises(ValueError, match=message):
+        dm.SyntheticCorpusConfig(**bad)
+
+
 def test_jsonl_roundtrip(tmp_path):
     docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=30, seed=14))
     dm.write_jsonl(tmp_path / "d.jsonl", docs)
@@ -143,6 +157,45 @@ def test_read_jsonl_rejects_malformed_line(tmp_path, line, reason):
         dm.read_jsonl(path)
     assert str(info.value).startswith(f"{path}:3: ")
     assert reason in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b'{"id": "d1", "label": 1, "sentences": [["\xff"]]}', "can't decode byte 0xff"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"id": "d1", "label": 1, "n": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-number"],
+)
+def test_read_jsonl_rejects_undecodable_line(tmp_path, raw, reason):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"id": "d0", "label": 1, "sentences": [["a"]]}\n' + raw + b"\n")
+    with pytest.raises(DatasetError) as info:
+        dm.read_jsonl(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+    assert reason in str(info.value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "label", "sentences", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.binary(max_size=60) | json_values.map(lambda v: json.dumps(v).encode()),
+                max_size=4))
+def test_read_jsonl_of_any_bytes_returns_documents_or_raises_dataset_error(tmp_path, lines):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        docs = dm.read_jsonl(path)
+    except DatasetError:
+        return
+    assert all(isinstance(d, dm.PatientDocument) and d.label in (0, 1) for d in docs)
 
 
 def test_split_disjoint_and_stable():
@@ -208,6 +261,16 @@ def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents
         assert batch.sentence_mask.shape == shape[:2]
         assert np.array_equal(batch.word_mask, batch.token_ids != 0)
         assert np.array_equal(batch.sentence_mask, batch.word_mask.any(axis=-1))
+
+
+def test_reserved_tokens_in_a_document_read_as_unknown():
+    vocab = dm.build_vocab([["a", "b"]], min_freq=1)
+    doc = dm.PatientDocument("d0", [["<pad>", "a", "<unk>"], ["<pad>"]], 1)
+    batch = dm.pad_and_batch([doc], vocab, max_words=5, max_sents=5, batch_size=1)[0]
+    assert vocab.encode("<pad>") == vocab.encode("<unk>") == dm.UNK_ID
+    assert batch.token_ids.tolist() == [[[1, 2, 1], [1, 0, 0]]]
+    assert np.array_equal(batch.word_mask, batch.token_ids != dm.PAD_ID)
+    assert batch.sentence_mask.tolist() == [[True, True]]
 
 
 def test_mask_pad_consistency():
