@@ -6,6 +6,7 @@ feeding a manifest back through --config reproduces the run.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
+from .checkpoint import load_checkpoint
 from .evaluation import compute_metrics, export_heatmap, score_documents
 from .exceptions import (
+    CheckpointError,
     EmptyDocumentError,
     PoisonedGradientError,
     SalabError,
@@ -43,36 +46,25 @@ GEN_FIELDS = {  # gen-data setting -> SyntheticCorpusConfig field
 _CORPUS = datamod.SyntheticCorpusConfig()
 GEN_DEFAULTS = {"out": "data", **{k: getattr(_CORPUS, f) for k, f in GEN_FIELDS.items()}}
 
+# train setting -> model config field(s); for tr, heads and layers set both levels
+MODEL_FIELDS = {
+    "hidden": ("hidden",), "embed_dim": ("embed_dim",), "max_words": ("max_words",),
+    "max_sents": ("max_sents",), "dropout": ("dropout_rate",),
+    "heads": ("word_heads", "sent_heads"), "layers": ("word_layers", "sent_layers"),
+    "shared_qkv": ("shared_qkv",),
+}
+MODEL_KEYS = ("model", "mapping", *MODEL_FIELDS)  # the settings config.kv records
+_MODEL = HierModelConfig(vocab_size=2)
 TRAIN_DEFAULTS = {
-    "data": "data",
-    "out": "run",
-    "model": "att",
-    "mapping": "softmax",
-    "epochs": 30,
-    "lr": 1e-4,
-    "batch": 16,
-    "hidden": 128,
-    "embed_dim": 100,
-    "max_words": 50,
-    "max_sents": 1000,
-    "dropout": 0.2,
-    "seed": 0,
-    "seeds": 1,
-    "min_freq": 5,
-    "heads": 1,
-    "layers": 1,
-    "shared_qkv": False,
+    "data": "data", "out": "run", "model": "att", "mapping": str(_MODEL.mapping),
+    "epochs": 30, "lr": 1e-4, "batch": 16, "seed": 0, "seeds": 1, "min_freq": 5,
+    **{k: getattr(_MODEL, fields[0]) for k, fields in MODEL_FIELDS.items()},
 }
 
 EVAL_DEFAULTS = {"data": "data", "model_dir": "run", "out": "", "split": "test", "bins": 10}
 
-HEATMAP_DEFAULTS = {
-    "data": "data",
-    "model_dir": "run",
-    "out": "heatmaps",
-    "filter": ",".join(_CORPUS.directive_tokens),
-    "limit": 5,
-}
+HEATMAP_DEFAULTS = {"data": "data", "model_dir": "run", "out": "heatmaps",
+                    "filter": ",".join(_CORPUS.directive_tokens), "limit": 5}
 
 GRADCHECK_DEFAULTS = {"seed": 0, "trials": 200, "tol": 1e-4}
 
@@ -80,13 +72,18 @@ GRADCHECK_DEFAULTS = {"seed": 0, "trials": 200, "tol": 1e-4}
 # ---------------------------------------------------------------------------
 # key=value plumbing
 
-def read_kv(path) -> dict:
+def read_kv(path) -> dict[str, str]:
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
+    for n, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}:{n}: not UTF-8 ({e.reason} at byte {e.start})") from None
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:{n}: {line!r} is not key=value")
         out[key.strip()] = value.strip()
     return out
 
@@ -126,52 +123,54 @@ def resolve(defaults: dict, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # model (re)construction
 
+def model_config(cfg: dict, vocab_size: int):
+    """The model config that `cfg`'s model settings describe; it checks them."""
+    config_cls = {"att": LocalModelConfig, "tr": HierModelConfig}.get(cfg["model"])
+    if config_cls is None:
+        raise ValueError(f"model must be att or tr, got {cfg['model']!r}")
+    known = {f.name for f in dataclasses.fields(config_cls)}  # att has no heads or layers
+    kw = {f: cfg[k] for k, fields in MODEL_FIELDS.items() for f in fields if f in known}
+    return config_cls(vocab_size, mapping=MappingKind.parse(cfg["mapping"]), **kw)
+
+
 def build_model(cfg: dict, vocab_size: int, seed: int, dtype=np.float32):
-    common = dict(
-        vocab_size=vocab_size,
-        embed_dim=cfg["embed_dim"],
-        hidden=cfg["hidden"],
-        mapping=MappingKind.parse(cfg["mapping"]),
-        dropout_rate=cfg["dropout"],
-        max_words=cfg["max_words"],
-        max_sents=cfg["max_sents"],
-        shared_qkv=cfg["shared_qkv"],
-    )
-    if cfg["model"] == "att":
-        return AttentionClassifier(LocalModelConfig(**common), seed=seed, dtype=dtype)
-    if cfg["model"] == "tr":
-        config = HierModelConfig(
-            **common,
-            word_layers=cfg["layers"],
-            sent_layers=cfg["layers"],
-            word_heads=cfg["heads"],
-            sent_heads=cfg["heads"],
-        )
-        return HierarchicalTransformerClassifier(config, seed=seed, dtype=dtype)
-    raise ValueError(f"unknown model family {cfg['model']!r}")
+    config = model_config(cfg, vocab_size)
+    family = AttentionClassifier if cfg["model"] == "att" else HierarchicalTransformerClassifier
+    return family(config, seed=seed, dtype=dtype)
 
 
-def save_model_dir(out: Path, model, vocab, train_cfg: dict, seed: int) -> None:
+def save_model_dir(out: Path, vocab, train_cfg: dict, seed: int) -> None:
     vocab.save(out / "vocab.txt")
-    kv = {k: train_cfg[k] for k in (
-        "model", "mapping", "embed_dim", "hidden", "dropout",
-        "max_words", "max_sents", "heads", "layers", "shared_qkv",
-    )}
-    kv["vocab_size"] = len(vocab)
-    kv["seed"] = seed
-    write_kv(out / "config.kv", kv)
+    kv = {k: train_cfg[k] for k in MODEL_KEYS}
+    write_kv(out / "config.kv", dict(kv, vocab_size=len(vocab), seed=seed))
+
+
+def _check_sizes(state: dict, cfg: dict, vocab_size: int) -> None:
+    """Compare config.kv's sizes with best.ckpt's shapes before any model is allocated."""
+    e, h, n = cfg["embed_dim"], cfg["hidden"], cfg["layers"]
+    want = [("embed_dim", "emb", (vocab_size, e)), ("hidden", "proj_w", (e, h))]
+    if cfg["model"] == "tr":  # each level has layers 0..n-1
+        want += [("max_words", "word_pos", (cfg["max_words"], h)),
+                 ("max_sents", "sent_pos", (cfg["max_sents"], h))]
+        want += [("layers", f"{level}{i}_wq", shape) for level in ("word", "sent")
+                 for i, shape in ((n - 1, (h, h)), (n, "absent"))]
+    for setting, name, shape in want:
+        got = state[name].shape if name in state else "absent"
+        if got != shape:
+            raise CheckpointError(f"config.kv's {setting}={cfg[setting]} does not fit "
+                                  f"best.ckpt: {name} should be {shape}, is {got}")
 
 
 def load_model_dir(model_dir):
     model_dir = Path(model_dir)
     kv = read_kv(model_dir / "config.kv")
     cfg = dict(TRAIN_DEFAULTS)
-    for k, v in kv.items():
-        if k in cfg:
-            cfg[k] = _coerce(k, v, cfg[k])
+    cfg.update((k, _coerce(k, kv[k], cfg[k])) for k in (*MODEL_KEYS, "seed") if k in kv)
     vocab = datamod.Vocabulary.load(model_dir / "vocab.txt")
-    model = build_model(cfg, len(vocab), seed=int(kv.get("seed", 0)))
-    model.load(model_dir / "best.ckpt")
+    state = load_checkpoint(model_dir / "best.ckpt")
+    _check_sizes(state, cfg, len(vocab))
+    model = build_model(cfg, len(vocab), seed=cfg["seed"])
+    model.load_state_dict(state)
     return model, vocab, cfg
 
 
@@ -220,7 +219,7 @@ def _train_once(cfg: dict, seed: int, out: Path):
     model.save(out / "last.ckpt")
     model.load_state_dict(result.best_state)
     model.save(out / "best.ckpt")
-    save_model_dir(out, model, vocab, cfg, seed)
+    save_model_dir(out, vocab, cfg, seed)
     with open(out / "epochs.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,train_loss,val_auc_roc,val_auc_pr,val_brier\n")
         for s in result.history:
@@ -241,11 +240,12 @@ def _train_once(cfg: dict, seed: int, out: Path):
 
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
-    for key in ("seeds", "epochs", "batch", "min_freq"):
-        if cfg[key] < 1:
-            raise ValueError(f"{key} must be >= 1, got {cfg[key]}")
+    for key, low in (("seeds", 1), ("epochs", 1), ("batch", 1), ("min_freq", 1), ("seed", 0)):
+        if cfg[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
     if not 0 < cfg["lr"] < np.inf:
         raise ValueError(f"lr must be finite and > 0, got {cfg['lr']}")
+    model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     if cfg["seeds"] == 1:
         _train_once(cfg, cfg["seed"], out)
@@ -283,13 +283,8 @@ def cmd_eval(args) -> int:
     with open(out / "reliability.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_low,bin_high,count,mean_score,positive_fraction\n")
         for b in report.bins.bins:
-            if b.empty:
-                fh.write(f"{b.low:.2f},{b.high:.2f},0,,\n")
-            else:
-                fh.write(
-                    f"{b.low:.2f},{b.high:.2f},{b.count},"
-                    f"{b.mean_score:.6f},{b.positive_fraction:.6f}\n"
-                )
+            stats = "0,," if b.empty else f"{b.count},{b.mean_score:.6f},{b.positive_fraction:.6f}"
+            fh.write(f"{b.low:.2f},{b.high:.2f},{stats}\n")
     cfg["command"] = "eval"
     write_kv(out / "manifest.kv", cfg)
     print(report.to_kv().strip())
@@ -342,27 +337,19 @@ def cmd_gradcheck(args) -> int:
         )
     )
     vocab = datamod.build_vocab((s for d in corpus for s in d.sentences), min_freq=1)
+    batch = datamod.pad_and_batch(corpus, vocab, 5, 3, len(corpus))[0]
     for family in ("att", "tr"):
         for mapping in ("softmax", "entmax15", "sparsemax", "entmax:1.3"):
-            run = dict(
-                TRAIN_DEFAULTS, model=family, mapping=mapping, hidden=8,
-                embed_dim=6, max_words=5, max_sents=3, dropout=0.0,
-            )
-            err = None
+            run = dict(TRAIN_DEFAULTS, model=family, mapping=mapping, hidden=8,
+                       embed_dim=6, max_words=5, max_sents=3, dropout=0.0)
             for attempt in range(4):
-                model = build_model(
-                    run, len(vocab), seed=cfg["seed"] + attempt, dtype=np.float64
-                )
-                batch = datamod.pad_and_batch(corpus, vocab, 5, 3, len(corpus))[0]
+                model = build_model(run, len(vocab), cfg["seed"] + attempt, np.float64)
                 err = model_grad_error(model, batch)
                 if err <= tol:
                     break
             ok = err <= tol
             failures += not ok
-            print(
-                f"model {family}-{mapping}: max_rel_err={err:.2e} "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
+            print(f"model {family}-{mapping}: max_rel_err={err:.2e} {'PASS' if ok else 'FAIL'}")
     return 1 if failures else 0
 
 

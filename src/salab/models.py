@@ -42,28 +42,31 @@ from .autodiff import (
     scatter_rows_np,
 )
 from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_batch
-from .exceptions import CheckpointError, EmptyDocumentError
+from .exceptions import CheckpointError, EmptyDocumentError, ShapeError
 from .rng import derive_rng
 from .simplex import MappingKind
 
 
 @dataclass
 class LocalModelConfig:
+    """Every model setting's default and check; `salab train` reads both."""
+
     vocab_size: int
     embed_dim: int = 100
     hidden: int = 128
     mapping: MappingKind = field(default_factory=MappingKind.softmax)
     dropout_rate: float = 0.2
-    max_words: int = 20
-    max_sents: int = 40
+    max_words: int = 50
+    max_sents: int = 1000
     # att only: Q, K and V start from one shared matrix, then train apart
     shared_qkv: bool = False
 
     def __post_init__(self):
-        if min(self.embed_dim, self.hidden, self.max_words, self.max_sents) < 1:
-            raise ValueError("embed_dim, hidden, max_words and max_sents must be >= 1")
+        for name in ("embed_dim", "hidden", "max_words", "max_sents"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -75,8 +78,12 @@ class HierModelConfig(LocalModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.word_layers, self.sent_layers, self.word_heads, self.sent_heads) < 1:
-            raise ValueError("layers and heads must be >= 1")
+        for name in ("word_layers", "sent_layers", "word_heads", "sent_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for heads in (self.word_heads, self.sent_heads):
+            if self.hidden % heads:
+                raise ShapeError(f"heads {heads} does not divide hidden {self.hidden}")
         if self.shared_qkv:
             raise ValueError("shared_qkv applies to the att family only")
 

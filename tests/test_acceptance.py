@@ -345,7 +345,7 @@ def test_criterion_9_calibration_machinery(att_setup, tmp_path):
     cfg = dict(TRAIN_DEFAULTS, model="att", mapping="sparsemax",
                embed_dim=50, hidden=64, max_words=12, max_sents=8)
     model.save(run / "best.ckpt")
-    save_model_dir(run, model, vocab, cfg, seed=100)
+    save_model_dir(run, vocab, cfg, seed=100)
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     dm.write_jsonl(data_dir / "test.jsonl", att_setup["split"].test)

@@ -8,11 +8,22 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import salab
-from salab.cli import main, read_kv
-from salab.data import PatientDocument, read_jsonl, write_jsonl
+from salab.cli import (
+    EVAL_DEFAULTS,
+    TRAIN_DEFAULTS,
+    build_model,
+    load_model_dir,
+    main,
+    read_kv,
+    save_model_dir,
+)
+from salab.data import PatientDocument, build_vocab, read_jsonl, write_jsonl
 from salab.evaluation import read_heatmap
+from salab.models import HierModelConfig, LocalModelConfig
 
 TRAIN_FLAGS = [
     "--epochs", "2", "--lr", "1e-3", "--hidden", "16", "--embed-dim", "8",
@@ -381,3 +392,157 @@ def test_multi_seed_summary(data_dir, tmp_path):
     assert "auc_roc_mean" in summary and "auc_roc_sd" in summary
     assert (run / "seed0" / "best.ckpt").exists()
     assert (run / "seed1" / "best.ckpt").exists()
+
+
+def error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [ln for ln in err.splitlines() if ln.startswith("error:")]
+
+
+def test_model_configs_own_the_train_defaults():
+    expected = {"hidden": "hidden", "embed_dim": "embed_dim", "max_words": "max_words",
+                "max_sents": "max_sents", "dropout": "dropout_rate", "shared_qkv": "shared_qkv"}
+    for config in (LocalModelConfig(5), HierModelConfig(5)):
+        assert {k: getattr(config, f) for k, f in expected.items()} == {
+            k: TRAIN_DEFAULTS[k] for k in expected}
+        assert str(config.mapping) == TRAIN_DEFAULTS["mapping"]
+    tr = HierModelConfig(5)
+    assert tr.word_heads == tr.sent_heads == TRAIN_DEFAULTS["heads"]
+    assert tr.word_layers == tr.sent_layers == TRAIN_DEFAULTS["layers"]
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--hidden", "0"], "hidden"),
+    (["--model", "xyz"], "model"),
+    (["--dropout", "1.5"], "dropout"),
+    (["--mapping", "sharpmax"], "mapping"),
+    (["--model", "tr", "--layers", "0"], "layers"),
+    (["--model", "tr", "--heads", "3", "--hidden", "8"], "heads"),
+])
+def test_train_checks_model_settings_before_reading_data(tmp_path, capsys, flags, name):
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x"),
+                 *flags]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and name in lines[0] and "missing file" not in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "gradcheck"])
+def test_negative_seed_names_seed(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "x")]
+    extra = {"gen-data": out, "train": ["--data", str(tmp_path / "missing"), *out],
+             "gradcheck": ["--trials", "1"]}[command]
+    capsys.readouterr()
+    assert main([command, "--seed", "-1", *extra]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "seed must be >= 0, got -1" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
+def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
+    settings_by_family = {
+        "att": {"mapping": "entmax:1.3", "hidden": 12, "embed_dim": 6, "max_words": 9,
+                "max_sents": 7, "dropout": 0.1, "heads": 2, "layers": 2, "shared_qkv": True},
+        "tr": {"mapping": "sparsemax", "hidden": 12, "embed_dim": 6, "max_words": 9,
+               "max_sents": 7, "dropout": 0.1, "heads": 3, "layers": 2, "shared_qkv": False},
+    }
+    for family, chosen in settings_by_family.items():
+        assert all(TRAIN_DEFAULTS[k] != v for k, v in chosen.items() if k != "shared_qkv")
+        run = tmp_path / family
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in chosen.items()]
+        assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", family,
+                     "--seed", "3", "--epochs", "1", "--min-freq", "1", *flags]) == 0
+        model, _, cfg = load_model_dir(run)
+        assert {k: cfg[k] for k in chosen} == chosen
+        assert (cfg["model"], cfg["seed"], str(model.config.mapping)) == (
+            family, 3, chosen["mapping"])
+        c = model.config
+        assert (c.hidden, c.embed_dim, c.max_words, c.max_sents, c.dropout_rate) == (
+            12, 6, 9, 7, 0.1)
+        if family == "tr":
+            assert (c.word_heads, c.sent_heads, c.word_layers, c.sent_layers) == (3, 3, 2, 2)
+        else:
+            assert c.shared_qkv
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("att", "hidden", 10**15),
+    ("att", "embed_dim", 10**15),
+    ("tr", "max_words", 10**15),
+    ("tr", "layers", 2),
+])
+def test_config_kv_that_does_not_fit_best_ckpt_exits_2(tmp_path, capsys, family, key, value):
+    """10**15 exceeds any address space, so a model built before the check
+    fails at once instead of filling memory."""
+    vocab = build_vocab([["a", "b"]], min_freq=1)
+    cfg = dict(TRAIN_DEFAULTS, model=family, hidden=8, embed_dim=4, max_words=6, max_sents=4)
+    run = tmp_path / "run"
+    run.mkdir()
+    build_model(cfg, len(vocab), seed=0).save(run / "best.ckpt")
+    save_model_dir(run, vocab, dict(cfg, **{key: value}), seed=0)
+    for argv in (["eval"], ["heatmap", "--out", str(tmp_path / "hm")]):
+        capsys.readouterr()
+        assert main([*argv, "--data", str(tmp_path / "missing"), "--model-dir", str(run)]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and f"{key}={value} does not fit best.ckpt" in lines[0]
+    assert not (tmp_path / "hm").exists()
+
+
+@pytest.mark.parametrize("line, reason", [(b"bins=\xff", "not UTF-8"), (b"bins", "not key=value")])
+def test_read_kv_names_the_path_and_the_line(tmp_path, capsys, line, reason):
+    cfg = tmp_path / "cfg.kv"
+    cfg.write_bytes(b"# comment\n" + line + b"\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--model-dir", str(tmp_path / "none")]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and f"{cfg}:2: " in lines[0] and reason in lines[0]
+
+
+_KV_LINE = st.builds(
+    lambda key, sep, value: key + sep + value,
+    st.sampled_from([*EVAL_DEFAULTS, "command", "bins ", "hiden"]).map(str.encode)
+    | st.binary(max_size=8),
+    st.sampled_from([b"=", b" = ", b""]),
+    st.sampled_from([b"", b"3", b"-1", b"1e9", b"x", b"\xff", b"\xc3\xa9"]) | st.binary(max_size=8),
+)
+_KV_FILE = st.binary(max_size=200) | st.lists(_KV_LINE, max_size=6).map(b"\n".join)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_KV_FILE)
+def test_read_kv_of_any_bytes_returns_strings_or_names_its_path(tmp_path, payload):
+    path = tmp_path / "f.kv"
+    path.write_bytes(payload)
+    try:
+        kv = read_kv(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}:")
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) and "=" not in k for k, v in kv.items())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_KV_FILE)
+def test_eval_with_any_config_file_exits_2_with_one_error_line(tmp_path, capsys, payload):
+    path = tmp_path / "f.kv"
+    path.write_bytes(payload)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(path), "--model-dir", str(tmp_path / "none")]) == 2
+    assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+def test_python_m_salab_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(salab.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "salab", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    assert run("train", "--help").returncode == 0
+    done = run("gen-data", "--out", str(tmp_path / "d"), "--n-docs", "0")
+    assert done.returncode == 2
+    assert len(error_lines(done.stderr)) == 1 and "n_documents" in done.stderr
+    assert list(tmp_path.iterdir()) == []
