@@ -1,14 +1,14 @@
 """Scaled dot-product attention with a pluggable simplex mapping.
 
-Covers the single-head form used by the local models, the multi-head
-form, learned positional embeddings, and a post-norm transformer
-encoder layer (FFN hidden width 2d).
+One attention call, whose last axis splits into heads (one for the local
+models), multi-head self-attention, learned positional embeddings, and a
+post-norm transformer encoder layer (FFN hidden width 2d).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +17,6 @@ from .exceptions import EmptyPoolError, ShapeError
 from .simplex import MappingKind
 
 MASK_FILL = -1e9
-
-
-@dataclass
-class AttentionConfig:
-    model_dim: int
-    heads: int = 1
-    mapping: MappingKind = field(default_factory=MappingKind.softmax)
-    dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.model_dim < 1 or self.heads < 1:
-            raise ValueError("model_dim and heads must be >= 1")
-        if self.model_dim % self.heads != 0:
-            raise ShapeError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}"
-            )
 
 
 @dataclass
@@ -58,7 +42,7 @@ class AttentionRecord:
 
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, mapping: MappingKind,
-    heads: int | None = None,
+    heads: int = 1,
 ) -> tuple[Tensor, np.ndarray]:
     """Att(Q, K, V) over the last two axes; returns (output, float64 weights).
 
@@ -67,41 +51,42 @@ def scaled_dot_attention(
     `mask` marks False score MASK_FILL, which every mapping maps to exactly 0.
     """
     if (q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape
-            or heads is not None and (heads < 1 or q.shape[-1] % heads)):
+            or heads < 1 or q.shape[-1] % heads):
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise EmptyPoolError("attention row with no unmasked key")
-        mask = np.expand_dims(mask, -2 if heads is None else (-3, -2))
+        mask = mask[..., None, None, :]
 
     def split(a):
-        return a if heads is None else np.swapaxes(a.reshape(*a.shape[:-1], heads, -1), -2, -3)
+        return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
 
     def merge(a):
-        return a if heads is None else np.swapaxes(a, -2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
+        return a.swapaxes(-2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
 
     def dscores(g):
         return (g if mask is None else g * mask) * scale
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
-    s = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
     scores = _node(s if mask is None else np.where(mask, s, MASK_FILL), (q, k),
                    lambda g: merge(dscores(g) @ kh),
-                   lambda g: merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ dscores(g), -1, -2)))
+                   lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
     p = attention_weights(scores, mapping)
-    out = _node(merge(p.data @ vh), (p, v), lambda g: split(g) @ np.swapaxes(vh, -1, -2),
-                lambda g: merge(np.swapaxes(p.data, -1, -2) @ split(g)))
+    out = _node(merge(p.data @ vh), (p, v), lambda g: split(g) @ vh.swapaxes(-1, -2),
+                lambda g: merge(p.data.swapaxes(-1, -2) @ split(g)))
     return out, p.data.astype(np.float64)
 
 
 def multi_head_attention(
     x: Tensor,
-    cfg: AttentionConfig,
     params: dict[str, Tensor],
     mask: np.ndarray | None = None,
     prefix: str = "",
+    mapping: MappingKind = MappingKind.softmax(),
+    heads: int = 1,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over x[..., n, d].
 
@@ -109,7 +94,7 @@ def multi_head_attention(
     Expects parameters {prefix}wq/wk/wv/wo and biases {prefix}bq/bk/bv/bo.
     """
     q, k, v = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
-    att, w = scaled_dot_attention(q, k, v, mask, cfg.mapping, cfg.heads)
+    att, w = scaled_dot_attention(q, k, v, mask, mapping, heads)
     return linear(att, params[prefix + "wo"], params[prefix + "bo"]), w
 
 
@@ -126,19 +111,21 @@ def add_positional_embeddings(x: Tensor, table: Tensor) -> Tensor:
 
 def transformer_encoder_layer(
     x: Tensor,
-    cfg: AttentionConfig,
     params: dict[str, Tensor],
     mask: np.ndarray | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
     prefix: str = "",
+    mapping: MappingKind = MappingKind.softmax(),
+    heads: int = 1,
+    dropout_rate: float = 0.0,
 ) -> tuple[Tensor, np.ndarray]:
     """Post-norm encoder layer: LN(x + MHA(x)) then LN(y + FFN(y))."""
-    att, w = multi_head_attention(x, cfg, params, mask, prefix=prefix)
-    att = dropout(att, cfg.dropout_rate, training, rng)
+    att, w = multi_head_attention(x, params, mask, prefix, mapping, heads)
+    att = dropout(att, dropout_rate, training, rng)
     y = layer_norm(x + att, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     h = linear(y, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]).relu()
     h = linear(h, params[prefix + "ffn_w2"], params[prefix + "ffn_b2"])
-    h = dropout(h, cfg.dropout_rate, training, rng)
+    h = dropout(h, dropout_rate, training, rng)
     out = layer_norm(y + h, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
     return out, w

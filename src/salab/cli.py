@@ -104,6 +104,16 @@ def _coerce(key: str, value: str, template):
         raise ValueError(f"{key} must be {type(template).__name__}, got {value!r}") from None
 
 
+def _check_settings(cfg: dict, least: dict, positive: tuple = ()) -> None:
+    """Reject a setting below its least value, or one in `positive` not finite and > 0."""
+    for key, low in least.items():
+        if cfg[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
+    for key in positive:
+        if not 0 < cfg[key] < np.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {cfg[key]}")
+
+
 def resolve(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
@@ -240,11 +250,7 @@ def _train_once(cfg: dict, seed: int, out: Path):
 
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
-    for key, low in (("seeds", 1), ("epochs", 1), ("batch", 1), ("min_freq", 1), ("seed", 0)):
-        if cfg[key] < low:
-            raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
-    if not 0 < cfg["lr"] < np.inf:
-        raise ValueError(f"lr must be finite and > 0, got {cfg['lr']}")
+    _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     if cfg["seeds"] == 1:
@@ -273,6 +279,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = resolve(EVAL_DEFAULTS, args)
+    _check_settings(cfg, {"bins": 2})
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], cfg["split"]))
     report = compute_metrics(score_documents(model, docs, vocab), n_bins=cfg["bins"])
@@ -293,6 +300,7 @@ def cmd_eval(args) -> int:
 
 def cmd_heatmap(args) -> int:
     cfg = resolve(HEATMAP_DEFAULTS, args)
+    _check_settings(cfg, {"limit": 1})
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], "test"))
     tokens = {t for t in cfg["filter"].split(",") if t}
@@ -321,6 +329,7 @@ def cmd_heatmap(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = resolve(GRADCHECK_DEFAULTS, args)
+    _check_settings(cfg, {"trials": 1}, ("tol",))
     tol = cfg["tol"]
     failures = 0
     names = ("softmax", "sparsemax", "entmax15", "entmax:1.3", "entmax:1.7", "entmax:3")

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .attention import (
-    AttentionConfig,
     AttentionRecord,
     add_positional_embeddings,
     scaled_dot_attention,
@@ -101,6 +100,8 @@ class _BaseModel:
     vectors in `_encode(x, batch, rows, words, training)`: `rows` are
     those sentences' indices in the flattened [B*T] slots and `words` is
     their word mask [N, W], with at least one real word in every row.
+    It returns them with its attention records; `forward` places the word
+    maps, [N, heads, W, W], into their [B, T, heads, W, W] slots.
     """
 
     family = "base"
@@ -151,6 +152,8 @@ class _BaseModel:
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
         pooled, records = self._encode(x, batch, rows, word_mask[rows], training)
+        word = records["word"]
+        records["word"] = scatter_rows_np(word, rows, B * T).reshape(B, T, *word.shape[1:])
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
         return logits.reshape(B), records
 
@@ -196,7 +199,7 @@ class AttentionClassifier(_BaseModel):
         att = dropout(att, cfg.dropout_rate, training, self._dropout_rng)
         flat = scatter_rows(att, rows, B * T).reshape(B, T * W, cfg.hidden)
         pooled = masked_mean_pool(flat, batch.word_mask.reshape(B, T * W))
-        return pooled, {"word": scatter_rows_np(weights, rows, B * T).reshape(B, T, 1, W, W)}
+        return pooled, {"word": weights}
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -206,13 +209,9 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
     def _build_encoder(self, rng):
         cfg = self.config
-
-        def level(heads: int, layers: int):
-            return AttentionConfig(cfg.hidden, heads, cfg.mapping, cfg.dropout_rate), layers
-
-        # level name -> (its layers' attention config, its layer count)
-        self._levels = {"word": level(cfg.word_heads, cfg.word_layers),
-                        "sent": level(cfg.sent_heads, cfg.sent_layers)}
+        # level name -> (its heads, its layer count)
+        self._levels = {"word": (cfg.word_heads, cfg.word_layers),
+                        "sent": (cfg.sent_heads, cfg.sent_layers)}
         self._param("word_pos", _uniform(rng, cfg.hidden, (cfg.max_words, cfg.hidden), self.dtype))
         self._param("sent_pos", _uniform(rng, cfg.hidden, (cfg.max_sents, cfg.hidden), self.dtype))
         for name, (_, layers) in self._levels.items():
@@ -221,22 +220,21 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
     def _level(self, level: str, x: Tensor, mask: np.ndarray, training: bool):
         """Add the level's positional table, then run its encoder layers."""
-        att_cfg, layers = self._levels[level]
+        heads, layers = self._levels[level]
         x = add_positional_embeddings(x, self.params[f"{level}_pos"])
         for layer in range(layers):
             x, weights = transformer_encoder_layer(
-                x, att_cfg, self.params, mask, training,
-                self._dropout_rng, prefix=f"{level}{layer}_",
+                x, self.params, mask, training, self._dropout_rng, f"{level}{layer}_",
+                self.config.mapping, heads, self.config.dropout_rate,
             )
         return x, weights
 
     def _encode(self, x, batch, rows, words, training):
-        B, T, W = batch.token_ids.shape
+        B, T, _ = batch.token_ids.shape
         x, word_weights = self._level("word", x, words, training)
         sent_vecs = scatter_rows(masked_mean_pool(x, words), rows, B * T).reshape(B, T, -1)
         y, sent_weights = self._level("sent", sent_vecs, batch.sentence_mask, training)
         pooled = masked_mean_pool(y, batch.sentence_mask)
-        word_weights = scatter_rows_np(word_weights, rows, B * T).reshape(B, T, -1, W, W)
         return pooled, {"word": word_weights, "sentence": sent_weights}  # sentence: [B, h, T, T]
 
 

@@ -81,7 +81,11 @@ class MappingKind:
         """Parse CLI syntax: softmax | sparsemax | entmax15 | entmax:<alpha>."""
         text = text.strip().lower()
         if text.startswith("entmax:"):
-            return cls.entmax(float(text.split(":", 1)[1]))
+            try:
+                alpha = float(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"mapping {text!r}: alpha must be a number") from None
+            return cls.entmax(alpha)
         if text not in _NAMED_ALPHAS:
             raise ValueError(f"unknown mapping name: {text!r}")
         return cls(_NAMED_ALPHAS[text])

@@ -7,7 +7,6 @@ import pytest
 
 from salab.attention import (
     MASK_FILL,
-    AttentionConfig,
     add_positional_embeddings,
     multi_head_attention,
     scaled_dot_attention,
@@ -44,19 +43,12 @@ def layer_params(rng, d, prefix=""):
     return p
 
 
-def test_config_validation():
-    with pytest.raises(ShapeError):
-        AttentionConfig(model_dim=6, heads=4)
-    with pytest.raises(ValueError):
-        AttentionConfig(model_dim=0)
-
-
 def test_single_position_passes_value_through():
     rng = np.random.default_rng(0)
     q, k, v = (rand_t(rng, 1, 4) for _ in range(3))
     out, w = scaled_dot_attention(q, k, v, None, MappingKind.sparsemax())
     np.testing.assert_allclose(out.data, v.data)
-    np.testing.assert_array_equal(w, [[1.0]])
+    np.testing.assert_array_equal(w, [[[1.0]]])
 
 
 def test_identical_keys_give_uniform_softmax_weights():
@@ -75,7 +67,7 @@ def test_dominant_key_sparsemax_is_onehot():
     k = Tensor(x)
     v = Tensor(np.arange(6, dtype=float).reshape(3, 2))
     out, w = scaled_dot_attention(q, k, v, None, MappingKind.sparsemax())
-    np.testing.assert_array_equal(w[0], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(w[0, 0], [0.0, 1.0, 0.0])
     np.testing.assert_allclose(out.data[0], v.data[1])
 
 
@@ -122,7 +114,7 @@ def test_mask_soundness(kind):
     for x in (base, variant):
         t = Tensor(x)
         out, w = scaled_dot_attention(t, t, t, mask, kind)
-        assert np.all(w[:3, 3] == 0.0)
+        assert np.all(w[0, :3, 3] == 0.0)
         outs.append(out.data[:3])
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -147,35 +139,34 @@ def test_permutation_equivariance_without_positions():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, (6, 4))
     perm = rng.permutation(6)
-    cfg = AttentionConfig(4, 2, MappingKind.entmax15())
     params = mha_params(rng, 4)
-    out1, _ = multi_head_attention(Tensor(x), cfg, params)
-    out2, _ = multi_head_attention(Tensor(x[perm]), cfg, params)
+    kw = {"mapping": MappingKind.entmax15(), "heads": 2}
+    out1, _ = multi_head_attention(Tensor(x), params, **kw)
+    out2, _ = multi_head_attention(Tensor(x[perm]), params, **kw)
     np.testing.assert_allclose(out2.data, out1.data[perm], atol=1e-10)
 
 
 def test_multi_head_single_head_reduces_to_scaled_dot():
     rng = np.random.default_rng(6)
     x = rand_t(rng, 5, 4)
-    cfg = AttentionConfig(4, 1, MappingKind.softmax())
     params = mha_params(rng, 4)
-    out, w = multi_head_attention(x, cfg, params)
+    out, w = multi_head_attention(x, params)
     from salab.autodiff import linear
 
     q = linear(x, params["wq"], params["bq"])
     k = linear(x, params["wk"], params["bk"])
     v = linear(x, params["wv"], params["bv"])
-    ref, wref = scaled_dot_attention(q, k, v, None, cfg.mapping)
+    ref, wref = scaled_dot_attention(q, k, v, None, MappingKind.softmax())
     ref = linear(ref, params["wo"], params["bo"])
     np.testing.assert_allclose(out.data, ref.data, atol=1e-10)
-    np.testing.assert_allclose(w[0], wref, atol=1e-12)
+    np.testing.assert_allclose(w, wref, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,d,h", [(3, 4, 1), (5, 6, 2), (2, 8, 4)])
 def test_multi_head_shape_sweep(n, d, h):
     rng = np.random.default_rng(7)
     x = rand_t(rng, n, d)
-    out, w = multi_head_attention(x, AttentionConfig(d, h), mha_params(rng, d))
+    out, w = multi_head_attention(x, mha_params(rng, d), heads=h)
     assert out.shape == (n, d)
     assert w.shape == (h, n, n)
 
@@ -184,10 +175,9 @@ def test_multi_head_gradcheck_two_heads():
     rng = np.random.default_rng(8)
     x = rand_t(rng, 3, 4)
     params = mha_params(rng, 4)
-    cfg = AttentionConfig(4, 2, MappingKind.softmax())
 
     def f():
-        out, _ = multi_head_attention(x, cfg, params)
+        out, _ = multi_head_attention(x, params, heads=2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -212,12 +202,11 @@ def test_positional_embeddings_make_layer_order_sensitive():
     x = rng.normal(0, 1, (4, 4))
     perm = np.array([1, 0, 3, 2])
     table = Tensor(rng.normal(0, 1, (4, 4)), requires_grad=True)
-    cfg = AttentionConfig(4, 1, MappingKind.softmax())
     params = layer_params(rng, 4)
 
     def run(inp):
         h = add_positional_embeddings(Tensor(inp), table)
-        out, _ = transformer_encoder_layer(h, cfg, params)
+        out, _ = transformer_encoder_layer(h, params)
         return out.data
 
     assert np.abs(run(x)[perm] - run(x[perm])).max() > 1e-4
@@ -227,8 +216,8 @@ def test_encoder_layer_shape_and_mask_record():
     rng = np.random.default_rng(11)
     x = rand_t(rng, 5, 6)
     mask = np.array([True, True, True, False, False])
-    cfg = AttentionConfig(6, 2, MappingKind.sparsemax())
-    out, w = transformer_encoder_layer(x, cfg, layer_params(rng, 6), mask)
+    out, w = transformer_encoder_layer(
+        x, layer_params(rng, 6), mask, mapping=MappingKind.sparsemax(), heads=2)
     assert out.shape == x.shape
     assert np.all(w[:, :, 3:] == 0.0)
 
@@ -237,11 +226,10 @@ def test_encoder_layer_gradcheck():
     rng = np.random.default_rng(12)
     x = rand_t(rng, 3, 4)
     params = layer_params(rng, 4)
-    cfg = AttentionConfig(4, 1, MappingKind.entmax15())
     labels = np.array([1.0, 0.0, 1.0])
 
     def f():
-        out, _ = transformer_encoder_layer(x, cfg, params)
+        out, _ = transformer_encoder_layer(x, params, mapping=MappingKind.entmax15())
         return bce_with_logits(out.sum(axis=-1), labels).mean()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -249,8 +237,8 @@ def test_encoder_layer_gradcheck():
 
 def op_chain_attention(q, k, v, mask, mapping, heads):
     """Attention as a chain of Tensor ops: the head split and merge of
-    multi-head attention around swapaxes, matmul, scale, masked_fill, the
-    mapping and the value matmul."""
+    multi-head attention (none when `heads` is None) around swapaxes,
+    matmul, scale, masked_fill, the mapping and the value matmul."""
     if heads is not None:
         q, k, v = (t.reshape(*t.shape[:-1], heads, t.shape[-1] // heads).swapaxes(-2, -3)
                    for t in (q, k, v))
@@ -268,18 +256,22 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("heads", [None, 1, 2])
+@pytest.mark.parametrize("heads", [1, 2])
 def test_attention_call_equals_op_chain_bit_for_bit(heads, masked, dtype):
+    """One head equals the head-less chain; two equal the split chain."""
     rng = np.random.default_rng(13)
     inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
     upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype))
     mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else None
     results = []
-    for attend in (scaled_dot_attention, op_chain_attention):
+    chain_heads = heads if heads > 1 else None
+    for attend, h in ((scaled_dot_attention, heads), (op_chain_attention, chain_heads)):
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
-        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), heads)
+        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), h)
         (out * upstream).sum().backward()
-        results.append((out.data, w, q.grad, k.grad, v.grad))
+        results.append([out.data, w, q.grad, k.grad, v.grad])
+    if heads == 1:  # the head-less chain's weights have no head axis
+        results[0][1] = results[0][1][..., 0, :, :]
     for new, old in zip(*results):
         assert new.dtype == old.dtype and new.shape == old.shape
         assert new.tobytes() == old.tobytes()
@@ -289,17 +281,16 @@ def test_multi_head_gradcheck_masked_entmax13():
     rng = np.random.default_rng(14)
     x = rand_t(rng, 2, 4, 4)
     params = mha_params(rng, 4)
-    cfg = AttentionConfig(4, 2, MappingKind.entmax(1.3))
     mask = np.array([[True, True, True, False], [True, True, False, False]])
 
     def f():
-        out, _ = multi_head_attention(x, cfg, params, mask)
+        out, _ = multi_head_attention(x, params, mask, mapping=MappingKind.entmax(1.3), heads=2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
 
 
-@pytest.mark.parametrize("heads", [None, 2])
+@pytest.mark.parametrize("heads", [1, 2])
 def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
     rng = np.random.default_rng(15)
     q, k, v = (rand_t(rng, 2, 3, 4) for _ in range(3))

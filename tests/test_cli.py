@@ -440,6 +440,36 @@ def test_negative_seed_names_seed(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+BAD_SETTINGS = [  # command, setting, value, the error line it gives
+    ("gradcheck", "trials", "0", "trials must be >= 1, got 0"),
+    ("gradcheck", "trials", "-3", "trials must be >= 1, got -3"),
+    ("gradcheck", "tol", "nan", "tol must be finite and > 0, got nan"),
+    ("gradcheck", "tol", "inf", "tol must be finite and > 0, got inf"),
+    ("gradcheck", "tol", "0", "tol must be finite and > 0, got 0"),
+    ("heatmap", "limit", "0", "limit must be >= 1, got 0"),
+    ("heatmap", "limit", "-1", "limit must be >= 1, got -1"),
+    ("eval", "bins", "1", "bins must be >= 2, got 1"),
+    ("train", "mapping", "entmax:abc", "mapping 'entmax:abc': alpha must be a number"),
+    ("train", "mapping", "entmax:", "mapping 'entmax:': alpha must be a number"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, message", BAD_SETTINGS,
+                         ids=[f"{c}-{k}={v}" for c, k, v, _ in BAD_SETTINGS])
+def test_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, key, value, message):
+    """The setting is named before any check runs or any model directory or data is read."""
+    missing, out = str(tmp_path / "missing"), ["--out", str(tmp_path / "x")]
+    extra = {"gradcheck": [], "train": ["--data", missing, *out],
+             "eval": ["--model-dir", missing, *out],
+             "heatmap": ["--model-dir", missing, *out]}[command]
+    capsys.readouterr()
+    assert main([command, f"--{key}", value, *extra]) == 2
+    captured = capsys.readouterr()
+    lines = error_lines(captured.err)
+    assert len(lines) == 1 and message in lines[0] and captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
     settings_by_family = {
         "att": {"mapping": "entmax:1.3", "hidden": 12, "embed_dim": 6, "max_words": 9,

@@ -219,6 +219,12 @@ def test_mapping_kind_is_its_alpha():
         MappingKind(0.5)
 
 
+@pytest.mark.parametrize("text", ["entmax:abc", "entmax:"])
+def test_mapping_kind_parse_names_an_alpha_that_is_no_number(text):
+    with pytest.raises(ValueError, match=rf"mapping '{text}': alpha must be a number"):
+        MappingKind.parse(text)
+
+
 # ---------------------------------------------------------------------------
 # randomized oracle agreement
 
