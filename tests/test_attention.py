@@ -256,21 +256,22 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("heads", [None, 1, 2])
 def test_attention_call_equals_op_chain_bit_for_bit(heads, masked, dtype):
-    """One head equals the head-less chain; two equal the split chain."""
+    """A call with the default head count equals the head-less chain; an
+    explicit head count equals the chain split into that many heads."""
     rng = np.random.default_rng(13)
     inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
     upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype))
     mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else None
+    head_args = () if heads is None else (heads,)
     results = []
-    chain_heads = heads if heads > 1 else None
-    for attend, h in ((scaled_dot_attention, heads), (op_chain_attention, chain_heads)):
+    for attend, args in ((scaled_dot_attention, head_args), (op_chain_attention, (heads,))):
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
-        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), h)
+        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), *args)
         (out * upstream).sum().backward()
         results.append([out.data, w, q.grad, k.grad, v.grad])
-    if heads == 1:  # the head-less chain's weights have no head axis
+    if heads is None:  # the head-less chain's weights have no head axis
         results[0][1] = results[0][1][..., 0, :, :]
     for new, old in zip(*results):
         assert new.dtype == old.dtype and new.shape == old.shape
