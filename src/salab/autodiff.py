@@ -11,18 +11,36 @@ Tape contract: every op builds its output with ``_node(data, parents,
 *grad_fns)``, one gradient function per parent.  The output's
 ``_backward(g)`` holds the parents and those functions, never the output
 itself, so a graph has no reference cycle and is freed by reference
-counting as soon as the last Tensor of it is dropped.
+counting as soon as the last Tensor of it is dropped.  Under ``no_grad()``
+an op keeps no tape (no parents, no ``_backward``).  ``backward()`` consumes
+its graph, clearing each node's ``grad``, ``_parents`` and ``_backward`` once
+they have run, so the graph is freed during the walk; leaves keep ``.grad``,
+and a second ``backward()`` through it raises ``GraphConsumedError``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
 from . import simplex
-from .exceptions import EmptyPoolError, PoisonedGradientError, ShapeError
+from .exceptions import EmptyPoolError, GraphConsumedError, PoisonedGradientError, ShapeError
 from .simplex import MappingKind
+
+_recording = True  # False inside `no_grad()`; read by `_node` only
+
+
+@contextmanager
+def no_grad():
+    """Run ops without keeping a tape, for passes that nothing differentiates."""
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -42,7 +60,7 @@ class Tensor:
     """Dense n-d value; the output of an op also holds its tape entry.
 
     `_parents` and `_backward` are written by `_node` only, so a leaf has
-    no `_backward`.
+    no `_backward`; `backward` sets both to None on the nodes it consumes.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -88,15 +106,19 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise GraphConsumedError("backward() through a graph an earlier backward() freed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._parents:
                 node._backward(node.grad)
+                node.grad = node._parents = node._backward = None
 
     def item(self) -> float:
         return float(self.data)
@@ -198,10 +220,9 @@ def _node(data, parents: tuple, *grad_fns) -> Tensor:
     `parents[i]` (broadcast dimensions are summed away by `_accum`).
     This is the only place that writes a tape entry.
     """
-    needs_grad = any(p.requires_grad for p in parents)
+    needs_grad = _recording and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs_grad)
-    if needs_grad:
-        out._parents = parents
+    out._parents = parents if needs_grad else ()
     out._backward = partial(_backprop, parents, grad_fns) if needs_grad else None
     return out
 
@@ -372,23 +393,23 @@ def grad_check(f, tensors: dict[str, Tensor], eps: float = 1e-5) -> float:
     """
     for p in tensors.values():
         p.zero_grad()
-    out = f()
-    out.backward()
+    f().backward()
     analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for k, p in tensors.items()}
     worst = 0.0
-    for name, p in tensors.items():
-        flat = p.data.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f().item()
-            flat[i] = orig - eps
-            lo = f().item()
-            flat[i] = orig
-            num[i] = (hi - lo) / (2.0 * eps)
-        a = analytic[name].reshape(-1)
-        err = np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num))
-        worst = max(worst, float(err.max()) if err.size else 0.0)
+    with no_grad():  # the central differences need values only
+        for name, p in tensors.items():
+            flat = p.data.reshape(-1)
+            num = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f().item()
+                flat[i] = orig - eps
+                lo = f().item()
+                flat[i] = orig
+                num[i] = (hi - lo) / (2.0 * eps)
+            a = analytic[name].reshape(-1)
+            err = np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num))
+            worst = max(worst, float(err.max()) if err.size else 0.0)
     return worst

@@ -289,9 +289,10 @@ def cmd_eval(args) -> int:
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     with open(out / "reliability.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_low,bin_high,count,mean_score,positive_fraction\n")
+        places = max(2, len(str(cfg["bins"] - 1)))  # ceil(log10(bins)): edges stay distinct
         for b in report.bins.bins:
             stats = "0,," if b.empty else f"{b.count},{b.mean_score:.6f},{b.positive_fraction:.6f}"
-            fh.write(f"{b.low:.2f},{b.high:.2f},{stats}\n")
+            fh.write(f"{b.low:.{places}f},{b.high:.{places}f},{stats}\n")
     cfg["command"] = "eval"
     write_kv(out / "manifest.kv", cfg)
     print(report.to_kv().strip())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionRecord
+from .autodiff import no_grad
 from .data import PatientDocument, Vocabulary, pad_and_batch
 from .exceptions import UndefinedMetricError
 from .models import extract_attention_maps, predict_proba
@@ -230,7 +231,8 @@ def score_documents(model, docs, vocab, batch_size: int = 16) -> list[Prediction
     cfg = model.config
     out = []
     for batch in pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):
-        logits, _ = model.forward(batch, training=False)
+        with no_grad():
+            logits, _ = model.forward(batch, training=False)
         probs = predict_proba(logits)
         for doc_id, p, y in zip(batch.doc_ids, probs, batch.labels):
             out.append(PredictionRecord(doc_id, float(p), int(y)))

@@ -17,6 +17,10 @@ class PoisonedGradientError(SalabError, RuntimeError):
     """A gradient was non-finite (NaN or Inf); the optimizer step was aborted."""
 
 
+class GraphConsumedError(SalabError, RuntimeError):
+    """backward() reached a graph that an earlier backward() already freed."""
+
+
 class UndefinedMetricError(SalabError, ValueError):
     """A metric is undefined for the given label composition."""
 

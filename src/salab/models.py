@@ -37,6 +37,7 @@ from .autodiff import (
     embedding_lookup,
     linear,
     masked_mean_pool,
+    no_grad,
     scatter_rows,
     scatter_rows_np,
 )
@@ -271,7 +272,8 @@ def extract_attention_maps(
     if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")
     batch = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
-    _, records = model.forward(batch, training=False)
+    with no_grad():
+        _, records = model.forward(batch, training=False)
 
     out: list[AttentionRecord] = []
     for t, sent in enumerate(sentences):

@@ -16,9 +16,10 @@ from salab.autodiff import (
     layer_norm,
     linear,
     masked_mean_pool,
+    no_grad,
     scatter_rows,
 )
-from salab.exceptions import EmptyPoolError, PoisonedGradientError, ShapeError
+from salab.exceptions import EmptyPoolError, GraphConsumedError, PoisonedGradientError, ShapeError
 from salab.simplex import MappingKind
 
 
@@ -307,3 +308,48 @@ def test_shared_gradient_arrays_are_not_aliased(swap):
     ((s * w).sum() + (x * v).sum()).backward()
     np.testing.assert_array_equal(y.grad, w)
     np.testing.assert_array_equal(x.grad, w + v)
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime: no tape under no_grad, backward consumes its graph
+
+@pytest.mark.parametrize("leave_by", ["return", "exception", "nested"])
+def test_no_grad_records_again_once_its_block_is_left(leave_by):
+    x = t64([1.0, 2.0])
+    with no_grad():
+        assert not (x * x)._parents
+        if leave_by == "nested":
+            with no_grad():
+                pass
+            assert not (x * x)._parents and (x * x)._backward is None
+    if leave_by == "exception":
+        with pytest.raises(KeyError), no_grad():
+            raise KeyError("inside")
+    out = (x * x).sum()
+    assert out._parents and out.requires_grad
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_frees_the_graph_and_keeps_leaf_grads():
+    x = t64([1.0, -2.0])
+    h = x * x
+    loss = (h * 3.0).sum()
+    loss.backward()
+    for node in (h, loss):
+        assert node.grad is None and node._parents is None and node._backward is None
+    np.testing.assert_array_equal(x.grad, [6.0, -12.0])
+
+
+@pytest.mark.parametrize("through", ["same output", "consumed intermediate"])
+def test_second_backward_through_a_consumed_graph_raises(through):
+    x = t64([1.0, -2.0])
+    h = x * x
+    loss = h.sum()
+    loss.backward()
+    again = loss if through == "same output" else (h * 2.0).sum()
+    with pytest.raises(GraphConsumedError, match="backward"):
+        again.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])  # left as the first backward set it
+    (x * x).sum().backward()  # a fresh graph over the same leaves still works
+    np.testing.assert_array_equal(x.grad, [4.0, -8.0])

@@ -272,6 +272,22 @@ def att_run(data_dir, tmp_path_factory):
     return run
 
 
+@pytest.mark.parametrize("bins, places", [(10, 2), (100, 2), (200, 3), (1000, 3)])
+def test_reliability_bin_edges_are_distinct_at_any_bin_count(
+    data_dir, att_run, tmp_path, bins, places
+):
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(data_dir), "--model-dir", str(att_run),
+                 "--out", str(out), "--bins", str(bins)]) == 0
+    rows = [line.split(",") for line in (out / "reliability.csv").read_text().splitlines()[1:]]
+    assert len(rows) == bins
+    edges = [rows[0][0]] + [high for _, high, *_ in rows]
+    assert all(len(e.partition(".")[2]) == places for e in edges)
+    assert [low for low, *_ in rows] == edges[:-1]
+    values = [float(e) for e in edges]
+    assert values == sorted(set(values)) and values[0] == 0.0 and values[-1] == 1.0
+
+
 def test_heatmap_skips_documents_whose_directives_are_truncated(att_run, tmp_path, capsys):
     """With --max-sents 8 --max-words 12, a directive past either cap is not
     read by the model: its document is neither exported nor counted."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from salab import data as dm
-from salab.autodiff import bce_with_logits
+from salab.autodiff import Tensor, bce_with_logits, no_grad
+from salab.evaluation import score_documents
 from salab.exceptions import EmptyDocumentError, ShapeError
 from salab.models import (
     AttentionClassifier,
@@ -153,6 +154,70 @@ def test_training_step_leaves_no_reference_cycles(corpus, family):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("mapping", ["softmax", "sparsemax", "entmax:1.3"])
+def test_no_grad_forward_is_bit_identical_to_tape_mode(corpus, family, mapping):
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.parse(mapping)), seed=4)
+    batch = dm.pad_and_batch(docs[:6], vocab, 6, 4, 6)[0]
+    logits, records = model.forward(batch)
+    assert logits._parents
+    with no_grad():
+        free_logits, free_records = model.forward(batch)
+    np.testing.assert_array_equal(free_logits.data, logits.data)
+    assert free_records.keys() == records.keys()
+    for level, maps in records.items():
+        np.testing.assert_array_equal(free_records[level], maps)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("path", ["forward under no_grad", "score_documents", "extract_attention_maps"])
+def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
+    """Every Tensor made on a forward-only path holds no parents and no backward."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.sparsemax(), dropout_rate=0.2), seed=5)
+    made = []
+    init = Tensor.__init__
+
+    def recorded_init(t, *args, **kwargs):
+        made.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", recorded_init)
+    if path == "score_documents":
+        score_documents(model, docs[:5], vocab, batch_size=2)
+    elif path == "extract_attention_maps":
+        extract_attention_maps(model, docs[0], vocab)
+    else:
+        with no_grad():
+            model.forward(dm.pad_and_batch(docs[:5], vocab, 6, 4, 5)[0])
+    monkeypatch.undo()
+    assert len(made) > 10
+    assert not any(t._parents or getattr(t, "_backward", None) for t in made)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+def test_backward_frees_the_training_step_graph(corpus, family):
+    """After loss.backward(), the only live Tensors the step made are its
+    consumed logits and loss: no node keeps parents or a gradient, and
+    every parameter has its gradient."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.entmax15(), dropout_rate=0.2), seed=6)
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    before = [o for o in gc.get_objects() if isinstance(o, Tensor)]
+    known = {id(o) for o in before}
+    logits, _ = model.forward(batch, training=True)
+    loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+    loss.backward()
+    made = [o for o in gc.get_objects() if isinstance(o, Tensor) and id(o) not in known]
+    assert {id(t) for t in made} == {id(logits), id(loss)}
+    assert all(t._parents is None and t.grad is None for t in made)
+    assert all(p.grad is not None for p in model.params.values())
 
 
 def test_heads_must_divide_hidden_at_build(corpus):
