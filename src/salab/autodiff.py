@@ -12,10 +12,11 @@ Tape contract: every op builds its output with ``_node(data, parents,
 ``_backward(g)`` holds the parents and those functions, never the output
 itself, so a graph has no reference cycle and is freed by reference
 counting as soon as the last Tensor of it is dropped.  Under ``no_grad()``
-an op keeps no tape (no parents, no ``_backward``).  ``backward()`` consumes
-its graph, clearing each node's ``grad``, ``_parents`` and ``_backward`` once
-they have run, so the graph is freed during the walk; leaves keep ``.grad``,
-and a second ``backward()`` through it raises ``GraphConsumedError``.
+an op keeps no tape (no parents, no ``_backward``), and ``backward()`` on its
+output raises ``NoTapeError``.  ``backward()`` consumes its graph, clearing
+each node's ``grad``, ``_parents`` and ``_backward`` once they have run, so
+the graph is freed during the walk; leaves keep ``.grad``, and a second
+``backward()`` through it raises ``GraphConsumedError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import simplex
-from .exceptions import EmptyPoolError, GraphConsumedError, PoisonedGradientError, ShapeError
+from .exceptions import EmptyPoolError, GraphConsumedError, NoTapeError, PoisonedGradientError, ShapeError
 from .simplex import MappingKind
 
 _recording = True  # False inside `no_grad()`; read by `_node` only
@@ -96,6 +97,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        if not self.requires_grad:
+            raise NoTapeError("backward() on a tape-less output (built under no_grad() or from constants)")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -242,7 +245,8 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: input {x.shape} vs weight {W.shape}")
     d, o = W.shape
     y = x.data @ W.data
-    grad_fns = (lambda g: g @ W.data.T, lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, o))
+    grad_fns = (lambda g: (g.reshape(-1, o) @ W.data.T).reshape(x.shape),
+                lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, o))
     if b is None:
         return _node(y, (x, W), *grad_fns)
     return _node(y + b.data, (x, W, b), *grad_fns, lambda g: g.reshape(-1, o).sum(axis=0))
@@ -256,9 +260,13 @@ def embedding_lookup(ids: np.ndarray, table: Tensor) -> Tensor:
         raise IndexError(f"token id out of range for table with {vocab} rows")
 
     def grad(g):
+        # each real id's rows summed in position order; the padding row 0 stays 0
+        real = np.flatnonzero(ids)
+        order = real[np.argsort(ids.reshape(-1)[real], kind="stable")]
+        sorted_ids = ids.reshape(-1)[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
         dtable = np.zeros_like(table.data)
-        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        dtable[0] = 0.0  # padding row stays frozen
+        dtable[sorted_ids[starts]] = np.add.reduceat(g.reshape(-1, table.shape[1])[order], starts)
         return dtable
 
     return _node(table.data[ids], (table,), grad)
@@ -308,8 +316,9 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep.astype(x.dtype))
+    # explicit dtype: numpy 1.x would make `bool_array * np.float32(s)` float16
+    mask = np.multiply(rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), dtype=x.dtype)
+    return _node(x.data * mask, (x,), lambda g: g * mask)
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -345,7 +354,7 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
 # optimizer
 
 class Adam:
-    """Bias-corrected Adam over a dict of named parameter Tensors."""
+    """Bias-corrected Adam over named parameter Tensors, their moments laid end to end."""
 
     def __init__(self, params: dict[str, Tensor], lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -354,32 +363,44 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = np.concatenate([np.zeros(p.data.size, p.dtype) for p in params.values()])
+        self.v = np.zeros_like(self.m)
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
-        for name, p in self.params.items():
-            g = p.grad
-            if g is not None and not np.isfinite(g).all():
-                raise PoisonedGradientError(f"non-finite gradient in parameter {name!r}")
+        ends = np.cumsum([p.data.size for p in self.params.values()])
+        parts = [(k, p, slice(end - p.data.size, end)) for (k, p), end in zip(self.params.items(), ends)]
+        g = np.empty_like(self.m)
+        for name, p, part in parts:
+            if p.grad is not None and p.grad.shape != p.shape:
+                raise ShapeError(f"gradient {p.grad.shape} for parameter {name!r} of shape {p.shape}")
+            g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            name = next(name for name, _, part in parts if not np.isfinite(g[part]).all())
+            raise PoisonedGradientError(f"non-finite gradient in parameter {name!r}")
+        held = [(part, self.m[part].copy(), self.v[part].copy()) for _, p, part in parts if p.grad is None]
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        # per element, the operations of p -= lr (m / c1) / (sqrt(v / c2) + eps), leaving the step in g;
+        # chunks of 16384 elements keep the one temporary small and the passes in cache
+        for a in range(0, g.size, 16384):
+            m, v, gs = self.m[a:a + 16384], self.v[a:a + 16384], g[a:a + 16384]
+            gg = (1.0 - self.beta2) * gs * gs
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= (self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.dtype)
+            v += gg
+            m *= self.beta1
+            m += np.multiply(gs, 1.0 - self.beta1, out=gs)
+            np.multiply(self.lr, np.divide(m, c1, out=gs), out=gs)
+            np.sqrt(np.divide(v, c2, out=gg), out=gg)
+            gs /= np.add(gg, self.eps, out=gg)
+        for part, m, v in held:
+            self.m[part], self.v[part] = m, v
+        for _, p, part in parts:
+            if p.grad is not None:
+                p.data -= g[part].reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class GraphConsumedError(SalabError, RuntimeError):
     """backward() reached a graph that an earlier backward() already freed."""
 
 
+class NoTapeError(SalabError, RuntimeError):
+    """backward() on an output that keeps no tape, so no gradient can reach a leaf."""
+
+
 class UndefinedMetricError(SalabError, ValueError):
     """A metric is undefined for the given label composition."""
 

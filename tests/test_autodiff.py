@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from salab import data as dm
 from salab.autodiff import (
     Adam,
     Tensor,
@@ -19,7 +20,20 @@ from salab.autodiff import (
     no_grad,
     scatter_rows,
 )
-from salab.exceptions import EmptyPoolError, GraphConsumedError, PoisonedGradientError, ShapeError
+from salab.exceptions import (
+    EmptyPoolError,
+    GraphConsumedError,
+    NoTapeError,
+    PoisonedGradientError,
+    SalabError,
+    ShapeError,
+)
+from salab.models import (
+    AttentionClassifier,
+    HierarchicalTransformerClassifier,
+    HierModelConfig,
+    LocalModelConfig,
+)
 from salab.simplex import MappingKind
 
 
@@ -353,3 +367,229 @@ def test_second_backward_through_a_consumed_graph_raises(through):
     np.testing.assert_array_equal(x.grad, [2.0, -4.0])  # left as the first backward set it
     (x * x).sum().backward()  # a fresh graph over the same leaves still works
     np.testing.assert_array_equal(x.grad, [4.0, -8.0])
+
+
+# ---------------------------------------------------------------------------
+# the flat Adam update against a per-parameter reference
+
+class ReferenceAdam:
+    """Per-parameter bias-corrected Adam: the loop the flat update replaces."""
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= (self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.dtype)
+
+
+def moments(opt: Adam, name: str):
+    """`name`'s slices of the flat moments (parameters end to end, in dict order)."""
+    start = 0
+    for key, p in opt.params.items():
+        if key == name:
+            return opt.m[start:start + p.data.size], opt.v[start:start + p.data.size]
+        start += p.data.size
+    raise KeyError(name)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    cfg = dm.SyntheticCorpusConfig(n_documents=40, vocab_size=30, min_sentences=2, max_sentences=4,
+                                   min_words=3, max_words=6, seed=23)
+    docs = dm.generate_synthetic_corpus(cfg)
+    return docs, dm.build_vocab((s for d in docs for s in d.sentences), min_freq=1)
+
+
+@pytest.mark.parametrize("family", ["att", "tr"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_equals_per_parameter_adam_bit_for_bit(corpus, family, dtype):
+    docs, vocab = corpus
+    model_cls, cfg_cls = {"att": (AttentionClassifier, LocalModelConfig),
+                          "tr": (HierarchicalTransformerClassifier, HierModelConfig)}[family]
+    cfg = cfg_cls(len(vocab), embed_dim=8, hidden=8, max_words=6, max_sents=4, dropout_rate=0.2)
+    flat_model, ref_model = (model_cls(cfg, seed=3, dtype=dtype) for _ in range(2))
+    flat, ref = Adam(flat_model.params, lr=1e-2), ReferenceAdam(ref_model.params, lr=1e-2)
+    batches = dm.pad_and_batch(docs, vocab, 6, 4, 8)
+    for step in range(20):
+        batch = batches[step % len(batches)]
+        for model, opt in ((flat_model, flat), (ref_model, ref)):
+            for p in model.params.values():
+                p.zero_grad()
+            logits, _ = model.forward(batch, training=True)
+            bce_with_logits(logits, batch.labels.astype(dtype)).mean().backward()
+            opt.step()
+        for name, p in flat_model.params.items():
+            np.testing.assert_array_equal(p.data, ref_model.params[name].data, err_msg=name)
+    assert flat.m.dtype == dtype and flat.t == ref.t == 20
+    for name in ref.m:
+        m, v = moments(flat, name)
+        np.testing.assert_array_equal(m, ref.m[name].reshape(-1), err_msg=name)
+        np.testing.assert_array_equal(v, ref.v[name].reshape(-1), err_msg=name)
+
+
+def test_adam_parameter_without_gradient_keeps_value_and_moments():
+    rng = np.random.default_rng(11)
+    params = {k: Tensor(rng.normal(0, 1, s).astype(np.float32), requires_grad=True)
+              for k, s in (("a", (3,)), ("b", (2, 2)), ("c", (4,)))}
+    opt = Adam(params, lr=1e-2)
+    ref_params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+    ref = ReferenceAdam(ref_params, lr=1e-2)
+    for step in range(3):
+        for k, p in params.items():
+            grad = None if (step == 1 and k == "b") else rng.normal(0, 1, p.shape).astype(np.float32)
+            p.grad, ref_params[k].grad = grad, grad
+        b_before = params["b"].data.copy()
+        m_before, v_before = (x.copy() for x in moments(opt, "b"))
+        opt.step()
+        ref.step()
+        if step == 1:
+            np.testing.assert_array_equal(params["b"].data, b_before)
+            np.testing.assert_array_equal(moments(opt, "b")[0], m_before)
+            np.testing.assert_array_equal(moments(opt, "b")[1], v_before)
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, ref_params[k].data, err_msg=k)
+
+
+def test_adam_non_finite_gradient_names_the_first_bad_parameter_and_changes_nothing():
+    params = {k: t64(np.arange(3.0) + i) for i, k in enumerate("abc")}
+    opt = Adam(params, lr=1e-2)
+    for p in params.values():
+        p.grad = np.ones(3)
+    opt.step()
+    state = [opt.t, opt.m.copy(), opt.v.copy(), [p.data.copy() for p in params.values()]]
+    params["b"].grad = np.array([1.0, np.nan, 1.0])
+    params["c"].grad = np.array([np.inf, 1.0, 1.0])
+    with pytest.raises(PoisonedGradientError, match="'b'"):
+        opt.step()
+    assert opt.t == state[0]
+    np.testing.assert_array_equal(opt.m, state[1])
+    np.testing.assert_array_equal(opt.v, state[2])
+    for p, before in zip(params.values(), state[3]):
+        np.testing.assert_array_equal(p.data, before)
+
+
+@pytest.mark.parametrize("bad_grad", [np.ones(4), np.ones(3)], ids=["same size", "other size"])
+def test_adam_gradient_of_the_wrong_shape_raises_before_any_update(bad_grad):
+    a, b, c = t64([1.0, 2.0]), t64([[1.0, 2.0], [3.0, 4.0]]), t64([5.0])
+    opt = Adam({"a": a, "b": b, "c": c}, lr=1e-2)
+    a.grad, b.grad, c.grad = np.ones(2), bad_grad, np.ones(1)
+    with pytest.raises(ShapeError, match=r"'b'.*\(2, 2\)"):
+        opt.step()
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    np.testing.assert_array_equal(b.data, [[1.0, 2.0], [3.0, 4.0]])
+
+
+# ---------------------------------------------------------------------------
+# dropout: one fused node over a float32 draw
+
+def test_dropout_is_one_tape_node_and_same_seed_gives_same_mask(monkeypatch):
+    x = Tensor(np.ones((6, 5), dtype=np.float32), requires_grad=True)
+    made = []
+    init = Tensor.__init__
+
+    def recorded_init(t, *args, **kwargs):
+        made.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", recorded_init)
+    out = dropout(x, 0.4, True, np.random.default_rng(5))
+    monkeypatch.undo()
+    assert made == [out] and out._parents == (x,)
+    again = dropout(x, 0.4, True, np.random.default_rng(5)).data
+    np.testing.assert_array_equal(out.data, again)
+    keep = np.random.default_rng(5).random(x.shape, dtype=np.float32) >= 0.4
+    np.testing.assert_array_equal(out.data != 0, keep)
+
+
+def test_dropout_keep_rate_and_backward():
+    n, rate = 10**5, 0.3
+    x = t64(np.ones(n))
+    out = dropout(x, rate, True, np.random.default_rng(17))
+    kept = np.count_nonzero(out.data)
+    half_width = 2.576 * np.sqrt(n * rate * (1 - rate))  # 99% normal approximation
+    assert abs(kept - n * (1 - rate)) <= half_width
+    assert set(np.unique(out.data)) == {0.0, 1.0 / (1.0 - rate)}
+    g = np.random.default_rng(18).normal(0, 1, n)
+    (out * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(x.grad, g * out.data)  # out.data is the mask, x being ones
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_keeps_the_input_dtype(dtype):
+    x = Tensor(np.ones((4, 8), dtype=dtype), requires_grad=True)
+    out = dropout(x, 0.2, True, np.random.default_rng(2))
+    assert out.dtype == dtype
+    assert set(np.unique(out.data)) <= {dtype(0.0), dtype(1.0 / 0.8)}
+    out.sum().backward()
+    assert x.grad.dtype == dtype
+
+
+# ---------------------------------------------------------------------------
+# linear's input gradient as one 2-D GEMM; embedding's as a sorted reduceat
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4), (2, 2, 3, 4)])
+def test_linear_input_gradient_equals_per_row_product(shape):
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(0, 1, shape).astype(np.float32), requires_grad=True)
+    W = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32), requires_grad=True)
+    g = rng.normal(0, 1, (*shape[:-1], 3)).astype(np.float32)
+    (linear(x, W) * Tensor(g)).sum().backward()
+    expected = np.empty_like(x.data)
+    for idx in np.ndindex(*shape[:-1]):
+        expected[idx] = g[idx] @ W.data.T
+    assert x.grad.shape == shape
+    np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("pad_share", [0.0, 0.3, 1.0])
+def test_embedding_gradient_equals_add_at_reference(pad_share):
+    rng = np.random.default_rng(20)
+    ids = rng.integers(1, 9, (7, 5))
+    ids[rng.random(ids.shape) < pad_share] = 0
+    table = Tensor(rng.normal(0, 1, (9, 4)).astype(np.float32), requires_grad=True)
+    g = rng.normal(0, 1, (7, 5, 4)).astype(np.float32)
+    (embedding_lookup(ids, table) * Tensor(g)).sum().backward()
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, ids.reshape(-1), g.reshape(-1, 4))
+    expected[0] = 0.0
+    np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-6)
+    assert not table.grad[0].any()
+
+
+# ---------------------------------------------------------------------------
+# backward() needs a tape
+
+@pytest.mark.parametrize("built", ["under no_grad", "from tensors without gradients"])
+def test_backward_on_an_output_without_a_tape_raises(built):
+    x = t64([1.0, 2.0], grad=built == "under no_grad")
+    if built == "under no_grad":
+        with no_grad():
+            loss = (x * x).sum()
+    else:
+        loss = (x * x).sum()
+    with pytest.raises(NoTapeError, match="tape-less") as raised:
+        loss.backward()
+    assert isinstance(raised.value, SalabError)
+    assert x.grad is None
+
+
+def test_backward_on_a_leaf_that_requires_a_gradient_sets_it_to_one():
+    x = t64(np.array(3.0))
+    x.backward()
+    assert x.grad == 1.0

@@ -200,6 +200,38 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
     assert not any(t._parents or getattr(t, "_backward", None) for t in made)
 
 
+@pytest.mark.parametrize("family,nodes,dropouts",
+                         [(AttentionClassifier, 18, 2), (HierarchicalTransformerClassifier, 46, 5)])
+def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
+    """A training step writes `nodes` tape entries, one per dropout call among
+    them; besides those, it makes only the one constant of the loss's mean
+    (dropout builds no mask Tensor)."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    init = Tensor.__init__
+
+    def step_tensors(rate):
+        model = family(cfg_fn(vocab, dropout_rate=rate), seed=7)
+        made = []
+
+        def recorded_init(t, *args, **kwargs):
+            made.append(t)
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", recorded_init)
+        logits, _ = model.forward(batch, training=True)
+        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        monkeypatch.undo()
+        tape = [t for t in made if t._parents]
+        loss.backward()
+        return made, tape
+
+    made, tape = step_tensors(0.2)
+    assert (len(tape), len(made)) == (nodes, nodes + 1)
+    assert len(step_tensors(0.0)[1]) == nodes - dropouts
+
+
 @pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
 def test_backward_frees_the_training_step_graph(corpus, family):
     """After loss.backward(), the only live Tensors the step made are its
