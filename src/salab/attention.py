@@ -40,6 +40,29 @@ class AttentionRecord:
             raise ValueError("attention row does not sum to 1")
 
 
+class Packing:
+    """The real units of a grid of slots, mask [..., L], in row-major order.
+
+    `pack` takes the R real slots of a [..., L, ...] grid out as [R, ...]
+    rows; `unpack` puts rows back into a zero grid.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = np.asarray(mask, dtype=bool)
+        self.counts = self.mask.sum(axis=-1)
+        if not self.counts.all():
+            raise EmptyPoolError("a group of slots with no real unit")
+        self.index = np.flatnonzero(self.mask)
+
+    def pack(self, grid: np.ndarray) -> np.ndarray:
+        return grid.reshape(self.mask.size, *grid.shape[self.mask.ndim:])[self.index]
+
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.mask.size, *rows.shape[1:]), dtype=rows.dtype)
+        out[self.index] = rows
+        return out.reshape(*self.mask.shape, *rows.shape[1:])
+
+
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, mapping: MappingKind,
     heads: int = 1,
@@ -49,15 +72,16 @@ def scaled_dot_attention(
     Three tape nodes: masked scaled scores, mapping, value mix.  `heads` splits
     the last axis into heads inside them (weights [..., heads, n, n]).  Keys
     `mask` marks False score MASK_FILL, which every mapping maps to exactly 0.
+    The mapping runs on the query rows `mask` marks True only, [R, heads, n];
+    the other query rows are exactly 0 in the weights.
     """
     if (q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape
             or heads < 1 or q.shape[-1] % heads):
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
+    queries = Packing(np.ones(q.shape[:-1], dtype=bool) if mask is None
+                      else np.broadcast_to(np.asarray(mask, dtype=bool), q.shape[:-1]))
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise EmptyPoolError("attention row with no unmasked key")
-        mask = mask[..., None, None, :]
+        mask = np.asarray(mask, dtype=bool)[..., None, None, :]
 
     def split(a):
         return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
@@ -65,19 +89,26 @@ def scaled_dot_attention(
     def merge(a):
         return a.swapaxes(-2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
 
+    def rows(a):  # [..., heads, n, x] -> the real query rows [R, heads, x]
+        return queries.pack(a.swapaxes(-2, -3))
+
+    def grid(a):  # [R, heads, x] -> [..., heads, n, x], zero at padding queries
+        return queries.unpack(a).swapaxes(-2, -3)
+
     def dscores(g):
-        return (g if mask is None else g * mask) * scale
+        return (grid(g) if mask is None else grid(g) * mask) * scale
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
     s = (qh @ kh.swapaxes(-1, -2)) * scale
-    scores = _node(s if mask is None else np.where(mask, s, MASK_FILL), (q, k),
+    scores = _node(rows(s if mask is None else np.where(mask, s, MASK_FILL)), (q, k),
                    lambda g: merge(dscores(g) @ kh),
                    lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
     p = attention_weights(scores, mapping)
-    out = _node(merge(p.data @ vh), (p, v), lambda g: split(g) @ vh.swapaxes(-1, -2),
-                lambda g: merge(p.data.swapaxes(-1, -2) @ split(g)))
-    return out, p.data.astype(np.float64)
+    pg = grid(p.data)
+    out = _node(merge(pg @ vh), (p, v), lambda g: rows(split(g) @ vh.swapaxes(-1, -2)),
+                lambda g: merge(pg.swapaxes(-1, -2) @ split(g)))
+    return out, pg.astype(np.float64)
 
 
 def multi_head_attention(

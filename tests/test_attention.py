@@ -259,23 +259,28 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
 @pytest.mark.parametrize("heads", [None, 1, 2])
 def test_attention_call_equals_op_chain_bit_for_bit(heads, masked, dtype):
     """A call with the default head count equals the head-less chain; an
-    explicit head count equals the chain split into that many heads."""
+    explicit head count equals the chain split into that many heads.  With
+    a mask, they agree on the real query rows (the upstream gradient is 0
+    on the others, as in the models), and the call's other rows are 0."""
     rng = np.random.default_rng(13)
     inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
-    upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype))
-    mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else None
+    mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else np.ones((3, 5), dtype=bool)
+    upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype) * mask[..., None])
     head_args = () if heads is None else (heads,)
     results = []
     for attend, args in ((scaled_dot_attention, head_args), (op_chain_attention, (heads,))):
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
-        out, w = attend(q, k, v, mask, MappingKind.entmax(1.3), *args)
+        out, w = attend(q, k, v, mask if masked else None, MappingKind.entmax(1.3), *args)
         (out * upstream).sum().backward()
         results.append([out.data, w, q.grad, k.grad, v.grad])
     if heads is None:  # the head-less chain's weights have no head axis
         results[0][1] = results[0][1][..., 0, :, :]
+    else:  # the head axis after the query axis, as for the other arrays
+        results[0][1], results[1][1] = (w.swapaxes(-2, -3) for w in (results[0][1], results[1][1]))
     for new, old in zip(*results):
         assert new.dtype == old.dtype and new.shape == old.shape
-        assert new.tobytes() == old.tobytes()
+        assert new[mask].tobytes() == old[mask].tobytes()
+        assert not new[~mask].any()
 
 
 def test_multi_head_gradcheck_masked_entmax13():
