@@ -2,7 +2,9 @@
 
 One attention call, whose last axis splits into heads (one for the local
 models), multi-head self-attention, learned positional embeddings, and a
-post-norm transformer encoder layer (FFN hidden width 2d).
+post-norm transformer encoder layer (FFN hidden width 2d).  Activations
+are the packed rows of real units (`Packing`); only the attention call and
+the positional add read the units' grid.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ class AttentionRecord:
     sentence_index: int | None = None
 
     def validate(self, tol: float = 1e-6) -> None:
+        # each check is written so that a NaN fails it; an infinite weight fails the sum
         w = self.weights
-        if np.any(w < 0):
-            raise ValueError("negative attention weight")
-        if np.any(np.abs(w.sum(axis=-1) - 1.0) > tol):
+        if not (w >= 0).all():
+            raise ValueError("negative or NaN attention weight")
+        if not (np.abs(w.sum(axis=-1) - 1.0) <= tol).all():
             raise ValueError("attention row does not sum to 1")
 
 
@@ -63,46 +66,51 @@ class Packing:
         return out.reshape(*self.mask.shape, *rows.shape[1:])
 
 
+def _grid_units(units: Packing | None, x: Tensor) -> Packing:
+    """`units`, or with None every slot of x's [..., n, d] grid as a real unit."""
+    return Packing(np.ones(x.shape[:-1], dtype=bool)) if units is None else units
+
+
 def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, mapping: MappingKind,
+    q: Tensor, k: Tensor, v: Tensor, units: Packing | None, mapping: MappingKind,
     heads: int = 1,
 ) -> tuple[Tensor, np.ndarray]:
-    """Att(Q, K, V) over the last two axes; returns (output, float64 weights).
+    """Self-attention within each group of `units`; returns (output, float64 weights).
 
-    Three tape nodes: masked scaled scores, mapping, value mix.  `heads` splits
-    the last axis into heads inside them (weights [..., heads, n, n]).  Keys
-    `mask` marks False score MASK_FILL, which every mapping maps to exactly 0.
-    The mapping runs on the query rows `mask` marks True only, [R, heads, n];
-    the other query rows are exactly 0 in the weights.
+    q, k and v are the [R, d] rows of the real units (with `units` None,
+    [..., n, d] grids whose every slot is real).  Three tape nodes: the
+    masked scaled scores of the real query rows, [R, heads, L], the mapping
+    over them and the value mix; the unpack into [..., heads, L, d/heads]
+    and the pack back out happen inside the first and the last.  Weights
+    are [..., heads, L, L]; padding keys score MASK_FILL, which every mapping
+    maps to exactly 0, and padding-query rows are exactly 0.
     """
-    if (q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape != v.shape
-            or heads < 1 or q.shape[-1] % heads):
+    if q.shape != k.shape or k.shape != v.shape or heads < 1 or q.shape[-1] % heads:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
-    queries = Packing(np.ones(q.shape[:-1], dtype=bool) if mask is None
-                      else np.broadcast_to(np.asarray(mask, dtype=bool), q.shape[:-1]))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)[..., None, None, :]
+    units = _grid_units(units, q)
+    if q.data.size != units.index.size * q.shape[-1]:
+        raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
+    keep = units.mask[..., None, None, :]
+
+    def grid(a):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
+        return units.unpack(a).swapaxes(-2, -3)
+
+    def rows(a):  # [..., heads, L, x] -> [R, heads, x]
+        return units.pack(a.swapaxes(-2, -3))
 
     def split(a):
-        return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
+        return grid(a.reshape(-1, heads, q.shape[-1] // heads))
 
     def merge(a):
-        return a.swapaxes(-2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
-
-    def rows(a):  # [..., heads, n, x] -> the real query rows [R, heads, x]
-        return queries.pack(a.swapaxes(-2, -3))
-
-    def grid(a):  # [R, heads, x] -> [..., heads, n, x], zero at padding queries
-        return queries.unpack(a).swapaxes(-2, -3)
+        return rows(a).reshape(q.shape)
 
     def dscores(g):
-        return (grid(g) if mask is None else grid(g) * mask) * scale
+        return grid(g) * keep * scale
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
-    s = (qh @ kh.swapaxes(-1, -2)) * scale
-    scores = _node(rows(s if mask is None else np.where(mask, s, MASK_FILL)), (q, k),
-                   lambda g: merge(dscores(g) @ kh),
+    s = np.where(keep, (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
+    scores = _node(rows(s), (q, k), lambda g: merge(dscores(g) @ kh),
                    lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
     p = attention_weights(scores, mapping)
     pg = grid(p.data)
@@ -114,36 +122,38 @@ def scaled_dot_attention(
 def multi_head_attention(
     x: Tensor,
     params: dict[str, Tensor],
-    mask: np.ndarray | None = None,
+    units: Packing | None = None,
     prefix: str = "",
     mapping: MappingKind = MappingKind.softmax(),
     heads: int = 1,
 ) -> tuple[Tensor, np.ndarray]:
-    """Multi-head self-attention over x[..., n, d].
+    """Multi-head self-attention over the rows x[R, d] of `units`.
 
     Returns the output and per-head weights [..., h, n, n].
     Expects parameters {prefix}wq/wk/wv/wo and biases {prefix}bq/bk/bv/bo.
     """
     q, k, v = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
-    att, w = scaled_dot_attention(q, k, v, mask, mapping, heads)
+    att, w = scaled_dot_attention(q, k, v, units, mapping, heads)
     return linear(att, params[prefix + "wo"], params[prefix + "bo"]), w
 
 
-def add_positional_embeddings(x: Tensor, table: Tensor) -> Tensor:
-    n = x.shape[-2]
+def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing | None = None) -> Tensor:
+    """x plus the table row of each unit's slot in its group (rows as in attention)."""
+    units = _grid_units(units, x)
+    n, d = units.mask.shape[-1], table.shape[1]
     if n > table.shape[0]:
         raise ShapeError(
             f"sequence length {n} exceeds positional table capacity {table.shape[0]}"
         )
     pad = ((0, table.shape[0] - n), (0, 0))
-    return _node(x.data + table.data[:n], (x, table), lambda g: g,
-                 lambda g: np.pad(g.sum(axis=tuple(range(g.ndim - 2))), pad))
+    return _node(x.data + table.data[units.index % n].reshape(x.shape), (x, table), lambda g: g,
+                 lambda g: np.pad(units.unpack(g.reshape(-1, d)).reshape(-1, n, d).sum(axis=0), pad))
 
 
 def transformer_encoder_layer(
     x: Tensor,
     params: dict[str, Tensor],
-    mask: np.ndarray | None = None,
+    units: Packing | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
     prefix: str = "",
@@ -152,7 +162,7 @@ def transformer_encoder_layer(
     dropout_rate: float = 0.0,
 ) -> tuple[Tensor, np.ndarray]:
     """Post-norm encoder layer: LN(x + MHA(x)) then LN(y + FFN(y))."""
-    att, w = multi_head_attention(x, params, mask, prefix, mapping, heads)
+    att, w = multi_head_attention(x, params, units, prefix, mapping, heads)
     att = dropout(att, dropout_rate, training, rng)
     y = layer_norm(x + att, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     h = linear(y, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]).relu()

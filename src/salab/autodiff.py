@@ -272,26 +272,16 @@ def embedding_lookup(ids: np.ndarray, table: Tensor) -> Tensor:
     return _node(table.data[ids], (table,), grad)
 
 
-def scatter_rows_np(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """An [n, ...] zero array with values[i] at row rows[i]."""
-    out = np.zeros((n, *values.shape[1:]), dtype=values.dtype)
-    out[rows] = values
-    return out
-
-
-def scatter_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
-    """x[i] at row rows[i] of an [n, ...] zero tensor (rows distinct)."""
-    return _node(scatter_rows_np(x.data, rows, n), (x,), lambda g: g[rows])
-
-
-def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of x[..., n, d] over the n axis, restricted to mask[..., n]."""
-    mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=-1)
-    if np.any(counts == 0):
-        raise EmptyPoolError("masked mean over a fully masked axis")
-    w = (mask / counts[..., None]).astype(x.dtype)[..., None]
-    return _node((x.data * w).sum(axis=-2), (x,), lambda g: np.expand_dims(g, -2) * w)
+def segment_mean(x: Tensor, counts: np.ndarray) -> Tensor:
+    """Mean of each run of consecutive rows of x[R, d]: output row i averages the next counts[i]."""
+    counts = np.asarray(counts)
+    if counts.sum() != x.shape[0]:
+        raise ShapeError(f"segments of {counts.sum()} rows over {x.shape[0]} rows")
+    if not counts.all():
+        raise EmptyPoolError("mean over an empty segment")
+    w = np.repeat((1.0 / counts).astype(x.dtype), counts)[:, None]
+    return _node(np.add.reduceat(x.data * w, np.cumsum(counts) - counts), (x,),
+                 lambda g: np.repeat(g, counts, axis=0) * w)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -1,17 +1,20 @@
 """The two classifier families.
 
 AttentionClassifier ("att"): embeddings -> linear projection -> one
-single-head self-attention pass per sentence -> one flat masked mean over
-every real word position of the document -> linear prediction layer.
+single-head self-attention pass per sentence -> one mean over every real
+word of the document -> linear prediction layer.
 
 HierarchicalTransformerClassifier ("tr"): word-level transformer with
-word positional embeddings, masked mean per sentence, sentence positional
-embeddings, sentence-level transformer, masked mean over sentences, then
-the same linear prediction layer.
+word positional embeddings, mean per sentence, sentence positional
+embeddings, sentence-level transformer, mean over sentences, then the
+same linear prediction layer.
 
-The word level of both runs on the real sentences of a batch only,
-gathered into [N, W]; its results go back to their [B, T] slots through
-`scatter_rows`.
+Every level computes on its real units only.  `forward` builds one
+`Packing` per level: the real words of the batch's N real sentences in an
+[N, W] grid, and the real sentences of its B documents in a [B, T] grid.
+Embedding, projection, dropout, every linear, layer norm, FFN, residual
+and positional add run on the packed [R, d] rows; only the attention call
+unpacks them into its grid, and `segment_mean` pools consecutive rows.
 
 Both are parameterized by the simplex mapping; swapping the mapping never
 changes parameter shapes, so checkpoints are interchangeable.
@@ -27,6 +30,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .attention import (
     AttentionRecord,
+    Packing,
     add_positional_embeddings,
     scaled_dot_attention,
     transformer_encoder_layer,
@@ -36,10 +40,8 @@ from .autodiff import (
     dropout,
     embedding_lookup,
     linear,
-    masked_mean_pool,
     no_grad,
-    scatter_rows,
-    scatter_rows_np,
+    segment_mean,
 )
 from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_batch
 from .exceptions import CheckpointError, EmptyDocumentError, ShapeError
@@ -97,12 +99,12 @@ class _BaseModel:
     """Embedding -> projection -> family encoder -> linear prediction layer.
 
     A family adds its parameters in `_build_encoder(rng)` and maps the
-    projected words of the N real sentences, [N, W, hidden], to document
-    vectors in `_encode(x, batch, rows, words, training)`: `rows` are
-    those sentences' indices in the flattened [B*T] slots and `words` is
-    their word mask [N, W], with at least one real word in every row.
-    It returns them with its attention records; `forward` places the word
-    maps, [N, heads, W, W], into their [B, T, heads, W, W] slots.
+    projected real words, [R, hidden] rows of `words`, to document vectors
+    in `_encode(x, words, sents, training)`: `words` packs the real words
+    of the N real sentences in their [N, W] grid and `sents` packs those
+    sentences in their [B, T] grid.  It returns them with its attention
+    records; `forward` places the word maps, [N, heads, W, W], into their
+    [B, T, heads, W, W] slots.
     """
 
     family = "base"
@@ -147,14 +149,13 @@ class _BaseModel:
         B, T, W = batch.token_ids.shape
         if not batch.word_mask.any(axis=(1, 2)).all():
             raise EmptyDocumentError("batch contains a document with zero tokens")
-        word_mask = batch.word_mask.reshape(B * T, W)
-        rows = np.flatnonzero(word_mask.any(axis=-1))
-        emb = embedding_lookup(batch.token_ids.reshape(B * T, W)[rows], self.params["emb"])
+        sents = Packing(batch.sentence_mask)
+        words = Packing(batch.word_mask.reshape(B * T, W)[sents.index])
+        emb = embedding_lookup(batch.token_ids[batch.word_mask], self.params["emb"])
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
-        pooled, records = self._encode(x, batch, rows, word_mask[rows], training)
-        word = records["word"]
-        records["word"] = scatter_rows_np(word, rows, B * T).reshape(B, T, *word.shape[1:])
+        pooled, records = self._encode(x, words, sents, training)
+        records["word"] = sents.unpack(records["word"])
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
         return logits.reshape(B), records
 
@@ -192,15 +193,13 @@ class AttentionClassifier(_BaseModel):
         for w in ("wq", "wk", "wv"):
             self._param(w, init() if shared is None else shared.copy())
 
-    def _encode(self, x, batch, rows, words, training):
+    def _encode(self, x, words, sents, training):
         cfg = self.config
-        B, T, W = batch.token_ids.shape
         q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))
         att, weights = scaled_dot_attention(q, k, v, words, cfg.mapping)
         att = dropout(att, cfg.dropout_rate, training, self._dropout_rng)
-        flat = scatter_rows(att, rows, B * T).reshape(B, T * W, cfg.hidden)
-        pooled = masked_mean_pool(flat, batch.word_mask.reshape(B, T * W))
-        return pooled, {"word": weights}
+        doc_words = sents.unpack(words.counts).sum(axis=-1)
+        return segment_mean(att, doc_words), {"word": weights}
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -219,23 +218,21 @@ class HierarchicalTransformerClassifier(_BaseModel):
             for layer in range(layers):
                 self._layer_params(f"{name}{layer}_", rng, cfg.hidden)
 
-    def _level(self, level: str, x: Tensor, mask: np.ndarray, training: bool):
+    def _level(self, level: str, x: Tensor, units: Packing, training: bool):
         """Add the level's positional table, then run its encoder layers."""
         heads, layers = self._levels[level]
-        x = add_positional_embeddings(x, self.params[f"{level}_pos"])
+        x = add_positional_embeddings(x, self.params[f"{level}_pos"], units)
         for layer in range(layers):
             x, weights = transformer_encoder_layer(
-                x, self.params, mask, training, self._dropout_rng, f"{level}{layer}_",
+                x, self.params, units, training, self._dropout_rng, f"{level}{layer}_",
                 self.config.mapping, heads, self.config.dropout_rate,
             )
         return x, weights
 
-    def _encode(self, x, batch, rows, words, training):
-        B, T, _ = batch.token_ids.shape
+    def _encode(self, x, words, sents, training):
         x, word_weights = self._level("word", x, words, training)
-        sent_vecs = scatter_rows(masked_mean_pool(x, words), rows, B * T).reshape(B, T, -1)
-        y, sent_weights = self._level("sent", sent_vecs, batch.sentence_mask, training)
-        pooled = masked_mean_pool(y, batch.sentence_mask)
+        y, sent_weights = self._level("sent", segment_mean(x, words.counts), sents, training)
+        pooled = segment_mean(y, sents.counts)
         return pooled, {"word": word_weights, "sentence": sent_weights}  # sentence: [B, h, T, T]
 
 

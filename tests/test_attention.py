@@ -7,6 +7,8 @@ import pytest
 
 from salab.attention import (
     MASK_FILL,
+    AttentionRecord,
+    Packing,
     add_positional_embeddings,
     multi_head_attention,
     scaled_dot_attention,
@@ -72,10 +74,21 @@ def test_dominant_key_sparsemax_is_onehot():
 
 
 def test_all_masked_row_raises():
-    rng = np.random.default_rng(2)
-    q, k, v = (rand_t(rng, 2, 4) for _ in range(3))
+    """A group with no real unit has no packed layout, so no attention row without a key."""
     with pytest.raises(EmptyPoolError):
-        scaled_dot_attention(q, k, v, np.array([False, False]), MappingKind.softmax())
+        Packing(np.array([[True, False], [False, False]]))
+
+
+def test_packing_unpacks_rows_into_their_slots_and_packs_them_back():
+    mask = np.array([[True, True, False], [True, False, False]])
+    units = Packing(mask)
+    rows = np.arange(6.0).reshape(3, 2)
+    grid = units.unpack(rows)
+    assert grid.shape == (2, 3, 2)
+    np.testing.assert_array_equal(grid[mask], rows)
+    assert not grid[~mask].any()
+    np.testing.assert_array_equal(units.pack(grid), rows)
+    np.testing.assert_array_equal(units.counts, [2, 1])
 
 
 def test_mismatched_shapes_raise_shape_error():
@@ -104,19 +117,17 @@ def test_heads_not_splitting_the_last_axis_raise_shape_error(heads):
     ],
 )
 def test_mask_soundness(kind):
-    """Changing a masked position's content never changes the output."""
+    """A padding slot holds no row and changes nothing: the packed call
+    equals the call over the real units alone, and the padding slot's key
+    column and query row are exactly 0."""
     rng = np.random.default_rng(3)
-    base = rng.normal(0, 1, (4, 4))
-    mask = np.array([True, True, True, False])
-    variant = base.copy()
-    variant[3] = rng.normal(0, 100, 4)
-    outs = []
-    for x in (base, variant):
-        t = Tensor(x)
-        out, w = scaled_dot_attention(t, t, t, mask, kind)
-        assert np.all(w[0, :3, 3] == 0.0)
-        outs.append(out.data[:3])
-    np.testing.assert_array_equal(outs[0], outs[1])
+    t = Tensor(rng.normal(0, 1, (3, 4)))
+    out, w = scaled_dot_attention(t, t, t, Packing(np.array([True, True, True, False])), kind)
+    alone, w_alone = scaled_dot_attention(t, t, t, None, kind)
+    assert w.shape == (1, 4, 4)
+    assert np.all(w[0, :, 3] == 0.0) and np.all(w[0, 3] == 0.0)
+    np.testing.assert_allclose(out.data, alone.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w[:, :3, :3], w_alone, rtol=0, atol=1e-12)
 
 
 def test_rowwise_simplex_invariant_and_sparsity_contrast():
@@ -214,12 +225,13 @@ def test_positional_embeddings_make_layer_order_sensitive():
 
 def test_encoder_layer_shape_and_mask_record():
     rng = np.random.default_rng(11)
-    x = rand_t(rng, 5, 6)
-    mask = np.array([True, True, True, False, False])
+    x = rand_t(rng, 3, 6)
+    units = Packing(np.array([True, True, True, False, False]))
     out, w = transformer_encoder_layer(
-        x, layer_params(rng, 6), mask, mapping=MappingKind.sparsemax(), heads=2)
+        x, layer_params(rng, 6), units, mapping=MappingKind.sparsemax(), heads=2)
     assert out.shape == x.shape
-    assert np.all(w[:, :, 3:] == 0.0)
+    assert w.shape == (2, 5, 5)
+    assert np.all(w[:, :, 3:] == 0.0) and np.all(w[:, 3:] == 0.0)
 
 
 def test_encoder_layer_gradcheck():
@@ -254,43 +266,93 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
     return out, weights.data.astype(np.float64)
 
 
+def assert_call_equals_padded_op_chain(heads, mask, dtype, mapping):
+    """The call on the real rows of random [3, 5, 4] grids (on the whole
+    grids with `mask` None) equals the op chain on the grids, whose padding
+    slots hold random values too, byte for byte on the real rows; the
+    call's padding-query weight rows are 0.  The upstream gradient is 0 on
+    padding rows, as in the models."""
+    rng = np.random.default_rng(13)
+    inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
+    real = np.ones((3, 5), dtype=bool) if mask is None else mask
+    upstream = rng.normal(0, 1, (3, 5, 4)).astype(dtype) * real[..., None]
+    results = []
+    for attend in (scaled_dot_attention, op_chain_attention):
+        packed = attend is scaled_dot_attention and mask is not None
+        q, k, v = (Tensor(a[mask] if packed else a, requires_grad=True) for a in inputs)
+        units = Packing(mask) if packed else mask
+        args = (heads,) if heads is not None or attend is op_chain_attention else ()
+        out, w = attend(q, k, v, units, mapping, *args)
+        (out * Tensor(upstream[mask] if packed else upstream)).sum().backward()
+        if w.ndim == 4:  # the head axis after the query axis, as for the rows
+            w = w.swapaxes(1, 2)
+        results.append([w, out.data, q.grad, k.grad, v.grad])
+    (w, *rows), (w_chain, *rows_chain) = results
+    if heads is None:  # the head-less chain's weights have no head axis
+        w = w[:, :, 0]
+    assert w.dtype == w_chain.dtype and w.shape == w_chain.shape
+    assert w[real].tobytes() == w_chain[real].tobytes()
+    assert not w[~real].any()
+    for new, old in zip(rows, rows_chain):
+        assert new.dtype == old.dtype
+        assert new.reshape(-1, 4).tobytes() == old[real].tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("heads", [None, 1, 2])
 def test_attention_call_equals_op_chain_bit_for_bit(heads, masked, dtype):
     """A call with the default head count equals the head-less chain; an
-    explicit head count equals the chain split into that many heads.  With
-    a mask, they agree on the real query rows (the upstream gradient is 0
-    on the others, as in the models), and the call's other rows are 0."""
-    rng = np.random.default_rng(13)
-    inputs = [rng.normal(0, 1, (3, 5, 4)).astype(dtype) for _ in range(3)]
-    mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else np.ones((3, 5), dtype=bool)
-    upstream = Tensor(rng.normal(0, 1, (3, 5, 4)).astype(dtype) * mask[..., None])
-    head_args = () if heads is None else (heads,)
-    results = []
-    for attend, args in ((scaled_dot_attention, head_args), (op_chain_attention, (heads,))):
-        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
-        out, w = attend(q, k, v, mask if masked else None, MappingKind.entmax(1.3), *args)
-        (out * upstream).sum().backward()
-        results.append([out.data, w, q.grad, k.grad, v.grad])
-    if heads is None:  # the head-less chain's weights have no head axis
-        results[0][1] = results[0][1][..., 0, :, :]
-    else:  # the head axis after the query axis, as for the other arrays
-        results[0][1], results[1][1] = (w.swapaxes(-2, -3) for w in (results[0][1], results[1][1]))
-    for new, old in zip(*results):
-        assert new.dtype == old.dtype and new.shape == old.shape
-        assert new[mask].tobytes() == old[mask].tobytes()
-        assert not new[~mask].any()
+    explicit head count equals the chain split into that many heads.  A
+    masked call takes the real rows only and equals the chain on them."""
+    mask = np.arange(5) < np.array([[3], [5], [1]]) if masked else None
+    assert_call_equals_padded_op_chain(heads, mask, dtype, MappingKind.entmax(1.3))
+
+
+@pytest.mark.parametrize("mapping", ["softmax", "sparsemax", "entmax15", "entmax:1.3", "entmax:3"])
+def test_packed_call_equals_padded_op_chain_on_real_rows(mapping):
+    mask = np.arange(5) < np.array([[2], [5], [4]])
+    for dtype in (np.float32, np.float64):
+        assert_call_equals_padded_op_chain(2, mask, dtype, MappingKind.parse(mapping))
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_packed_attention_call_gradcheck_ragged(heads):
+    rng = np.random.default_rng(18)
+    units = Packing(np.arange(4) < np.array([[4], [1], [3]]))
+    q, k, v = (rand_t(rng, 8, 4) for _ in range(3))
+    upstream = rng.normal(0, 1, (8, 4))
+
+    def f():
+        out, _ = scaled_dot_attention(q, k, v, units, MappingKind.entmax(1.3), heads)
+        return (out * upstream).sum()
+
+    assert grad_check(f, {"q": q, "k": k, "v": v}) <= 1e-6
+
+
+def test_packed_positional_add_gradcheck_ragged():
+    rng = np.random.default_rng(19)
+    mask = np.arange(4) < np.array([[2], [4], [1]])
+    x = rand_t(rng, 7, 3)
+    table = rand_t(rng, 6, 3)
+    out = add_positional_embeddings(x, table, Packing(mask))
+    np.testing.assert_array_equal(out.data, x.data + table.data[np.nonzero(mask)[1]])
+    upstream = rng.normal(0, 1, (7, 3))
+
+    def f():
+        return (add_positional_embeddings(x, table, Packing(mask)) * upstream).sum()
+
+    assert grad_check(f, {"x": x, "table": table}) <= 1e-7
 
 
 def test_multi_head_gradcheck_masked_entmax13():
     rng = np.random.default_rng(14)
-    x = rand_t(rng, 2, 4, 4)
+    x = rand_t(rng, 5, 4)
     params = mha_params(rng, 4)
-    mask = np.array([[True, True, True, False], [True, True, False, False]])
+    units = Packing(np.array([[True, True, True, False], [True, True, False, False]]))
 
     def f():
-        out, _ = multi_head_attention(x, params, mask, mapping=MappingKind.entmax(1.3), heads=2)
+        out, _ = multi_head_attention(x, params, units, mapping=MappingKind.entmax(1.3), heads=2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -299,7 +361,8 @@ def test_multi_head_gradcheck_masked_entmax13():
 @pytest.mark.parametrize("heads", [1, 2])
 def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
     rng = np.random.default_rng(15)
-    q, k, v = (rand_t(rng, 2, 3, 4) for _ in range(3))
+    q, k, v = (rand_t(rng, 4, 4) for _ in range(3))
+    units = Packing(np.array([[True, True, False], [True, True, False]]))
     made = []
     init = Tensor.__init__
 
@@ -308,7 +371,18 @@ def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
         init(t, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counted_init)
-    scaled_dot_attention(q, k, v, np.array([True, True, False]), MappingKind.softmax(), heads)
+    scaled_dot_attention(q, k, v, units, MappingKind.softmax(), heads)
     monkeypatch.undo()
     assert len(made) == 3
     assert all(t._parents for t in made)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attention_record_validate_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError):
+        AttentionRecord(np.full((1, 2, 2), np.nan), ["a", "b"], ["a", "b"]).validate()
+    w = np.full((1, 2, 2), 0.5)
+    w[0, 1, 0] = bad
+    with pytest.raises(ValueError):
+        AttentionRecord(w, ["a", "b"], ["a", "b"]).validate()
+    AttentionRecord(np.full((1, 2, 2), 0.5), ["a", "b"], ["a", "b"]).validate()

@@ -16,9 +16,8 @@ from salab.autodiff import (
     grad_check,
     layer_norm,
     linear,
-    masked_mean_pool,
     no_grad,
-    scatter_rows,
+    segment_mean,
 )
 from salab.exceptions import (
     EmptyPoolError,
@@ -79,23 +78,31 @@ def test_embedding_backward_scatter_adds_and_freezes_pad_row():
     np.testing.assert_array_equal(table.grad[0], [0.0, 0.0])
 
 
-def test_masked_mean_pool():
-    x = t64([[1.0, 1.0], [3.0, 3.0]])
-    np.testing.assert_array_equal(
-        masked_mean_pool(x, np.array([True, True])).data, [2.0, 2.0]
-    )
-    x = t64([[1.0, 1.0], [9.0, 9.0]])
-    np.testing.assert_array_equal(
-        masked_mean_pool(x, np.array([True, False])).data, [1.0, 1.0]
-    )
+def test_segment_mean():
+    x = t64([[1.0, 1.0], [3.0, 3.0], [9.0, 9.0]])
+    np.testing.assert_array_equal(segment_mean(x, np.array([2, 1])).data, [[2.0, 2.0], [9.0, 9.0]])
+    np.testing.assert_array_equal(segment_mean(x, np.array([3])).data, [[13 / 3, 13 / 3]])
     with pytest.raises(EmptyPoolError):
-        masked_mean_pool(x, np.array([False, False]))
+        segment_mean(x, np.array([2, 0, 1]))
+    with pytest.raises(ShapeError):
+        segment_mean(x, np.array([1, 1]))
 
 
-def test_masked_mean_pool_gradient_split():
+def test_segment_mean_gradient_split():
     x = t64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    masked_mean_pool(x, np.array([True, True, False])).sum().backward()
-    np.testing.assert_allclose(x.grad, [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
+    segment_mean(x, np.array([2, 1])).sum().backward()
+    np.testing.assert_allclose(x.grad, [[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
+
+
+def test_segment_mean_gradcheck_ragged():
+    rng = np.random.default_rng(4)
+    x = t64(rng.normal(0, 1, (6, 3)))
+    weight = rng.normal(0, 1, (3, 3))
+
+    def f():
+        return (segment_mean(x, np.array([3, 1, 2])) * weight).sum()
+
+    assert grad_check(f, {"x": x}) <= 1e-7
 
 
 def test_layer_norm_examples():
@@ -153,22 +160,6 @@ def test_relu_and_arithmetic_gradcheck():
 
     def f():
         return ((x.relu() * 2.0 + 1.0) * x - x / 2.0).sum()
-
-    assert grad_check(f, {"x": x}) <= 1e-7
-
-
-def test_scatter_rows_places_rows_and_gradcheck():
-    rng = np.random.default_rng(4)
-    x = t64(rng.normal(0, 1, (3, 2, 4)))
-    rows = np.array([0, 2, 5])
-    out = scatter_rows(x, rows, 6)
-    assert out.shape == (6, 2, 4)
-    np.testing.assert_array_equal(out.data[rows], x.data)
-    assert not out.data[[1, 3, 4]].any()
-    weight = t64(rng.normal(0, 1, (6, 2, 4)), grad=False)
-
-    def f():
-        return (scatter_rows(x, rows, 6) * weight).sum()
 
     assert grad_check(f, {"x": x}) <= 1e-7
 

@@ -201,7 +201,7 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
 
 
 @pytest.mark.parametrize("family,nodes,dropouts",
-                         [(AttentionClassifier, 18, 2), (HierarchicalTransformerClassifier, 46, 5)])
+                         [(AttentionClassifier, 16, 2), (HierarchicalTransformerClassifier, 44, 5)])
 def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
     """A training step writes `nodes` tape entries, one per dropout call among
     them; besides those, it makes only the one constant of the loss's mean
