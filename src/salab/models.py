@@ -9,9 +9,13 @@ word positional embeddings, mean per sentence, sentence positional
 embeddings, sentence-level transformer, mean over sentences, then the
 same linear prediction layer.
 
-Every level computes on its real units only.  `forward` builds one
-`Packing` per level: the real words of the batch's N real sentences in an
-[N, W] grid, and the real sentences of its B documents in a [B, T] grid.
+`forward` runs the word level (`word_level`: embedding, projection,
+dropout, the family's word encoder), then the document tail (the family's
+pools, `tr`'s sentence level, the prediction layer); word maps need only
+the first.  Every level computes on its real units only.  `word_level`
+builds one `Packing` per level: the real words of the batch's N real
+sentences in an [N, W] grid, and the real sentences of its B documents in
+a [B, T] grid.
 Embedding, projection, dropout, every linear, layer norm, FFN, residual
 and positional add run on the packed [R, d] rows; only the attention call
 unpacks them into its grid, and `segment_mean` pools consecutive rows.
@@ -96,15 +100,15 @@ def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
 
 
 class _BaseModel:
-    """Embedding -> projection -> family encoder -> linear prediction layer.
+    """Embedding -> projection -> family word encoder (the word level), then
+    family document tail -> linear prediction layer.
 
-    A family adds its parameters in `_build_encoder(rng)` and maps the
-    projected real words, [R, hidden] rows of `words`, to document vectors
-    in `_encode(x, words, sents, training)`: `words` packs the real words
-    of the N real sentences in their [N, W] grid and `sents` packs those
-    sentences in their [B, T] grid.  It returns them with its attention
-    records; `forward` places the word maps, [N, heads, W, W], into their
-    [B, T, heads, W, W] slots.
+    A family adds its parameters in `_build_encoder(rng)`, maps the projected
+    real words, [R, hidden] rows of `words` (the real words of the N real
+    sentences in their [N, W] grid), to word rows and maps [N, heads, W, W]
+    in `_word_encoder(x, words, training)`, and pools the word rows into
+    document vectors, `sents` packing the sentences in their [B, T] grid, in
+    `_document_tail(x, words, sents, training) -> (pooled, records)`.
     """
 
     family = "base"
@@ -143,8 +147,9 @@ class _BaseModel:
         self._param(prefix + "ffn_w2", _uniform(rng, 2 * d, (2 * d, d), self.dtype))
         self._param(prefix + "ffn_b2", np.zeros(d, dtype=self.dtype))
 
-    def forward(self, batch: Batch, training: bool = False):
-        """Logits [B] and the attention records of the family's encoder."""
+    def word_level(self, batch: Batch, training: bool = False):
+        """The word rows [R, hidden], the word and sentence `Packing`s and the
+        word maps [N, heads, W, W] of the batch's real sentences."""
         cfg = self.config
         B, T, W = batch.token_ids.shape
         if not batch.word_mask.any(axis=(1, 2)).all():
@@ -154,10 +159,15 @@ class _BaseModel:
         emb = embedding_lookup(batch.token_ids[batch.word_mask], self.params["emb"])
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
-        pooled, records = self._encode(x, words, sents, training)
-        records["word"] = sents.unpack(records["word"])
+        x, word_maps = self._word_encoder(x, words, training)
+        return x, words, sents, word_maps
+
+    def forward(self, batch: Batch, training: bool = False):
+        """Logits [B] and the attention records: the word level, then the document tail."""
+        x, words, sents, word_maps = self.word_level(batch, training)
+        pooled, records = self._document_tail(x, words, sents, training)
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
-        return logits.reshape(B), records
+        return logits.reshape(len(sents.counts)), {"word": sents.unpack(word_maps), **records}
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.astype(np.float32) for k, p in self.params.items()}
@@ -193,13 +203,14 @@ class AttentionClassifier(_BaseModel):
         for w in ("wq", "wk", "wv"):
             self._param(w, init() if shared is None else shared.copy())
 
-    def _encode(self, x, words, sents, training):
-        cfg = self.config
+    def _word_encoder(self, x, words, training):
         q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))
-        att, weights = scaled_dot_attention(q, k, v, words, cfg.mapping)
-        att = dropout(att, cfg.dropout_rate, training, self._dropout_rng)
+        return scaled_dot_attention(q, k, v, words, self.config.mapping)
+
+    def _document_tail(self, x, words, sents, training):
+        x = dropout(x, self.config.dropout_rate, training, self._dropout_rng)
         doc_words = sents.unpack(words.counts).sum(axis=-1)
-        return segment_mean(att, doc_words), {"word": weights}
+        return segment_mean(x, doc_words), {}
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -229,11 +240,12 @@ class HierarchicalTransformerClassifier(_BaseModel):
             )
         return x, weights
 
-    def _encode(self, x, words, sents, training):
-        x, word_weights = self._level("word", x, words, training)
+    def _word_encoder(self, x, words, training):
+        return self._level("word", x, words, training)
+
+    def _document_tail(self, x, words, sents, training):
         y, sent_weights = self._level("sent", segment_mean(x, words.counts), sents, training)
-        pooled = segment_mean(y, sents.counts)
-        return pooled, {"word": word_weights, "sentence": sent_weights}  # sentence: [B, h, T, T]
+        return segment_mean(y, sents.counts), {"sentence": sent_weights}  # [B, h, T, T]
 
 
 def predict_proba(logits) -> np.ndarray:
@@ -260,25 +272,33 @@ def extract_attention_maps(
 
     With a filter, only sentences containing a filter token are kept and
     the sentence-level record is omitted; when no kept sentence matches,
-    the result is empty and the model is not run.
+    the result is empty and the model is not run.  The model runs only as
+    far as the records need: the word level of the picked sentences, and
+    the full `forward` for an unfiltered `tr` document alone.
     """
     cfg = model.config
     sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
-    if filter_tokens and not any(set(sent) & filter_tokens for sent in sentences):
+    picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
+    if filter_tokens and not picked:
         return []
     if not sentences:
         raise EmptyDocumentError(f"document {doc.id} empty after truncation")
-    batch = pad_and_batch([doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
+    full = model.family == "tr" and not filter_tokens
+    picked_doc = PatientDocument(doc.id, [sentences[t] for t in picked], doc.label)
+    batch = pad_and_batch([picked_doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
     with no_grad():
-        _, records = model.forward(batch, training=False)
+        if full:
+            _, records = model.forward(batch, training=False)
+            word = records["word"][0]
+        else:
+            word = model.word_level(batch)[3]
 
     out: list[AttentionRecord] = []
-    for t, sent in enumerate(sentences):
-        if not filter_tokens or set(sent) & filter_tokens:
-            n = len(sent)
-            w = records["word"][0, t, :, :n, :n].copy()
-            out.append(AttentionRecord(w, list(sent), list(sent), "word", sentence_index=t))
-    if "sentence" in records and not filter_tokens:
+    for i, t in enumerate(picked):
+        n = len(sentences[t])
+        out.append(AttentionRecord(word[i, :, :n, :n].copy(), list(sentences[t]),
+                                   list(sentences[t]), "word", sentence_index=t))
+    if full:
         n = len(sentences)
         labels = [f"s{t}" for t in range(n)]
         w = records["sentence"][0, :, :n, :n].copy()

@@ -196,7 +196,10 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
         with no_grad():
             model.forward(dm.pad_and_batch(docs[:5], vocab, 6, 4, 5)[0])
     monkeypatch.undo()
-    assert len(made) > 10
+    if (path, family) == ("extract_attention_maps", AttentionClassifier):
+        assert len(made) == 8  # the word level alone: emb, proj, q, k, v, 3 attention nodes
+    else:
+        assert len(made) > 10
     assert not any(t._parents or getattr(t, "_backward", None) for t in made)
 
 
@@ -373,12 +376,65 @@ def test_extract_attention_maps_filter_without_match_skips_forward(corpus, monke
         raise AssertionError("forward ran for a document the filter rules out")
 
     monkeypatch.setattr(model, "forward", no_forward)
+    monkeypatch.setattr(model, "word_level", no_forward)
     doc = dm.PatientDocument("n", [["w0", "w1"], ["w2"]], 0)
     assert extract_attention_maps(model, doc, vocab, filter_tokens={"cmo"}) == []
     empty = dm.PatientDocument("e", [], 0)
     assert extract_attention_maps(model, empty, vocab, filter_tokens={"cmo"}) == []
     with pytest.raises(EmptyDocumentError):
         extract_attention_maps(model, empty, vocab)
+
+
+FILTERED_DOCS = [
+    # the match is the second sentence, and the longest sentence does not match
+    (dm.PatientDocument("second", [["w0", "w1", "w2", "w3", "w4", "w5"], ["w2", "cmo", "w3"], ["w4", "w5"]], 1),
+     [1]),
+    # two matches around a shorter sentence, then a longer one that does not match
+    (dm.PatientDocument("two", [["dnr", "w1"], ["w2"], ["w7", "cmo", "w8", "w9"], ["w1", "w3", "w4", "w5", "w6"]], 1),
+     [0, 2]),
+]
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("mapping", ["softmax", "sparsemax", "entmax15", "entmax:1.3", "entmax:3"])
+def test_filtered_maps_equal_the_full_forward_maps(corpus, family, mapping):
+    """The word level of the matching sentences alone gives the same maps as
+    the full model over the whole document: `tr` bit for bit, `att` within
+    1e-6 (its float32 GEMMs run over fewer rows)."""
+    _, vocab = corpus
+    if family is AttentionClassifier:
+        model = family(att_cfg(vocab, MappingKind.parse(mapping)), seed=13)
+    else:
+        model = family(tr_cfg(vocab, MappingKind.parse(mapping), word_heads=2, sent_heads=2), seed=13)
+    for doc, matches in FILTERED_DOCS:
+        with no_grad():
+            _, full = model.forward(dm.pad_and_batch([doc], vocab, 6, 4, 1)[0])
+        recs = extract_attention_maps(model, doc, vocab, filter_tokens={"cmo", "dnr"})
+        assert [r.sentence_index for r in recs] == matches
+        for rec, t in zip(recs, matches):
+            n = len(doc.sentences[t])
+            assert rec.scope == "word" and rec.row_labels == rec.col_labels == doc.sentences[t]
+            expected = full["word"][0, t, :, :n, :n]
+            assert rec.weights.shape == expected.shape
+            if family is HierarchicalTransformerClassifier:
+                np.testing.assert_array_equal(rec.weights, expected)
+            else:
+                np.testing.assert_allclose(rec.weights, expected, rtol=0, atol=1e-6)
+
+
+def test_filtered_tr_maps_never_run_the_document_tail(corpus, monkeypatch):
+    _, vocab = corpus
+    model = HierarchicalTransformerClassifier(tr_cfg(vocab), seed=7)
+
+    def no_tail(*args, **kwargs):
+        raise AssertionError("the document tail ran for a filtered map")
+
+    monkeypatch.setattr(model, "_document_tail", no_tail)
+    for doc, matches in FILTERED_DOCS:
+        recs = extract_attention_maps(model, doc, vocab, filter_tokens={"cmo", "dnr"})
+        assert [r.sentence_index for r in recs] == matches
+    with pytest.raises(AssertionError, match="document tail"):
+        extract_attention_maps(model, FILTERED_DOCS[0][0], vocab)
 
 
 @pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])
