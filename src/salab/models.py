@@ -274,7 +274,7 @@ def extract_attention_maps(
     the sentence-level record is omitted; when no kept sentence matches,
     the result is empty and the model is not run.  The model runs only as
     far as the records need: the word level of the picked sentences, and
-    the full `forward` for an unfiltered `tr` document alone.
+    the document tail as well for an unfiltered `tr` document.
     """
     cfg = model.config
     sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
@@ -287,11 +287,9 @@ def extract_attention_maps(
     picked_doc = PatientDocument(doc.id, [sentences[t] for t in picked], doc.label)
     batch = pad_and_batch([picked_doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
     with no_grad():
+        x, words, sents, word = model.word_level(batch)
         if full:
-            _, records = model.forward(batch, training=False)
-            word = records["word"][0]
-        else:
-            word = model.word_level(batch)[3]
+            sent = model._document_tail(x, words, sents, False)[1]["sentence"][0]
 
     out: list[AttentionRecord] = []
     for i, t in enumerate(picked):
@@ -301,8 +299,7 @@ def extract_attention_maps(
     if full:
         n = len(sentences)
         labels = [f"s{t}" for t in range(n)]
-        w = records["sentence"][0, :, :n, :n].copy()
-        out.append(AttentionRecord(w, labels, labels, "sentence"))
+        out.append(AttentionRecord(sent[:, :n, :n].copy(), labels, labels, "sentence"))
     for rec in out:
         rec.validate()
     return out
