@@ -247,8 +247,8 @@ def export_heatmap(record: AttentionRecord, path, head: int = 0) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + record.col_labels)
-        for label, row in zip(record.row_labels, record.weights[head]):
-            writer.writerow([label] + [f"{v:.6f}" for v in row])
+        for label, row in zip(record.row_labels, record.weights[head].tolist()):
+            writer.writerow([label, *map("{:.6f}".format, row)])
 
 
 def read_heatmap(path) -> tuple[np.ndarray, list[str], list[str]]:

@@ -196,11 +196,25 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
         zs = -np.sort(-zz, axis=-1)
         k = np.arange(1, zz.shape[-1] + 1, dtype=np.float64)
         tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
+        # tau only rises from here, so an entry at or below it (masked ones
+        # included) never enters the support.  Newton runs on the flat
+        # candidates alone, and reduceat sums each row's segment on its own;
+        # no segment is empty, since every row's max (0) lies above tau.
+        cand = np.flatnonzero(zz > tau)
+        row = cand // zz.shape[-1]
+        starts = np.searchsorted(row, np.arange(tau.size))
+        zc = zz.reshape(-1)[cand]
+        tau = tau.reshape(-1)
         for _ in range(NEWTON_ITERS):
-            d = np.maximum(zz - tau, 0.0)
+            d = np.maximum(zc - tau[row], 0.0)
             t = d ** (inv - 1.0)
-            f = (t * d).sum(axis=-1, keepdims=True) - 1.0
-            tau += f / (inv * t.sum(axis=-1, keepdims=True))
+            f = np.add.reduceat(t * d, starts) - 1.0
+            tau += f / (inv * np.add.reduceat(t, starts))
+        pc = np.maximum(zc - tau[row], 0.0) ** inv
+        pc[pc < SPARSE_FLOOR] = 0.0
+        p = np.zeros(zz.size)
+        p[cand] = pc
+        return p.reshape(zz.shape), tau.reshape(zz.shape[:-1])
     else:
         lo = np.full(zz.shape[:-1] + (1,), -1.0)
         hi = np.zeros_like(lo)

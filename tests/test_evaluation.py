@@ -1,5 +1,8 @@
 """Metric tests against brute-force oracles plus calibration and export."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,35 @@ def test_export_heatmap_roundtrip_and_exact_zero(tmp_path):
     np.testing.assert_allclose(w, rec.weights[0], atol=1e-6)
     assert rows == rec.row_labels and cols == rec.col_labels
     assert "0.000000" in path.read_text()
+
+
+def _scalar_formatted_csv(record, head=0) -> bytes:
+    """The CSV as formatted one numpy scalar at a time, the earlier way."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([""] + record.col_labels)
+    for label, row in zip(record.row_labels, record.weights[head]):
+        writer.writerow([label] + [f"{v:.6f}" for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weights, labels", [
+    ([[[1.0]]], ['a "quoted", word']),
+    (
+        [[[0.0, 1.0, 1e-7], [0.5000005, 0.4999995, 1e-6], [0.3, 0.7, 5e-7]],
+         [[0.1234565, 0.0, 0.8765435], [1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]],
+        ["x,y", 'say "hi"', "plain"],
+    ),
+])
+def test_export_heatmap_bytes_match_scalar_formatting(tmp_path, dtype, weights, labels):
+    w = np.array(weights, dtype=dtype)
+    w = np.concatenate([w, np.random.default_rng(0).random(w.shape).astype(dtype)])
+    rec = AttentionRecord(w, labels, labels)
+    for head in range(len(w)):
+        path = tmp_path / f"h{head}.csv"
+        export_heatmap(rec, path, head=head)
+        assert path.read_bytes() == _scalar_formatted_csv(rec, head)
 
 
 def test_export_heatmap_bad_path():

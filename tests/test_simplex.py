@@ -85,6 +85,28 @@ def entmax_bisect_oracle(z: np.ndarray, alpha: float, iters: int = 200):
     return p, tau[..., 0]
 
 
+def newton_full_rows(z: np.ndarray, alpha: float):
+    """The Newton solver for 1 < alpha < 2 over every entry of every row.
+
+    Same start, step count and snap as `entmax_bisect_nd`, but each step
+    raises whole rows to a power, masked and dropped entries included;
+    returns (p, tau).
+    """
+    zz = MappingKind.entmax(alpha).scaled(z)
+    inv = 1.0 / (alpha - 1.0)
+    zs = -np.sort(-zz, axis=-1)
+    k = np.arange(1, zz.shape[-1] + 1, dtype=np.float64)
+    tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
+    for _ in range(sx.NEWTON_ITERS):
+        d = np.maximum(zz - tau, 0.0)
+        t = d ** (inv - 1.0)
+        f = (t * d).sum(axis=-1, keepdims=True) - 1.0
+        tau += f / (inv * t.sum(axis=-1, keepdims=True))
+    p = np.maximum(zz - tau, 0.0) ** inv
+    p[p < sx.SPARSE_FLOOR] = 0.0
+    return p, tau[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 
@@ -298,6 +320,70 @@ def test_newton_row_does_not_depend_on_its_batch(alpha):
     for i in (0, 3, 6, 350, 699):
         p_i, tau_i = sx.entmax_bisect_nd(z[i], alpha)
         assert np.array_equal(p_i, p[i]) and tau_i == tau[i]
+
+
+NEWTON_ALPHAS = [1.001, 1.05, 1.3, 1.7, 1.99]
+
+
+@st.composite
+def score_rows(draw):
+    """[rows, n] scores with masked entries, ties and all-equal rows."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.integers(1, 6))
+    # a few repeated values make ties likely
+    value = st.one_of(st.floats(-10, 10), st.sampled_from([-1.0, 0.0, 2.5]))
+    z = np.array(draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    masked = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    z[masked] = MASK_FILL
+    if draw(st.booleans()):
+        z[0] = z[0, 0]
+    return z.astype(draw(st.sampled_from([np.float64, np.float32])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=score_rows(), alpha=st.sampled_from(NEWTON_ALPHAS))
+def test_newton_candidates_match_full_rows(z, alpha):
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    ref, ref_tau = newton_full_rows(z, alpha)
+    np.testing.assert_array_equal(p == 0.0, ref == 0.0)
+    assert np.abs(tau - ref_tau).max() <= 1e-15
+    assert np.abs(p - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", NEWTON_ALPHAS)
+@pytest.mark.parametrize("shape", [(0, 5), (2, 0, 4), (6,)])
+def test_newton_empty_batches_and_1d(alpha, shape):
+    z = np.random.default_rng(15).normal(0, 3, shape)
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    ref, ref_tau = newton_full_rows(z, alpha)
+    assert p.shape == shape and tau.shape == shape[:-1]
+    np.testing.assert_array_equal(p == 0.0, ref == 0.0)
+    assert np.abs(p - ref).max(initial=0.0) <= 1e-12
+    assert np.abs(tau - ref_tau).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", NEWTON_ALPHAS)
+def test_newton_one_hot_row(alpha):
+    """The top entry alone is above the start bound, which is the root."""
+    z = np.array([[3.0, 3.0 - 2000.0, MASK_FILL, 3.0 - 5000.0]])
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    assert np.array_equal(p, [[1.0, 0.0, 0.0, 0.0]]) and np.array_equal(tau, [-1.0])
+    ref, ref_tau = newton_full_rows(z, alpha)
+    assert np.array_equal(p, ref) and np.array_equal(tau, ref_tau)
+
+
+@pytest.mark.parametrize("alpha", NEWTON_ALPHAS)
+def test_newton_keeps_entry_just_above_start_bound(alpha):
+    """A second entry barely above the start bound -1 stays in the support."""
+    d = 10 ** (-11 * (alpha - 1))  # its p is about 1e-11, above SPARSE_FLOOR
+    z = np.array([[0.0, -(1 - d) / (alpha - 1), MASK_FILL]])
+    p, tau = sx.entmax_bisect_nd(z, alpha)
+    ref, ref_tau = newton_full_rows(z, alpha)
+    assert p[0, 1] > 0.0 and p[0, 2] == 0.0
+    np.testing.assert_array_equal(p == 0.0, ref == 0.0)
+    assert np.abs(p - ref).max() <= 1e-12 and np.abs(tau - ref_tau).max() <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
