@@ -4,10 +4,13 @@ Layout: magic "SALAB1", then per parameter
     uint32 name length, utf-8 name bytes,
     uint32 rank, uint32 dims...,
     little-endian float32 payload (row-major).
+
+Saves are atomic: a failed or interrupted save leaves the earlier file whole.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -19,17 +22,24 @@ MAGIC = b"SALAB1"
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
+    """Write `<path>.tmp` and rename it onto `path`; a failed save removes it."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for name, arr in params.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for name, arr in params.items():
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

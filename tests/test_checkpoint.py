@@ -35,6 +35,16 @@ def test_magic_and_layout(tmp_path):
     assert len(raw) == 6 + 4 + 1 + 4 + 8 + 16
 
 
+def test_failed_save_leaves_the_earlier_file_and_no_temporary(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # raised after the first record is written
+        save_checkpoint(path, {"w": np.zeros((3, 3), np.float32), "bad": np.array(["nan?"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"NOTACKPT")

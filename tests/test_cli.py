@@ -346,6 +346,35 @@ def test_unwritable_out_exit_code(data_dir, att_run, tmp_path, capsys):
         assert str(blocker) in err and "Traceback" not in err
 
 
+def test_heatmap_rerun_rewrites_its_maps_in_place(data_dir, att_run, tmp_path):
+    hm = tmp_path / "hm"
+    argv = ["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+            "--out", str(hm), "--limit", "3"]
+    assert main(argv) == 0
+    first = {p: (p.read_bytes(), p.stat().st_ino) for p in hm.glob("*.csv")}
+    stale = hm / "stale.csv"
+    stale.write_bytes(b"from an earlier --filter")
+    assert main(argv) == 0
+    assert {p: (p.read_bytes(), p.stat().st_ino) for p in first} == first
+    assert sorted(hm.glob("*.csv")) == sorted([*first, stale])
+    assert stale.read_bytes() == b"from an earlier --filter"
+
+
+def test_heatmap_map_path_that_is_a_directory_exits_2(data_dir, att_run, tmp_path, capsys):
+    """(An --out that is a regular file: test_unwritable_out_exit_code.)"""
+    hm = tmp_path / "hm"
+    argv = ["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+            "--out", str(hm), "--limit", "2"]
+    assert main(argv) == 0
+    blocked = sorted(hm.glob("*.csv"))[-1]
+    blocked.unlink()
+    blocked.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(blocked) in lines[0]
+
+
 @pytest.mark.parametrize(
     "raw", [b'{"id": "x", "label": 0, "sentences": [["\xff"]]}', b"[" * 100_000],
     ids=["not-utf8", "deep-nesting"],

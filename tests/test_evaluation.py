@@ -196,6 +196,10 @@ def _scalar_formatted_csv(record, head=0) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+# every character csv quotes on, and some it leaves alone
+ODD_LABELS = ["", "\r", "\n", "a\r\nb", " lead", "trail ", "\t", "é", 'a,"b",,""c"', "100%"]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("weights, labels", [
     ([[[1.0]]], ['a "quoted", word']),
@@ -204,6 +208,7 @@ def _scalar_formatted_csv(record, head=0) -> bytes:
          [[0.1234565, 0.0, 0.8765435], [1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]],
         ["x,y", 'say "hi"', "plain"],
     ),
+    (np.eye(len(ODD_LABELS))[None], ODD_LABELS),
 ])
 def test_export_heatmap_bytes_match_scalar_formatting(tmp_path, dtype, weights, labels):
     w = np.array(weights, dtype=dtype)
@@ -213,6 +218,16 @@ def test_export_heatmap_bytes_match_scalar_formatting(tmp_path, dtype, weights, 
         path = tmp_path / f"h{head}.csv"
         export_heatmap(rec, path, head=head)
         assert path.read_bytes() == _scalar_formatted_csv(rec, head)
+
+
+@pytest.mark.parametrize("extra", [-30, 0, 1000], ids=["shorter", "same-length", "longer"])
+def test_export_heatmap_rewrite_leaves_exactly_the_new_bytes(tmp_path, extra):
+    path = tmp_path / "h.csv"
+    export_heatmap(_record(), path)
+    new = path.read_bytes()
+    path.write_bytes(b"9" * (len(new) + extra))
+    export_heatmap(_record(), path)
+    assert path.read_bytes() == new
 
 
 def test_export_heatmap_bad_path():
