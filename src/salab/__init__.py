@@ -7,23 +7,3 @@ _threads = os.environ.get("SALAB_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
-
-from .simplex import (  # noqa: E402
-    MappingKind,
-    SupportInfo,
-    entmax15,
-    entmax_bisect,
-    mapping_backward,
-    softmax,
-    sparsemax,
-)
-
-__all__ = [
-    "MappingKind",
-    "SupportInfo",
-    "softmax",
-    "sparsemax",
-    "entmax15",
-    "entmax_bisect",
-    "mapping_backward",
-]

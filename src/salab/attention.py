@@ -25,7 +25,8 @@ MASK_FILL = -1e9
 class AttentionRecord:
     """Attention weights for one sequence, with readable row/column labels.
 
-    weights has shape [heads, n, n]; masked columns are exact zero.
+    weights has shape [heads, n, n], stored as float64 whatever dtype it is
+    built from; masked columns are exact zero.
     """
 
     weights: np.ndarray
@@ -33,6 +34,9 @@ class AttentionRecord:
     col_labels: list[str]
     scope: str = "word"
     sentence_index: int | None = None
+
+    def __post_init__(self):
+        self.weights = np.array(self.weights, dtype=np.float64)
 
     def validate(self, tol: float = 1e-6) -> None:
         # each check is written so that a NaN fails it; an infinite weight fails the sum
@@ -66,28 +70,21 @@ class Packing:
         return out.reshape(*self.mask.shape, *rows.shape[1:])
 
 
-def _grid_units(units: Packing | None, x: Tensor) -> Packing:
-    """`units`, or with None every slot of x's [..., n, d] grid as a real unit."""
-    return Packing(np.ones(x.shape[:-1], dtype=bool)) if units is None else units
-
-
 def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, units: Packing | None, mapping: MappingKind,
+    q: Tensor, k: Tensor, v: Tensor, units: Packing, mapping: MappingKind,
     heads: int = 1,
 ) -> tuple[Tensor, np.ndarray]:
-    """Self-attention within each group of `units`; returns (output, float64 weights).
+    """Self-attention within each group of `units`; returns (output, weights).
 
-    q, k and v are the [R, d] rows of the real units (with `units` None,
-    [..., n, d] grids whose every slot is real).  Three tape nodes: the
+    q, k and v are the [R, d] rows of the real units.  Three tape nodes: the
     masked scaled scores of the real query rows, [R, heads, L], the mapping
     over them and the value mix; the unpack into [..., heads, L, d/heads]
     and the pack back out happen inside the first and the last.  Weights
-    are [..., heads, L, L]; padding keys score MASK_FILL, which every mapping
-    maps to exactly 0, and padding-query rows are exactly 0.
+    are [..., heads, L, L] in q's dtype; padding keys score MASK_FILL, which
+    every mapping maps to exactly 0, and padding-query rows are exactly 0.
     """
     if q.shape != k.shape or k.shape != v.shape or heads < 1 or q.shape[-1] % heads:
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
-    units = _grid_units(units, q)
     if q.data.size != units.index.size * q.shape[-1]:
         raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
     keep = units.mask[..., None, None, :]
@@ -116,13 +113,13 @@ def scaled_dot_attention(
     pg = grid(p.data)
     out = _node(merge(pg @ vh), (p, v), lambda g: rows(split(g) @ vh.swapaxes(-1, -2)),
                 lambda g: merge(pg.swapaxes(-1, -2) @ split(g)))
-    return out, pg.astype(np.float64)
+    return out, pg
 
 
 def multi_head_attention(
     x: Tensor,
     params: dict[str, Tensor],
-    units: Packing | None = None,
+    units: Packing,
     prefix: str = "",
     mapping: MappingKind = MappingKind.softmax(),
     heads: int = 1,
@@ -137,9 +134,8 @@ def multi_head_attention(
     return linear(att, params[prefix + "wo"], params[prefix + "bo"]), w
 
 
-def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing | None = None) -> Tensor:
+def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing) -> Tensor:
     """x plus the table row of each unit's slot in its group (rows as in attention)."""
-    units = _grid_units(units, x)
     n, d = units.mask.shape[-1], table.shape[1]
     if n > table.shape[0]:
         raise ShapeError(
@@ -153,7 +149,7 @@ def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing | None = 
 def transformer_encoder_layer(
     x: Tensor,
     params: dict[str, Tensor],
-    units: Packing | None = None,
+    units: Packing,
     training: bool = False,
     rng: np.random.Generator | None = None,
     prefix: str = "",

@@ -236,7 +236,7 @@ def score_documents(model, docs, vocab, batch_size: int = 16) -> list[Prediction
     out = []
     for batch in pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):
         with no_grad():
-            logits, _ = model.forward(batch, training=False)
+            logits = model.forward(batch, training=False)
         probs = predict_proba(logits)
         for doc_id, p, y in zip(batch.doc_ids, probs, batch.labels):
             out.append(PredictionRecord(doc_id, float(p), int(y)))

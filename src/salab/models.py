@@ -162,12 +162,12 @@ class _BaseModel:
         x, word_maps = self._word_encoder(x, words, training)
         return x, words, sents, word_maps
 
-    def forward(self, batch: Batch, training: bool = False):
-        """Logits [B] and the attention records: the word level, then the document tail."""
-        x, words, sents, word_maps = self.word_level(batch, training)
-        pooled, records = self._document_tail(x, words, sents, training)
+    def forward(self, batch: Batch, training: bool = False) -> Tensor:
+        """Logits [B]: the word level, then the document tail."""
+        x, words, sents, _ = self.word_level(batch, training)
+        pooled, _ = self._document_tail(x, words, sents, training)
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
-        return logits.reshape(len(sents.counts)), {"word": sents.unpack(word_maps), **records}
+        return logits.reshape(len(sents.counts))
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.astype(np.float32) for k, p in self.params.items()}
@@ -294,12 +294,12 @@ def extract_attention_maps(
     out: list[AttentionRecord] = []
     for i, t in enumerate(picked):
         n = len(sentences[t])
-        out.append(AttentionRecord(word[i, :, :n, :n].copy(), list(sentences[t]),
+        out.append(AttentionRecord(word[i, :, :n, :n], list(sentences[t]),
                                    list(sentences[t]), "word", sentence_index=t))
     if full:
         n = len(sentences)
         labels = [f"s{t}" for t in range(n)]
-        out.append(AttentionRecord(sent[:, :n, :n].copy(), labels, labels, "sentence"))
+        out.append(AttentionRecord(sent[:, :n, :n], labels, labels, "sentence"))
     for rec in out:
         rec.validate()
     return out

@@ -4,8 +4,12 @@ A mapping is alpha-entmax, named by alpha alone.  Softmax (alpha 1), sparsemax
 (2, the Euclidean projection onto the simplex) and 1.5-entmax have exact
 solvers, the last two sort-based.  Every other alpha finds its threshold by
 root finding: Newton's method for alpha in (1, 2), bisection for alpha in
-(2, 4].  Each comes in a 1-D public form and an ``*_nd`` form vectorised over
-the last axis.
+(2, 4].  Every solver maps the last axis of an array of any shape, a 1-D
+vector included; `apply_mapping_nd` dispatches on alpha, and
+`mapping_backward_nd` is the backward pass of the whole family.  An empty
+row raises ValueError.  A row holding NaN or +Inf, or only -Inf, maps to a
+row that is not all finite, and leaves the other rows of the call as they
+would be alone; -Inf among finite scores maps to exact 0.
 
 All arithmetic runs in float64 regardless of the caller's dtype: the
 threshold selection is branchy and loses support entries in float32.
@@ -107,27 +111,6 @@ class MappingKind:
         return (self.alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    """Threshold and support of a sparse mapping's output."""
-
-    threshold: float
-    support_size: int
-    support_mask: np.ndarray
-
-
-def _check_input(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("input must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("input contains NaN or Inf")
-    return z
-
-
-# ---------------------------------------------------------------------------
-# batched forms, last axis
-
 def softmax_nd(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -198,9 +181,10 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
         tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
         # tau only rises from here, so an entry at or below it (masked ones
         # included) never enters the support.  Newton runs on the flat
-        # candidates alone, and reduceat sums each row's segment on its own;
-        # no segment is empty, since every row's max (0) lies above tau.
-        cand = np.flatnonzero(zz > tau)
+        # candidates alone, and reduceat sums each row's segment on its own.
+        # No segment is empty: a finite row's max (0) lies above tau, and a
+        # row holding NaN has a NaN tau, so the test keeps its every entry.
+        cand = np.flatnonzero(~(zz <= tau))
         row = cand // zz.shape[-1]
         starts = np.searchsorted(row, np.arange(tau.size))
         zc = zz.reshape(-1)[cand]
@@ -271,41 +255,3 @@ def mapping_backward_nd(
     gs = g.sum(axis=-1, keepdims=True)
     return g * upstream - (gu / gs) * g
 
-
-# ---------------------------------------------------------------------------
-# 1-D public API
-
-def softmax(z) -> np.ndarray:
-    return softmax_nd(_check_input(z))
-
-
-def _with_support(z, kind: MappingKind) -> tuple[np.ndarray, SupportInfo]:
-    z = _check_input(z)
-    p, tau = apply_mapping_nd(z, kind, return_threshold=True)
-    # tau thresholds kind.scaled(z); report it against (alpha - 1) * z,
-    # the caller's untranslated coordinates
-    tau = float(tau) + (kind.alpha - 1.0) * float(z.max())
-    mask = p > 0.0
-    return p, SupportInfo(tau, int(mask.sum()), mask)
-
-
-def sparsemax(z) -> tuple[np.ndarray, SupportInfo]:
-    return _with_support(z, MappingKind.sparsemax())
-
-
-def entmax15(z) -> tuple[np.ndarray, SupportInfo]:
-    return _with_support(z, MappingKind.entmax15())
-
-
-def entmax_bisect(z, alpha: float) -> np.ndarray:
-    """alpha-entmax of a 1-D vector by `entmax_bisect_nd`'s root finding."""
-    p, _ = entmax_bisect_nd(_check_input(z), alpha)
-    return p
-
-
-def mapping_backward(p, upstream, kind: MappingKind) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if p.ndim != 1 or upstream.ndim != 1:
-        raise ValueError("expected 1-D vectors")
-    return mapping_backward_nd(p, upstream, kind)

@@ -58,7 +58,7 @@ def train_model(
         losses = []
         for batch in batches:
             opt.zero_grad()
-            logits, _ = model.forward(batch, training=True)
+            logits = model.forward(batch, training=True)
             loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
             loss.backward()
             opt.step()

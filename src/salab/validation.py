@@ -53,7 +53,7 @@ def model_grad_error(model, batch, eps: float = 1e-5) -> float:
     labels = batch.labels.astype(model.dtype)
 
     def loss():
-        logits, _ = model.forward(batch, training=False)
+        logits = model.forward(batch, training=False)
         return bce_with_logits(logits, labels).mean()
 
     return grad_check(loss, model.params, eps=eps)

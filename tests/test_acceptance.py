@@ -171,12 +171,12 @@ def test_criterion_1_mapping_correctness():
     worst_sp = worst_ent = worst_bi = 0.0
     for _ in range(1000):
         z = rng.normal(0, 3, int(rng.integers(1, 5)))
-        p, _ = sx.sparsemax(z)
+        p, _ = sx.sparsemax_nd(z)
         worst_sp = max(worst_sp, float(np.abs(p - projection_oracle(z)).max()))
-        worst_bi = max(worst_bi, float(np.abs(sx.entmax_bisect(z, 2.0) - p).max()))
+        worst_bi = max(worst_bi, float(np.abs(sx.entmax_bisect_nd(z, 2.0)[0] - p).max()))
     for _ in range(500):
         z = rng.normal(0, 3, int(rng.integers(2, 9)))
-        p, _ = sx.entmax15(z)
+        p, _ = sx.entmax15_nd(z)
         worst_ent = max(worst_ent, float(np.abs(p - entmax15_root_oracle(z)).max()))
     elapsed = time.time() - t0
     assert worst_sp <= 1e-6
@@ -250,9 +250,9 @@ def test_criterion_4_interpolation_ordering():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         z = rng.normal(0, 3, int(rng.integers(2, 17)))
-        soft = sx.softmax(z)
-        ent, _ = sx.entmax15(z)
-        sp, _ = sx.sparsemax(z)
+        soft = sx.softmax_nd(z)
+        ent, _ = sx.entmax15_nd(z)
+        sp, _ = sx.sparsemax_nd(z)
         assert soft.max() <= ent.max() + 1e-9 <= sp.max() + 2e-9
         z_soft, z_ent, z_sp = (int((v == 0).sum()) for v in (soft, ent, sp))
         assert z_soft == 0 <= z_ent <= z_sp

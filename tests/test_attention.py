@@ -23,6 +23,11 @@ def rand_t(rng, *shape):
     return Tensor(rng.normal(0, 1, shape), requires_grad=True)
 
 
+def every_unit(x):
+    """The `Packing` that takes every slot of x's [..., n, d] grid as a real unit."""
+    return Packing(np.ones(x.shape[:-1], dtype=bool))
+
+
 def mha_params(rng, d, prefix=""):
     p = {}
     for w in ("wq", "wk", "wv", "wo"):
@@ -48,7 +53,7 @@ def layer_params(rng, d, prefix=""):
 def test_single_position_passes_value_through():
     rng = np.random.default_rng(0)
     q, k, v = (rand_t(rng, 1, 4) for _ in range(3))
-    out, w = scaled_dot_attention(q, k, v, None, MappingKind.sparsemax())
+    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.sparsemax())
     np.testing.assert_allclose(out.data, v.data)
     np.testing.assert_array_equal(w, [[[1.0]]])
 
@@ -58,7 +63,7 @@ def test_identical_keys_give_uniform_softmax_weights():
     q = rand_t(rng, 3, 4)
     k = Tensor(np.tile(rng.normal(0, 1, 4), (3, 1)))
     v = rand_t(rng, 3, 4)
-    _, w = scaled_dot_attention(q, k, v, None, MappingKind.softmax())
+    _, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
     np.testing.assert_allclose(w, 1 / 3, atol=1e-9)
 
 
@@ -68,7 +73,7 @@ def test_dominant_key_sparsemax_is_onehot():
     q = Tensor(np.tile([30.0, 0.0], (3, 1)))
     k = Tensor(x)
     v = Tensor(np.arange(6, dtype=float).reshape(3, 2))
-    out, w = scaled_dot_attention(q, k, v, None, MappingKind.sparsemax())
+    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.sparsemax())
     np.testing.assert_array_equal(w[0, 0], [0.0, 1.0, 0.0])
     np.testing.assert_allclose(out.data[0], v.data[1])
 
@@ -96,14 +101,14 @@ def test_mismatched_shapes_raise_shape_error():
     q = rand_t(rng, 2, 3, 4)
     for k in (rand_t(rng, 3, 3, 4), rand_t(rng, 2, 3, 6)):
         with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k, k, None, MappingKind.softmax())
+            scaled_dot_attention(q, k, k, every_unit(q), MappingKind.softmax())
 
 
 @pytest.mark.parametrize("heads", [3, 0])
 def test_heads_not_splitting_the_last_axis_raise_shape_error(heads):
     q = rand_t(np.random.default_rng(17), 2, 3, 4)
     with pytest.raises(ShapeError, match=rf"q \(2, 3, 4\).*heads {heads}"):
-        scaled_dot_attention(q, q, q, None, MappingKind.softmax(), heads=heads)
+        scaled_dot_attention(q, q, q, every_unit(q), MappingKind.softmax(), heads=heads)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +128,7 @@ def test_mask_soundness(kind):
     rng = np.random.default_rng(3)
     t = Tensor(rng.normal(0, 1, (3, 4)))
     out, w = scaled_dot_attention(t, t, t, Packing(np.array([True, True, True, False])), kind)
-    alone, w_alone = scaled_dot_attention(t, t, t, None, kind)
+    alone, w_alone = scaled_dot_attention(t, t, t, every_unit(t), kind)
     assert w.shape == (1, 4, 4)
     assert np.all(w[0, :, 3] == 0.0) and np.all(w[0, 3] == 0.0)
     np.testing.assert_allclose(out.data, alone.data, rtol=0, atol=1e-12)
@@ -137,7 +142,7 @@ def test_rowwise_simplex_invariant_and_sparsity_contrast():
         count = 0
         for _ in range(100):
             x = rand_t(rng, 10, 8)
-            _, w = scaled_dot_attention(x, x, x, None, kind)
+            _, w = scaled_dot_attention(x, x, x, every_unit(x), kind)
             assert np.all(w >= 0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
             count += int((w == 0.0).any(axis=-1).sum())
@@ -152,8 +157,8 @@ def test_permutation_equivariance_without_positions():
     perm = rng.permutation(6)
     params = mha_params(rng, 4)
     kw = {"mapping": MappingKind.entmax15(), "heads": 2}
-    out1, _ = multi_head_attention(Tensor(x), params, **kw)
-    out2, _ = multi_head_attention(Tensor(x[perm]), params, **kw)
+    out1, _ = multi_head_attention(Tensor(x), params, every_unit(x), **kw)
+    out2, _ = multi_head_attention(Tensor(x[perm]), params, every_unit(x), **kw)
     np.testing.assert_allclose(out2.data, out1.data[perm], atol=1e-10)
 
 
@@ -161,13 +166,13 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
     rng = np.random.default_rng(6)
     x = rand_t(rng, 5, 4)
     params = mha_params(rng, 4)
-    out, w = multi_head_attention(x, params)
+    out, w = multi_head_attention(x, params, every_unit(x))
     from salab.autodiff import linear
 
     q = linear(x, params["wq"], params["bq"])
     k = linear(x, params["wk"], params["bk"])
     v = linear(x, params["wv"], params["bv"])
-    ref, wref = scaled_dot_attention(q, k, v, None, MappingKind.softmax())
+    ref, wref = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
     ref = linear(ref, params["wo"], params["bo"])
     np.testing.assert_allclose(out.data, ref.data, atol=1e-10)
     np.testing.assert_allclose(w, wref, atol=1e-12)
@@ -177,7 +182,7 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
 def test_multi_head_shape_sweep(n, d, h):
     rng = np.random.default_rng(7)
     x = rand_t(rng, n, d)
-    out, w = multi_head_attention(x, mha_params(rng, d), heads=h)
+    out, w = multi_head_attention(x, mha_params(rng, d), every_unit(x), heads=h)
     assert out.shape == (n, d)
     assert w.shape == (h, n, n)
 
@@ -188,7 +193,7 @@ def test_multi_head_gradcheck_two_heads():
     params = mha_params(rng, 4)
 
     def f():
-        out, _ = multi_head_attention(x, params, heads=2)
+        out, _ = multi_head_attention(x, params, every_unit(x), heads=2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -198,14 +203,16 @@ def test_positional_embeddings():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(0, 1, (3, 4)))
     zero = Tensor(np.zeros((5, 4)))
-    np.testing.assert_array_equal(add_positional_embeddings(x, zero).data, x.data)
+    units = every_unit(x)
+    np.testing.assert_array_equal(add_positional_embeddings(x, zero, units).data, x.data)
     table = Tensor(rng.normal(0, 1, (5, 4)))
     np.testing.assert_array_equal(
-        add_positional_embeddings(Tensor(np.zeros((3, 4))), table).data,
+        add_positional_embeddings(Tensor(np.zeros((3, 4))), table, units).data,
         table.data[:3],
     )
+    long = Tensor(np.zeros((9, 4)))
     with pytest.raises(ShapeError):
-        add_positional_embeddings(Tensor(np.zeros((9, 4))), table)
+        add_positional_embeddings(long, table, every_unit(long))
 
 
 def test_positional_embeddings_make_layer_order_sensitive():
@@ -216,8 +223,8 @@ def test_positional_embeddings_make_layer_order_sensitive():
     params = layer_params(rng, 4)
 
     def run(inp):
-        h = add_positional_embeddings(Tensor(inp), table)
-        out, _ = transformer_encoder_layer(h, params)
+        h = add_positional_embeddings(Tensor(inp), table, every_unit(inp))
+        out, _ = transformer_encoder_layer(h, params, every_unit(inp))
         return out.data
 
     assert np.abs(run(x)[perm] - run(x[perm])).max() > 1e-4
@@ -241,7 +248,7 @@ def test_encoder_layer_gradcheck():
     labels = np.array([1.0, 0.0, 1.0])
 
     def f():
-        out, _ = transformer_encoder_layer(x, params, mapping=MappingKind.entmax15())
+        out, _ = transformer_encoder_layer(x, params, every_unit(x), mapping=MappingKind.entmax15())
         return bce_with_logits(out.sum(axis=-1), labels).mean()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -263,13 +270,13 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
     if heads is not None:
         out = out.swapaxes(-2, -3)
         out = out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
-    return out, weights.data.astype(np.float64)
+    return out, weights.data
 
 
 def assert_call_equals_padded_op_chain(heads, mask, dtype, mapping):
-    """The call on the real rows of random [3, 5, 4] grids (on the whole
-    grids with `mask` None) equals the op chain on the grids, whose padding
-    slots hold random values too, byte for byte on the real rows; the
+    """The call on the real rows of random [3, 5, 4] grids (every row with
+    `mask` None) equals the op chain on the grids, whose padding slots hold
+    random values too, byte for byte on the real rows, in the inputs' dtype; the
     call's padding-query weight rows are 0.  The upstream gradient is 0 on
     padding rows, as in the models."""
     rng = np.random.default_rng(13)
@@ -278,12 +285,12 @@ def assert_call_equals_padded_op_chain(heads, mask, dtype, mapping):
     upstream = rng.normal(0, 1, (3, 5, 4)).astype(dtype) * real[..., None]
     results = []
     for attend in (scaled_dot_attention, op_chain_attention):
-        packed = attend is scaled_dot_attention and mask is not None
-        q, k, v = (Tensor(a[mask] if packed else a, requires_grad=True) for a in inputs)
-        units = Packing(mask) if packed else mask
-        args = (heads,) if heads is not None or attend is op_chain_attention else ()
+        packed = attend is scaled_dot_attention
+        q, k, v = (Tensor(a[real] if packed else a, requires_grad=True) for a in inputs)
+        units = Packing(real) if packed else mask
+        args = (heads,) if heads is not None or not packed else ()
         out, w = attend(q, k, v, units, mapping, *args)
-        (out * Tensor(upstream[mask] if packed else upstream)).sum().backward()
+        (out * Tensor(upstream[real] if packed else upstream)).sum().backward()
         if w.ndim == 4:  # the head axis after the query axis, as for the rows
             w = w.swapaxes(1, 2)
         results.append([w, out.data, q.grad, k.grad, v.grad])
@@ -375,6 +382,18 @@ def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
     monkeypatch.undo()
     assert len(made) == 3
     assert all(t._parents for t in made)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weights_keep_the_input_dtype_and_a_record_holds_its_own_float64(dtype):
+    rng = np.random.default_rng(20)
+    q = Tensor(rng.normal(0, 1, (2, 3, 4)).astype(dtype))
+    _, w = scaled_dot_attention(q, q, q, every_unit(q), MappingKind.sparsemax(), heads=2)
+    assert w.dtype == dtype and w.shape == (2, 2, 3, 3)
+    rec = AttentionRecord(w[1, :, :2, :2], ["a", "b"], ["a", "b"])
+    assert rec.weights.dtype == np.float64
+    np.testing.assert_array_equal(rec.weights, w[1, :, :2, :2])
+    assert not np.shares_memory(rec.weights, w)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

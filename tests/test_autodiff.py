@@ -421,7 +421,7 @@ def test_flat_adam_equals_per_parameter_adam_bit_for_bit(corpus, family, dtype):
         for model, opt in ((flat_model, flat), (ref_model, ref)):
             for p in model.params.values():
                 p.zero_grad()
-            logits, _ = model.forward(batch, training=True)
+            logits = model.forward(batch, training=True)
             bce_with_logits(logits, batch.labels.astype(dtype)).mean().backward()
             opt.step()
         for name, p in flat_model.params.items():

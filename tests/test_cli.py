@@ -444,6 +444,23 @@ def error_lines(err: str) -> list[str]:
     return [ln for ln in err.splitlines() if ln.startswith("error:")]
 
 
+@pytest.mark.parametrize("family", ["att", "tr"])
+def test_training_that_poisons_entmax_scores_exits_3(data_dir, tmp_path, family):
+    """A step size that turns the scores NaN stops 1 < alpha < 2 entmax
+    training with a poisoned gradient, as it does for the other mappings:
+    exit 3 and one error line.  It runs in a process of its own, where
+    numpy's warnings on the way stay warnings."""
+    env = dict(os.environ, PYTHONPATH=str(Path(salab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "salab", "train", "--data", str(data_dir),
+         "--out", str(tmp_path / "run"), "--model", family, "--mapping", "entmax:1.3",
+         *TRAIN_FLAGS, "--lr", "1e30"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3
+    assert len(error_lines(done.stderr)) == 1 and "error: poisoned gradient" in done.stderr
+
+
 def test_model_configs_own_the_train_defaults():
     expected = {"hidden": "hidden", "embed_dim": "embed_dim", "max_words": "max_words",
                 "max_sents": "max_sents", "dropout": "dropout_rate", "shared_qkv": "shared_qkv"}

@@ -50,14 +50,22 @@ def tr_cfg(vocab, mapping=None, **kw):
     return HierModelConfig(len(vocab), mapping=mapping or MappingKind.softmax(), **kw)
 
 
+def maps(model, batch):
+    """The maps a full pass over `batch` computes: its word maps
+    [B, T, heads, W, W], zero at padding sentences, and `tr`'s sentence
+    maps [B, heads, T, T]."""
+    x, words, sents, word = model.word_level(batch)
+    return {"word": sents.unpack(word), **model._document_tail(x, words, sents, False)[1]}
+
+
 def test_single_token_document(corpus):
     _, vocab = corpus
     doc = dm.PatientDocument("one", [["dnr"]], 1)
     model = AttentionClassifier(att_cfg(vocab), seed=0)
     batch = dm.pad_and_batch([doc], vocab, 6, 4, 1)[0]
-    logits, records = model.forward(batch)
+    logits = model.forward(batch)
     assert np.isfinite(logits.data).all()
-    assert records["word"][0, 0, 0, 0, 0] == 1.0
+    assert maps(model, batch)["word"][0, 0, 0, 0, 0] == 1.0
 
 
 def test_batch_independence(corpus):
@@ -65,8 +73,9 @@ def test_batch_independence(corpus):
     model = AttentionClassifier(att_cfg(vocab, MappingKind.sparsemax()), seed=0)
     single = dm.pad_and_batch(docs[:1], vocab, 6, 4, 1)[0]
     doubled = dm.pad_and_batch([docs[0], docs[0]], vocab, 6, 4, 2)[0]
-    alone, _ = model.forward(single)
-    both, _ = model.forward(doubled)
+    alone = model.forward(single)
+    both = model.forward(doubled)
+    assert isinstance(both, Tensor) and both.shape == (2,)
     assert both.data[0] == both.data[1] == alone.data[0]
 
 
@@ -89,8 +98,8 @@ def test_padding_insensitivity(corpus, family):
     model = family(cfg_fn(vocab, MappingKind.sparsemax(), max_words=8, max_sents=5), seed=1)
     tight = dm.pad_and_batch(docs[:3], vocab, 6, 4, 3)[0]
     loose = dm.pad_and_batch(docs[:3], vocab, 8, 5, 3)[0]
-    logits_a, _ = model.forward(tight)
-    logits_b, _ = model.forward(loose)
+    logits_a = model.forward(tight)
+    logits_b = model.forward(loose)
     np.testing.assert_allclose(logits_a.data, logits_b.data, atol=1e-6)
 
 
@@ -110,8 +119,8 @@ def test_packed_batch_matches_batch_padded_to_caps(corpus, family, mapping):
         np.pad(packed.token_ids, grow), np.pad(packed.word_mask, grow),
         np.pad(packed.sentence_mask, grow[:2]), packed.labels, packed.doc_ids,
     )
-    logits_p, rec_p = model.forward(packed)
-    logits_d, rec_d = model.forward(padded)
+    logits_p, rec_p = model.forward(packed), maps(model, packed)
+    logits_d, rec_d = model.forward(padded), maps(model, padded)
     np.testing.assert_allclose(logits_p.data, logits_d.data, rtol=0, atol=1e-6)
     real = packed.word_mask[:, :, None, :, None] & packed.word_mask[:, :, None, None, :]
     word_d = rec_d["word"][:, :T, :, :W, :W]
@@ -128,10 +137,10 @@ def test_each_document_scores_as_if_alone(corpus, family):
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     model = family(cfg_fn(vocab, MappingKind.entmax15()), seed=2)
     batch = dm.pad_and_batch(docs[:6], vocab, 6, 4, 6)[0]
-    logits, records = model.forward(batch)
+    logits, records = model.forward(batch), maps(model, batch)
     for i, doc in enumerate(docs[:6]):
         alone = dm.pad_and_batch([doc], vocab, 6, 4, 1)[0]
-        logit, rec = model.forward(alone)
+        logit, rec = model.forward(alone), maps(model, alone)
         _, T, W = alone.token_ids.shape
         np.testing.assert_allclose(logits.data[i], logit.data[0], rtol=0, atol=1e-6)
         np.testing.assert_allclose(records["word"][i, :T, :, :W, :W], rec["word"][0], atol=1e-6)
@@ -147,7 +156,7 @@ def test_training_step_leaves_no_reference_cycles(corpus, family):
     gc.collect()
     gc.disable()
     try:
-        logits, _ = model.forward(batch, training=True)
+        logits = model.forward(batch, training=True)
         loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
         loss.backward()
         del logits, loss
@@ -163,14 +172,14 @@ def test_no_grad_forward_is_bit_identical_to_tape_mode(corpus, family, mapping):
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     model = family(cfg_fn(vocab, MappingKind.parse(mapping)), seed=4)
     batch = dm.pad_and_batch(docs[:6], vocab, 6, 4, 6)[0]
-    logits, records = model.forward(batch)
+    logits, records = model.forward(batch), maps(model, batch)
     assert logits._parents
     with no_grad():
-        free_logits, free_records = model.forward(batch)
+        free_logits, free_records = model.forward(batch), maps(model, batch)
     np.testing.assert_array_equal(free_logits.data, logits.data)
     assert free_records.keys() == records.keys()
-    for level, maps in records.items():
-        np.testing.assert_array_equal(free_records[level], maps)
+    for level, grid in records.items():
+        np.testing.assert_array_equal(free_records[level], grid)
 
 
 @pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
@@ -220,7 +229,7 @@ def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
             init(t, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", recorded_init)
-        logits, _ = model.forward(batch, training=True)
+        logits = model.forward(batch, training=True)
         loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
         monkeypatch.undo()
         tape = [t for t in made if t._parents]
@@ -243,7 +252,7 @@ def test_backward_frees_the_training_step_graph(corpus, family):
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
     before = [o for o in gc.get_objects() if isinstance(o, Tensor)]
     known = {id(o) for o in before}
-    logits, _ = model.forward(batch, training=True)
+    logits = model.forward(batch, training=True)
     loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
     loss.backward()
     made = [o for o in gc.get_objects() if isinstance(o, Tensor) and id(o) not in known]
@@ -283,8 +292,7 @@ def test_hier_single_sentence_degenerates(corpus):
     doc = dm.PatientDocument("solo", [["dnr", "w0", "w1"]], 1)
     model = HierarchicalTransformerClassifier(tr_cfg(vocab), seed=0)
     batch = dm.pad_and_batch([doc], vocab, 6, 4, 1)[0]
-    _, records = model.forward(batch)
-    assert records["sentence"][0, 0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert maps(model, batch)["sentence"][0, 0, 0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hier_sentence_order_sensitivity(corpus):
@@ -293,8 +301,8 @@ def test_hier_sentence_order_sensitivity(corpus):
     model = HierarchicalTransformerClassifier(tr_cfg(vocab), seed=2)
     fwd = dm.pad_and_batch([dm.PatientDocument("a", [s1, s2], 1)], vocab, 6, 4, 1)[0]
     rev = dm.pad_and_batch([dm.PatientDocument("a", [s2, s1], 1)], vocab, 6, 4, 1)[0]
-    la, _ = model.forward(fwd)
-    lb, _ = model.forward(rev)
+    la = model.forward(fwd)
+    lb = model.forward(rev)
     assert abs(la.data[0] - lb.data[0]) > 1e-6
 
 
@@ -304,7 +312,7 @@ def test_determinism_fixed_seed(corpus):
 
     def run():
         m = AttentionClassifier(att_cfg(vocab, MappingKind.entmax15()), seed=3)
-        return m.forward(batch)[0].data.copy()
+        return m.forward(batch).data.copy()
 
     np.testing.assert_array_equal(run(), run())
 
@@ -318,7 +326,7 @@ def test_mapping_swap_checkpoint_compatibility(corpus, tmp_path):
     m2.load(tmp_path / "m.ckpt")
     for name in m1.params:
         np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
-    assert np.isfinite(m2.forward(batch)[0].data).all()
+    assert np.isfinite(m2.forward(batch).data).all()
 
 
 def test_zero_count_ordering_across_mappings(corpus):
@@ -327,8 +335,7 @@ def test_zero_count_ordering_across_mappings(corpus):
     zeros = {}
     for name in ("sparsemax", "entmax15", "softmax"):
         model = AttentionClassifier(att_cfg(vocab, MappingKind.parse(name)), seed=5)
-        _, records = model.forward(batch)
-        w = records["word"]
+        w = maps(model, batch)["word"]
         real = batch.word_mask[:, :, None, None, :] & batch.word_mask[:, :, None, :, None]
         zeros[name] = int(((w == 0.0) & real).sum())
     assert zeros["sparsemax"] >= zeros["entmax15"] >= zeros["softmax"] == 0
@@ -345,7 +352,7 @@ def test_shared_qkv_flag(corpus):
     model = AttentionClassifier(att_cfg(vocab, shared_qkv=True), seed=6)
     np.testing.assert_array_equal(model.params["wq"].data, model.params["wk"].data)
     batch = dm.pad_and_batch(docs[:2], vocab, 6, 4, 2)[0]
-    assert np.isfinite(model.forward(batch)[0].data).all()
+    assert np.isfinite(model.forward(batch).data).all()
 
 
 def test_extract_attention_maps_filter(corpus):
@@ -405,7 +412,7 @@ def test_filtered_maps_equal_the_full_forward_maps(corpus, family, mapping):
         model = family(tr_cfg(vocab, MappingKind.parse(mapping), word_heads=2, sent_heads=2), seed=13)
     for doc, matches in FILTERED_DOCS:
         with no_grad():
-            _, full = model.forward(dm.pad_and_batch([doc], vocab, 6, 4, 1)[0])
+            full = maps(model, dm.pad_and_batch([doc], vocab, 6, 4, 1)[0])
         recs = extract_attention_maps(model, doc, vocab, filter_tokens={"cmo", "dnr"})
         assert [r.sentence_index for r in recs] == matches
         for rec, t in zip(recs, matches):
@@ -455,8 +462,7 @@ def test_entmax_spelling_runs_the_named_mapping(corpus, family, spelling, name):
     outs = []
     for text in (spelling, name):
         model = family(cfg_fn(vocab, MappingKind.parse(text)), seed=11)
-        logits, records = model.forward(batch)
-        outs.append((logits.data, records))
+        outs.append((model.forward(batch).data, maps(model, batch)))
     (la, ra), (lb, rb) = outs
     np.testing.assert_array_equal(la, lb)
     assert ra.keys() == rb.keys()

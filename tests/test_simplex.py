@@ -111,47 +111,48 @@ def newton_full_rows(z: np.ndarray, alpha: float):
 # frozen examples
 
 def test_softmax_examples():
-    np.testing.assert_allclose(sx.softmax([0, 0, 0]), [1 / 3] * 3, atol=1e-12)
-    np.testing.assert_allclose(sx.softmax([math.log(2), 0]), [2 / 3, 1 / 3], atol=1e-12)
-    np.testing.assert_allclose(sx.softmax([1, 0]), [0.7311, 0.2689], atol=1e-4)
+    np.testing.assert_allclose(sx.softmax_nd([0, 0, 0]), [1 / 3] * 3, atol=1e-12)
+    np.testing.assert_allclose(sx.softmax_nd([math.log(2), 0]), [2 / 3, 1 / 3], atol=1e-12)
+    np.testing.assert_allclose(sx.softmax_nd([1, 0]), [0.7311, 0.2689], atol=1e-4)
 
 
 def test_sparsemax_examples():
-    p, info = sx.sparsemax([0.0, 0.0])
+    # tau thresholds the scaled scores z - max z: the unscaled threshold minus max z
+    p, tau = sx.sparsemax_nd([0.0, 0.0])
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
-    assert info.support_size == 2 and info.threshold == pytest.approx(-0.5)
+    assert (p > 0).sum() == 2 and tau == pytest.approx(-0.5)
 
-    p, info = sx.sparsemax([2.0, 0.0])
+    p, tau = sx.sparsemax_nd([2.0, 0.0])
     np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
-    assert info.support_size == 1 and info.threshold == pytest.approx(1.0)
+    assert (p > 0).sum() == 1 and tau + 2.0 == pytest.approx(1.0)
 
-    p, info = sx.sparsemax([1.0, 0.5])
+    p, tau = sx.sparsemax_nd([1.0, 0.5])
     np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-12)
-    assert info.threshold == pytest.approx(0.25) and info.support_size == 2
+    assert tau + 1.0 == pytest.approx(0.25) and (p > 0).sum() == 2
 
-    p, info = sx.sparsemax([0.5, 0.2, -0.1])
+    p, _ = sx.sparsemax_nd([0.5, 0.2, -0.1])
     np.testing.assert_allclose(p, [0.6333, 0.3333, 0.0333], atol=1e-4)
-    assert info.support_size == 3
+    assert (p > 0).sum() == 3
 
 
 def test_sparsemax_examples_match_projection_oracle():
     for z in ([2.0, 0.0], [1.0, 0.5], [0.5, 0.2, -0.1]):
-        p, _ = sx.sparsemax(z)
+        p, _ = sx.sparsemax_nd(z)
         np.testing.assert_allclose(p, projection_oracle(z), atol=1e-9)
 
 
 def test_entmax15_examples():
-    p, _ = sx.entmax15([0.0, 0.0])
+    p, _ = sx.entmax15_nd([0.0, 0.0])
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
-    p, _ = sx.entmax15([1.0, 0.0])
+    p, _ = sx.entmax15_nd([1.0, 0.0])
     np.testing.assert_allclose(p, [0.8307, 0.1693], atol=1e-3)
     np.testing.assert_allclose(p, entmax15_root_oracle([1.0, 0.0]), atol=1e-9)
 
 
 def test_interpolation_ordering_example():
-    soft = sx.softmax([1.0, 0.0])
-    ent, _ = sx.entmax15([1.0, 0.0])
-    sp, _ = sx.sparsemax([1.0, 0.0])
+    soft = sx.softmax_nd([1.0, 0.0])
+    ent, _ = sx.entmax15_nd([1.0, 0.0])
+    sp, _ = sx.sparsemax_nd([1.0, 0.0])
     assert soft.max() < ent.max() < sp.max()
     assert soft.max() == pytest.approx(0.7311, abs=1e-4)
     assert ent.max() == pytest.approx(0.8307, abs=1e-4)
@@ -160,13 +161,13 @@ def test_interpolation_ordering_example():
 
 def test_entmax_bisect_examples():
     np.testing.assert_allclose(
-        sx.entmax_bisect([1.0, 0.5], 2.0), [0.75, 0.25], atol=1e-6
+        sx.entmax_bisect_nd([1.0, 0.5], 2.0)[0], [0.75, 0.25], atol=1e-6
     )
     np.testing.assert_allclose(
-        sx.entmax_bisect([1.0, 0.0], 1.5), [0.8307, 0.1693], atol=1e-4
+        sx.entmax_bisect_nd([1.0, 0.0], 1.5)[0], [0.8307, 0.1693], atol=1e-4
     )
     np.testing.assert_allclose(
-        sx.entmax_bisect([1.0, 0.0], 1.001), sx.softmax([1.0, 0.0]), atol=1e-2
+        sx.entmax_bisect_nd([1.0, 0.0], 1.001)[0], sx.softmax_nd([1.0, 0.0]), atol=1e-2
     )
 
 
@@ -185,13 +186,13 @@ def test_bisect_masked_rows_stay_on_simplex(alpha):
 def test_backward_examples():
     sp = MappingKind.sparsemax()
     np.testing.assert_allclose(
-        sx.mapping_backward([1.0, 0.0], [3.7, -1.2], sp), [0.0, 0.0], atol=1e-12
+        sx.mapping_backward_nd([1.0, 0.0], [3.7, -1.2], sp), [0.0, 0.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        sx.mapping_backward([0.75, 0.25], [1.0, 0.0], sp), [0.5, -0.5], atol=1e-12
+        sx.mapping_backward_nd([0.75, 0.25], [1.0, 0.0], sp), [0.5, -0.5], atol=1e-12
     )
     np.testing.assert_allclose(
-        sx.mapping_backward([1 / 3] * 3, [1.0, 1.0, 1.0], MappingKind.softmax()),
+        sx.mapping_backward_nd([1 / 3] * 3, [1.0, 1.0, 1.0], MappingKind.softmax()),
         [0.0, 0.0, 0.0],
         atol=1e-12,
     )
@@ -200,28 +201,53 @@ def test_backward_examples():
 # ---------------------------------------------------------------------------
 # argument validation
 
-@pytest.mark.parametrize("fn", [sx.softmax, sx.sparsemax, sx.entmax15])
-def test_rejects_empty_and_nonfinite(fn):
-    with pytest.raises(ValueError):
-        fn([])
-    with pytest.raises(ValueError):
-        fn([1.0, np.nan])
-    with pytest.raises(ValueError):
-        fn([np.inf, 0.0])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_rejects_empty_and_nonfinite(kind):
+    """An empty row raises; `test_non_finite_rows_stay_non_finite_alone`
+    covers what non-finite scores map to."""
+    for shape in ((0,), (3, 0)):
+        with pytest.raises(ValueError):
+            sx.apply_mapping_nd(np.zeros(shape), kind)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3, 1.5, 1.7, 2.0, 3.0])
+def test_non_finite_rows_stay_non_finite_alone(alpha):
+    """A row holding NaN or +Inf, or only -Inf, maps to a row that is not
+    all finite, and every finite row maps as it does alone; -Inf among
+    finite scores maps to exact 0."""
+    kind = MappingKind(alpha)
+    rng = np.random.default_rng(16)
+    z = rng.normal(0, 3, (8, 5))
+    z[1, 2] = np.nan
+    z[3, 0] = np.inf
+    z[4] = -np.inf
+    z[5, :2] = np.inf, -np.inf
+    z[6, 3] = -np.inf
+    bad = [1, 3, 4, 5]
+    with np.errstate(invalid="ignore"):  # numpy warns on inf - inf; the results are checked below
+        p = sx.apply_mapping_nd(z, kind)
+        alone = [sx.apply_mapping_nd(z[i], kind) for i in range(len(z))]
+    for i in range(len(z)):
+        if i in bad:
+            assert not np.isfinite(p[i]).all()
+        else:
+            assert p[i].tobytes() == alone[i].tobytes()
+            assert abs(p[i].sum() - 1.0) <= 1e-8
+    assert p[6, 3] == 0.0
 
 
 def test_entmax_bisect_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        sx.entmax_bisect([1.0, 0.0], 1.0)
+        sx.entmax_bisect_nd([1.0, 0.0], 1.0)
     with pytest.raises(ValueError):
-        sx.entmax_bisect([1.0, 0.0], 0.5)
+        sx.entmax_bisect_nd([1.0, 0.0], 0.5)
     with pytest.raises(ValueError):
         MappingKind.entmax(5.0)
 
 
 def test_backward_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        sx.mapping_backward([0.5, 0.5], [1.0], MappingKind.softmax())
+        sx.mapping_backward_nd([0.5, 0.5], [1.0], MappingKind.softmax())
 
 
 def test_mapping_kind_parse_roundtrip():
@@ -254,7 +280,7 @@ def test_sparsemax_matches_projection_oracle_randomized():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         z = rng.normal(0, 3, rng.integers(1, 5))
-        p, _ = sx.sparsemax(z)
+        p, _ = sx.sparsemax_nd(z)
         assert np.abs(p - projection_oracle(z)).max() <= 1e-6
 
 
@@ -262,7 +288,7 @@ def test_entmax15_matches_bisection_oracle_randomized():
     rng = np.random.default_rng(8)
     for _ in range(500):
         z = rng.normal(0, 3, rng.integers(1, 9))
-        p, _ = sx.entmax15(z)
+        p, _ = sx.entmax15_nd(z)
         assert np.abs(p - entmax15_root_oracle(z)).max() <= 1e-5
 
 
@@ -270,10 +296,10 @@ def test_bisect_agrees_with_exact_algorithms():
     rng = np.random.default_rng(9)
     for _ in range(300):
         z = rng.normal(0, 3, rng.integers(2, 9))
-        sp, _ = sx.sparsemax(z)
-        assert np.abs(sx.entmax_bisect(z, 2.0) - sp).max() <= 1e-6
-        ent, _ = sx.entmax15(z)
-        assert np.abs(sx.entmax_bisect(z, 1.5) - ent).max() <= 1e-5
+        sp, _ = sx.sparsemax_nd(z)
+        assert np.abs(sx.entmax_bisect_nd(z, 2.0)[0] - sp).max() <= 1e-6
+        ent, _ = sx.entmax15_nd(z)
+        assert np.abs(sx.entmax_bisect_nd(z, 1.5)[0] - ent).max() <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +473,14 @@ def test_monotone_ordering(z):
 
 
 def test_sparsity_contrast():
-    p, info = sx.sparsemax([2.0, 0.0, 0.0])
-    assert int((p > 0).sum()) == 1 and info.support_size == 1
-    assert np.all(sx.softmax([2.0, 0.0, 0.0]) > 0)
+    p, _ = sx.sparsemax_nd([2.0, 0.0, 0.0])
+    assert int((p > 0).sum()) == 1
+    assert np.all(sx.softmax_nd([2.0, 0.0, 0.0]) > 0)
 
 
 def test_sparsemax_scale_limit_is_onehot():
     z = np.array([0.3, -0.1, 0.2])
-    p, _ = sx.sparsemax(1e6 * z)
+    p, _ = sx.sparsemax_nd(1e6 * z)
     np.testing.assert_array_equal(p, [1.0, 0.0, 0.0])
 
 
@@ -462,6 +488,6 @@ def test_entmax15_support_between_sparsemax_and_full():
     rng = np.random.default_rng(10)
     for _ in range(200):
         z = rng.normal(0, 3, 8)
-        k_sp = int((sx.sparsemax(z)[0] > 0).sum())
-        k_ent = int((sx.entmax15(z)[0] > 0).sum())
+        k_sp = int((sx.sparsemax_nd(z)[0] > 0).sum())
+        k_ent = int((sx.entmax15_nd(z)[0] > 0).sum())
         assert k_sp <= k_ent <= 8
