@@ -253,13 +253,12 @@ def cmd_train(args) -> int:
     _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
-    if cfg["seeds"] == 1:
-        _train_once(cfg, cfg["seed"], out)
-    else:
-        reports = []
-        for k in range(cfg["seeds"]):
-            seed = cfg["seed"] + k
-            reports.append(_train_once(cfg, seed, out / f"seed{seed}"))
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
+    dirs = [out] if len(seeds) == 1 else [out / f"seed{seed}" for seed in seeds]
+    # a diverging run is reported once, as a poisoned gradient, not by numpy on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [_train_once(cfg, seed, d) for seed, d in zip(seeds, dirs)]
+    if len(reports) > 1:
         summary = {}
         for name in ("auc_roc", "auc_pr", "brier"):
             values = np.array([getattr(r, name) for r in reports])

@@ -145,10 +145,12 @@ def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1, dtype=np.float64)
     mean = np.cumsum(zs, axis=-1) / k
     mean_sq = np.cumsum(zs**2, axis=-1) / k
-    ss = k * (mean_sq - mean**2)
+    # past a -Inf entry both sums are infinite and no entry is in the support
+    live = zs > -np.inf
+    ss = k * np.subtract(mean_sq, mean**2, out=np.zeros_like(mean), where=live)
     delta = np.maximum((1.0 - ss) / k, 0.0)
     tau_candidates = mean - np.sqrt(delta)
-    k_star = (tau_candidates <= zs).sum(axis=-1, keepdims=True)
+    k_star = ((tau_candidates <= zs) & live).sum(axis=-1, keepdims=True)
     tau = np.take_along_axis(tau_candidates, k_star - 1, axis=-1)
     p = np.maximum(z - tau, 0.0) ** 2
     p[p < SPARSE_FLOOR] = 0.0

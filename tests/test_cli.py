@@ -2,6 +2,7 @@
 
 import logging
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -420,6 +421,38 @@ def test_salab_threads_pins_blas_before_numpy_loads():
     assert out[1] in ("1", "None")  # None: no OpenBLAS loaded, so nothing to read
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_scoring_batches_reuse_freed_heap_memory():
+    """`import salab` keeps freed memory in glibc's heap, so a scoring pass
+    after a warm-up one faults in almost no pages: each batch of 16 reuses
+    the memory the one before it freed.  Without the fixed thresholds a pass
+    at these shapes added about 6,000 minor faults.  A process of its own
+    gives the heap a known history."""
+    probe = textwrap.dedent("""
+        import resource
+        import salab
+        from salab import data, evaluation, models
+        from salab.simplex import MappingKind
+        docs = data.generate_synthetic_corpus(
+            data.SyntheticCorpusConfig(n_documents=200, vocab_size=200, seed=3))
+        vocab = data.build_vocab((s for d in docs for s in d.sentences), min_freq=5)
+        config = models.HierModelConfig(
+            vocab_size=len(vocab), embed_dim=50, hidden=64, mapping=MappingKind.sparsemax(),
+            max_words=20, max_sents=40)
+        model = models.HierarchicalTransformerClassifier(config, seed=3)
+        evaluation.score_documents(model, docs, vocab, 16)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            evaluation.score_documents(model, docs, vocab, 16)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = dict(os.environ, SALAB_THREADS="1",
+               PYTHONPATH=str(Path(salab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert int(out) < 300
+
+
 def test_gradcheck_command_passes():
     assert main(["gradcheck", "--trials", "40"]) == 0
 
@@ -444,21 +477,26 @@ def error_lines(err: str) -> list[str]:
     return [ln for ln in err.splitlines() if ln.startswith("error:")]
 
 
-@pytest.mark.parametrize("family", ["att", "tr"])
-def test_training_that_poisons_entmax_scores_exits_3(data_dir, tmp_path, family):
-    """A step size that turns the scores NaN stops 1 < alpha < 2 entmax
-    training with a poisoned gradient, as it does for the other mappings:
-    exit 3 and one error line.  It runs in a process of its own, where
-    numpy's warnings on the way stay warnings."""
+@pytest.mark.parametrize("family, mapping", [
+    pytest.param("att", "entmax:1.3", id="att"),
+    pytest.param("tr", "entmax:1.3", id="tr"),
+    *(pytest.param(f, m, id=f"{f}-{m}") for m in ("softmax", "sparsemax") for f in ("att", "tr")),
+])
+def test_training_that_poisons_entmax_scores_exits_3(data_dir, tmp_path, family, mapping):
+    """A step size that turns the scores NaN stops training with a poisoned
+    gradient under every mapping, 1 < alpha < 2 entmax included: exit 3, and
+    the one error line is all of stderr, with no numpy warning before it.  It
+    runs in a process of its own, where numpy's warnings are not errors."""
     env = dict(os.environ, PYTHONPATH=str(Path(salab.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "salab", "train", "--data", str(data_dir),
-         "--out", str(tmp_path / "run"), "--model", family, "--mapping", "entmax:1.3",
+         "--out", str(tmp_path / "run"), "--model", family, "--mapping", mapping,
          *TRAIN_FLAGS, "--lr", "1e30"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 3
-    assert len(error_lines(done.stderr)) == 1 and "error: poisoned gradient" in done.stderr
+    [line] = error_lines(done.stderr)
+    assert done.stderr.splitlines() == [line] and line.startswith("error: poisoned gradient")
 
 
 def test_model_configs_own_the_train_defaults():
