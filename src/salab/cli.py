@@ -18,7 +18,6 @@ from .checkpoint import load_checkpoint
 from .evaluation import compute_metrics, export_heatmap, score_documents
 from .exceptions import (
     CheckpointError,
-    EmptyDocumentError,
     PoisonedGradientError,
     SalabError,
     UndefinedMetricError,
@@ -28,7 +27,7 @@ from .models import (
     HierarchicalTransformerClassifier,
     HierModelConfig,
     LocalModelConfig,
-    extract_attention_maps,
+    iter_attention_maps,
 )
 from .simplex import MappingKind
 from .training import train_model
@@ -289,7 +288,7 @@ def cmd_eval(args) -> int:
     with open(out / "reliability.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_low,bin_high,count,mean_score,positive_fraction\n")
         places = max(2, len(str(cfg["bins"] - 1)))  # ceil(log10(bins)): edges stay distinct
-        for b in report.bins.bins:
+        for b in report.bins:
             stats = "0,," if b.empty else f"{b.count},{b.mean_score:.6f},{b.positive_fraction:.6f}"
             fh.write(f"{b.low:.{places}f},{b.high:.{places}f},{stats}\n")
     cfg["command"] = "eval"
@@ -309,18 +308,13 @@ def cmd_heatmap(args) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = 0
-    for doc in docs:
-        if written >= cfg["limit"]:
-            break
-        try:
-            records = extract_attention_maps(model, doc, vocab, filter_tokens=tokens)
-        except EmptyDocumentError as e:
-            log.warning("%s; skipped", e)  # as pad_and_batch words it
-            continue
+    for doc, records in iter_attention_maps(model, docs, vocab, filter_tokens=tokens):
         for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")
-        written += bool(records)
+        written += 1
+        if written == cfg["limit"]:
+            break
     cfg["command"] = "heatmap"
     write_kv(out / "manifest.kv", cfg)
     print(f"exported heatmaps for {written} documents to {out}")

@@ -19,7 +19,7 @@ from .attention import AttentionRecord
 from .autodiff import no_grad
 from .data import PatientDocument, Vocabulary, pad_and_batch
 from .exceptions import UndefinedMetricError
-from .models import extract_attention_maps, predict_proba
+from .models import iter_attention_maps, predict_proba
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
@@ -86,24 +86,7 @@ class CalibrationBin:
         return self.count == 0
 
 
-@dataclass
-class CalibrationBins:
-    bins: list[CalibrationBin]
-
-    @property
-    def total(self) -> int:
-        return sum(b.count for b in self.bins)
-
-    def max_deviation(self) -> float:
-        devs = [
-            abs(b.mean_score - b.positive_fraction)
-            for b in self.bins
-            if not b.empty
-        ]
-        return max(devs) if devs else 0.0
-
-
-def calibration_curve(records: list[PredictionRecord], n_bins: int = 10) -> CalibrationBins:
+def calibration_curve(records: list[PredictionRecord], n_bins: int = 10) -> list[CalibrationBin]:
     """Equal-width reliability bins; empty bins are kept and flagged."""
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
@@ -123,7 +106,7 @@ def calibration_curve(records: list[PredictionRecord], n_bins: int = 10) -> Cali
                 positive_fraction=float(labels[sel].mean()) if count else float("nan"),
             )
         )
-    return CalibrationBins(bins)
+    return bins
 
 
 @dataclass
@@ -131,7 +114,7 @@ class MetricsReport:
     auc_roc: float
     auc_pr: float
     brier: float
-    bins: CalibrationBins
+    bins: list[CalibrationBin]
     n: int
     prevalence: float
 
@@ -150,7 +133,7 @@ class MetricsReport:
                     "mean_score": None if b.empty else b.mean_score,
                     "positive_fraction": None if b.empty else b.positive_fraction,
                 }
-                for b in self.bins.bins
+                for b in self.bins
             ],
         }
 
@@ -207,8 +190,8 @@ def directive_attention_mass(
     masses: list[float] = []
     zero_cols = 0
     nondir_cols = 0
-    for doc in docs:
-        for rec in extract_attention_maps(model, doc, vocab, filter_tokens=directive_tokens):
+    for _, records in iter_attention_maps(model, docs, vocab, filter_tokens=directive_tokens):
+        for rec in records:
             w = rec.weights[0]  # head 0, [n, n]
             is_dir = np.array([t in directive_tokens for t in rec.col_labels])
             masses.append(float(w[:, is_dir].sum(axis=1).mean()))

@@ -26,6 +26,7 @@ changes parameter shapes, so checkpoints are interchangeable.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -47,10 +48,12 @@ from .autodiff import (
     no_grad,
     segment_mean,
 )
-from .data import Batch, PatientDocument, Vocabulary, kept_sentences, pad_and_batch
+from .data import Batch, PatientDocument, kept_sentences, pad_and_batch
 from .exceptions import CheckpointError, EmptyDocumentError, ShapeError
 from .rng import derive_rng
 from .simplex import MappingKind
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -108,7 +111,8 @@ class _BaseModel:
     sentences in their [N, W] grid), to word rows and maps [N, heads, W, W]
     in `_word_encoder(x, words, training)`, and pools the word rows into
     document vectors, `sents` packing the sentences in their [B, T] grid, in
-    `_document_tail(x, words, sents, training) -> (pooled, records)`.
+    `_document_tail(x, words, sents, training) -> (pooled, sentence maps)`,
+    the sentence maps [B, heads, T, T] being None for a family without.
     """
 
     family = "base"
@@ -210,7 +214,7 @@ class AttentionClassifier(_BaseModel):
     def _document_tail(self, x, words, sents, training):
         x = dropout(x, self.config.dropout_rate, training, self._dropout_rng)
         doc_words = sents.unpack(words.counts).sum(axis=-1)
-        return segment_mean(x, doc_words), {}
+        return segment_mean(x, doc_words), None
 
 
 class HierarchicalTransformerClassifier(_BaseModel):
@@ -245,7 +249,7 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
     def _document_tail(self, x, words, sents, training):
         y, sent_weights = self._level("sent", segment_mean(x, words.counts), sents, training)
-        return segment_mean(y, sents.counts), {"sentence": sent_weights}  # [B, h, T, T]
+        return segment_mean(y, sents.counts), sent_weights  # [B, h, T, T]
 
 
 def predict_proba(logits) -> np.ndarray:
@@ -262,44 +266,61 @@ def predict_proba(logits) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention-map extraction
 
-def extract_attention_maps(
-    model,
-    doc: PatientDocument,
-    vocab: Vocabulary,
-    filter_tokens: set[str] | None = None,
-) -> list[AttentionRecord]:
-    """Word-level records per sentence (plus a sentence-level record for tr).
+# picked documents per `word_level` call of `iter_attention_maps`
+MAPS_CHUNK = 16
 
-    With a filter, only sentences containing a filter token are kept and
-    the sentence-level record is omitted; when no kept sentence matches,
-    the result is empty and the model is not run.  The model runs only as
-    far as the records need: the word level of the picked sentences, and
-    the document tail as well for an unfiltered `tr` document.
+
+def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = None):
+    """`(doc, records)` in document order: a word-level record per picked
+    sentence, plus a sentence-level record for an unfiltered `tr` document.
+
+    Every kept sentence is picked, or with a filter only those holding a
+    filter token.  A document with nothing picked is skipped without running
+    the model; an unfiltered one (empty after truncation) with a warning.
+    The model runs once per chunk of MAPS_CHUNK picked documents, and only
+    as far as the records need: the word level of the picked sentences, and
+    the document tail as well for unfiltered `tr`.
     """
     cfg = model.config
-    sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
-    picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
-    if filter_tokens and not picked:
-        return []
-    if not sentences:
-        raise EmptyDocumentError(f"document {doc.id} empty after truncation")
     full = model.family == "tr" and not filter_tokens
-    picked_doc = PatientDocument(doc.id, [sentences[t] for t in picked], doc.label)
-    batch = pad_and_batch([picked_doc], vocab, cfg.max_words, cfg.max_sents, 1)[0]
-    with no_grad():
-        x, words, sents, word = model.word_level(batch)
-        if full:
-            sent = model._document_tail(x, words, sents, False)[1]["sentence"][0]
+    chunk = []
+    for i, doc in enumerate(docs, 1):
+        sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
+        picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
+        if picked:
+            chunk.append((doc, sentences, picked))
+        elif not filter_tokens:
+            log.warning("document %s empty after truncation; skipped", doc.id)
+        if not chunk or (len(chunk) < MAPS_CHUNK and i < len(docs)):
+            continue
+        picked_docs = [PatientDocument(d.id, [kept[t] for t in p], d.label) for d, kept, p in chunk]
+        batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
+        with no_grad():
+            x, words, sents, word = model.word_level(batch)
+            if full:
+                sent = model._document_tail(x, words, sents, False)[1]  # [B, heads, T, T]
+        rows = iter(word)  # [heads, W, W] per picked sentence, in document order
+        for b, (doc, sentences, picked) in enumerate(chunk):
+            out: list[AttentionRecord] = []
+            for t in picked:
+                n = len(sentences[t])
+                out.append(AttentionRecord(next(rows)[:, :n, :n], list(sentences[t]),
+                                           list(sentences[t]), "word", sentence_index=t))
+            if full:
+                n = len(sentences)
+                labels = [f"s{t}" for t in range(n)]
+                out.append(AttentionRecord(sent[b, :, :n, :n], labels, labels, "sentence"))
+            for rec in out:
+                rec.validate()
+            yield doc, out
+        chunk = []
 
-    out: list[AttentionRecord] = []
-    for i, t in enumerate(picked):
-        n = len(sentences[t])
-        out.append(AttentionRecord(word[i, :, :n, :n], list(sentences[t]),
-                                   list(sentences[t]), "word", sentence_index=t))
-    if full:
-        n = len(sentences)
-        labels = [f"s{t}" for t in range(n)]
-        out.append(AttentionRecord(sent[:, :n, :n], labels, labels, "sentence"))
-    for rec in out:
-        rec.validate()
-    return out
+
+def extract_attention_maps(model, doc, vocab, filter_tokens: set[str] | None = None) -> list[AttentionRecord]:
+    """`iter_attention_maps` of one document: [] when the filter picks
+    nothing, EmptyDocumentError for an unfiltered document empty after
+    truncation; the model runs in neither case."""
+    cfg = model.config
+    if not filter_tokens and not kept_sentences(doc, cfg.max_words, cfg.max_sents):
+        raise EmptyDocumentError(f"document {doc.id} empty after truncation")
+    return next(iter_attention_maps(model, [doc], vocab, filter_tokens), (doc, []))[1]

@@ -141,16 +141,16 @@ def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact 1.5-entmax; returns (p, tau) in the z/2 domain."""
     z = MappingKind.entmax15().scaled(z)
     n = z.shape[-1]
-    zs = -np.sort(-z, axis=-1)
+    # tau >= -1, so a floor at -1e150 changes no sum up to the support's last
+    # entry, and past it keeps the sums of squares finite (-Inf included) for
+    # rows of up to 1e8 entries
+    zs = np.maximum(-np.sort(-z, axis=-1), -1e150)
     k = np.arange(1, n + 1, dtype=np.float64)
     mean = np.cumsum(zs, axis=-1) / k
-    mean_sq = np.cumsum(zs**2, axis=-1) / k
-    # past a -Inf entry both sums are infinite and no entry is in the support
-    live = zs > -np.inf
-    ss = k * np.subtract(mean_sq, mean**2, out=np.zeros_like(mean), where=live)
+    ss = k * (np.cumsum(zs**2, axis=-1) / k - mean**2)
     delta = np.maximum((1.0 - ss) / k, 0.0)
     tau_candidates = mean - np.sqrt(delta)
-    k_star = ((tau_candidates <= zs) & live).sum(axis=-1, keepdims=True)
+    k_star = (tau_candidates <= zs).sum(axis=-1, keepdims=True)
     tau = np.take_along_axis(tau_candidates, k_star - 1, axis=-1)
     p = np.maximum(z - tau, 0.0) ** 2
     p[p < SPARSE_FLOOR] = 0.0

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from salab.cli import (
 )
 from salab.data import PatientDocument, build_vocab, read_jsonl, write_jsonl
 from salab.evaluation import read_heatmap
-from salab.models import HierModelConfig, LocalModelConfig
+from salab.models import HierModelConfig, LocalModelConfig, extract_attention_maps
 
 TRAIN_FLAGS = [
     "--epochs", "2", "--lr", "1e-3", "--hidden", "16", "--embed-dim", "8",
@@ -323,6 +324,25 @@ def test_heatmap_skips_an_empty_document_under_any_filter(att_run, tmp_path, cap
         assert "exported heatmaps for 1 documents" in capsys.readouterr().out
         skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
         assert skipped == (["document empty empty after truncation; skipped"] if not filt else [])
+
+
+def test_heatmap_limit_across_chunks_writes_the_per_document_maps(data_dir, att_run, tmp_path, capsys):
+    """18 documents span two chunks of maps: the files are those of 18
+    per-document calls, and each holds that call's map."""
+    hm = tmp_path / "hm"
+    capsys.readouterr()
+    assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+                 "--out", str(hm), "--filter", "", "--limit", "18"]) == 0
+    assert "exported heatmaps for 18 documents" in capsys.readouterr().out
+    model, vocab, _ = load_model_dir(att_run)
+    expected = {f"{doc.id}_s{rec.sentence_index}.csv": rec
+                for doc in read_jsonl(data_dir / "test.jsonl")[:18]
+                for rec in extract_attention_maps(model, doc, vocab)}
+    assert {p.name for p in hm.glob("*.csv")} == expected.keys()
+    for name, rec in expected.items():
+        weights, rows, cols = read_heatmap(hm / name)
+        assert rows == cols == rec.row_labels
+        np.testing.assert_allclose(weights, rec.weights[0], rtol=0, atol=1e-6)
 
 
 def test_heatmap_warns_once_per_unknown_filter_token(data_dir, att_run, tmp_path, caplog):

@@ -1,6 +1,7 @@
 """Model family tests: contracts, padding, determinism, gradients."""
 
 import gc
+import logging
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from salab.models import (
     HierarchicalTransformerClassifier,
     HierModelConfig,
     LocalModelConfig,
+    MAPS_CHUNK,
     extract_attention_maps,
+    iter_attention_maps,
     predict_proba,
 )
 from salab.simplex import MappingKind
@@ -55,7 +58,8 @@ def maps(model, batch):
     [B, T, heads, W, W], zero at padding sentences, and `tr`'s sentence
     maps [B, heads, T, T]."""
     x, words, sents, word = model.word_level(batch)
-    return {"word": sents.unpack(word), **model._document_tail(x, words, sents, False)[1]}
+    sentence = model._document_tail(x, words, sents, False)[1]
+    return {"word": sents.unpack(word)} | ({} if sentence is None else {"sentence": sentence})
 
 
 def test_single_token_document(corpus):
@@ -439,6 +443,65 @@ def test_filtered_tr_maps_never_run_the_document_tail(corpus, monkeypatch):
         assert [r.sentence_index for r in recs] == matches
     with pytest.raises(AssertionError, match="document tail"):
         extract_attention_maps(model, FILTERED_DOCS[0][0], vocab)
+
+
+@pytest.fixture(scope="module")
+def split_docs():
+    """44 documents, 28 of them holding a directive, and at index 20 one
+    that is empty after truncation."""
+    cfg = dm.SyntheticCorpusConfig(
+        n_documents=44, vocab_size=25, min_sentences=2, max_sentences=4, min_words=3,
+        max_words=6, p_directive_given_positive=0.9, p_directive_given_negative=0.6, seed=22,
+    )
+    docs = dm.generate_synthetic_corpus(cfg)
+    docs.insert(20, dm.PatientDocument("empty", [[], []], 0))
+    vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=1)
+    return docs, vocab
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("mapping", ["softmax", "sparsemax", "entmax15", "entmax:1.3"])
+@pytest.mark.parametrize("filter_tokens", [None, {"dnr", "dni", "cmo"}])
+def test_iter_attention_maps_equal_per_document_maps(split_docs, family, mapping, filter_tokens,
+                                                    monkeypatch, caplog):
+    """Chunked maps over a split are the per-document maps: `tr` bit for bit,
+    `att` within 1e-6 (its float32 GEMMs run over more rows) with the same
+    exact zeros.  Documents with nothing picked are skipped, and only the
+    unfiltered empty one with a warning."""
+    docs, vocab = split_docs
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.parse(mapping), hidden=16), seed=17)
+    expected = []
+    for doc in docs:
+        try:
+            recs = extract_attention_maps(model, doc, vocab, filter_tokens=filter_tokens)
+        except EmptyDocumentError:
+            assert doc.id == "empty" and not filter_tokens
+            continue
+        if recs:
+            expected.append((doc.id, recs))
+    # every document but the empty one, or those with a directive: chunks of both sizes
+    assert (MAPS_CHUNK < len(expected) < len(docs) - 1) if filter_tokens else len(expected) == len(docs) - 1
+    word_level = model.word_level
+    calls = []
+    monkeypatch.setattr(model, "word_level", lambda batch: calls.append(batch) or word_level(batch))
+    caplog.set_level(logging.WARNING, logger="salab")
+    got = [(doc.id, recs) for doc, recs in iter_attention_maps(model, docs, vocab, filter_tokens)]
+    assert len(calls) == -(-len(expected) // MAPS_CHUNK)
+    assert [m.getMessage() for m in caplog.records] == (
+        [] if filter_tokens else ["document empty empty after truncation; skipped"])
+    assert [doc_id for doc_id, _ in got] == [doc_id for doc_id, _ in expected]
+    for (_, recs), (_, want) in zip(got, expected):
+        assert len(recs) == len(want)
+        for rec, ref in zip(recs, want):
+            assert (rec.row_labels, rec.col_labels, rec.scope, rec.sentence_index) == (
+                ref.row_labels, ref.col_labels, ref.scope, ref.sentence_index)
+            assert rec.weights.shape == ref.weights.shape
+            if family is HierarchicalTransformerClassifier:
+                np.testing.assert_array_equal(rec.weights, ref.weights)
+            else:
+                np.testing.assert_allclose(rec.weights, ref.weights, rtol=0, atol=1e-6)
+                np.testing.assert_array_equal(rec.weights == 0.0, ref.weights == 0.0)
 
 
 @pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])

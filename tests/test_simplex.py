@@ -213,8 +213,9 @@ def test_rejects_empty_and_nonfinite(kind):
 @pytest.mark.parametrize("alpha", [1.0, 1.3, 1.5, 1.7, 2.0, 3.0])
 def test_non_finite_rows_stay_non_finite_alone(alpha):
     """A row holding NaN or +Inf, or only -Inf, maps to a row that is not
-    all finite, and every finite row maps as it does alone; -Inf among
-    finite scores maps to exact 0 without a warning."""
+    all finite, and every finite row maps as it does alone; -Inf, or a
+    finite score whose square overflows, among finite scores maps to exact 0
+    without a warning."""
     kind = MappingKind(alpha)
     rng = np.random.default_rng(16)
     z = rng.normal(0, 3, (8, 5))
@@ -233,8 +234,9 @@ def test_non_finite_rows_stay_non_finite_alone(alpha):
             assert p[i].tobytes() == sx.apply_mapping_nd(z[i], kind).tobytes()
             assert abs(p[i].sum() - 1.0) <= 1e-8
     assert p[6, 3] == 0.0
-    q = sx.apply_mapping_nd(np.array([1.0, -np.inf, 0.0]), kind)
-    assert q[1] == 0.0 and q[0] > q[2] and abs(q.sum() - 1.0) <= 1e-8
+    for far in (-np.inf, -1e200):  # the square of -1e200 overflows
+        q = sx.apply_mapping_nd(np.array([1.0, far, 0.0]), kind)
+        assert q[1] == 0.0 and q[0] > q[2] and abs(q.sum() - 1.0) <= 1e-8
 
 
 def test_entmax_bisect_rejects_bad_alpha():
