@@ -23,15 +23,15 @@ MASK_FILL = -1e9
 
 @dataclass
 class AttentionRecord:
-    """Attention weights for one sequence, with readable row/column labels.
+    """Self-attention weights for one sequence, with the labels of its units.
 
     weights has shape [heads, n, n], stored as float64 whatever dtype it is
-    built from; masked columns are exact zero.
+    built from; masked columns are exact zero.  Rows and columns are the
+    same n units, so one label list names both.
     """
 
     weights: np.ndarray
-    row_labels: list[str]
-    col_labels: list[str]
+    labels: list[str]
     scope: str = "word"
     sentence_index: int | None = None
 

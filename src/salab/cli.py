@@ -156,6 +156,10 @@ def save_model_dir(out: Path, vocab, train_cfg: dict, seed: int) -> None:
 
 def _check_sizes(state: dict, cfg: dict, vocab_size: int) -> None:
     """Compare config.kv's sizes with best.ckpt's shapes before any model is allocated."""
+    rows = state["emb"].shape[:1] if "emb" in state else ()
+    if rows and rows != (vocab_size,):
+        raise CheckpointError(f"vocab.txt's {vocab_size} tokens do not fit best.ckpt: "
+                              f"emb has {rows[0]} rows")
     e, h, n = cfg["embed_dim"], cfg["hidden"], cfg["layers"]
     want = [("embed_dim", "emb", (vocab_size, e)), ("hidden", "proj_w", (e, h))]
     if cfg["model"] == "tr":  # each level has layers 0..n-1
@@ -177,6 +181,7 @@ def load_model_dir(model_dir):
     cfg.update((k, _coerce(k, kv[k], cfg[k])) for k in (*MODEL_KEYS, "seed") if k in kv)
     vocab = datamod.Vocabulary.load(model_dir / "vocab.txt")
     state = load_checkpoint(model_dir / "best.ckpt")
+    model_config(cfg, len(vocab))  # a setting out of range is named before any size
     _check_sizes(state, cfg, len(vocab))
     model = build_model(cfg, len(vocab), seed=cfg["seed"])
     model.load_state_dict(state)
@@ -308,13 +313,11 @@ def cmd_heatmap(args) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = 0
-    for doc, records in iter_attention_maps(model, docs, vocab, filter_tokens=tokens):
+    for doc, records in iter_attention_maps(model, docs, vocab, tokens, cfg["limit"]):
         for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")
         written += 1
-        if written == cfg["limit"]:
-            break
     cfg["command"] = "heatmap"
     write_kv(out / "manifest.kv", cfg)
     print(f"exported heatmaps for {written} documents to {out}")

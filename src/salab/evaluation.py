@@ -7,7 +7,6 @@ uses equal-width bins on [0, 1].
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
@@ -170,47 +169,33 @@ def compute_metrics(records: list[PredictionRecord], n_bins: int = 10) -> Metric
 class AttentionMassSummary:
     """Attention mass received by directive-token columns.
 
-    per_sentence: for each qualifying sentence, the summed weight on
-    directive columns averaged over query rows (head 0).
+    mean: the summed weight on directive columns, averaged over query rows
+    (head 0) and then over the sentences holding a directive.
     zero_fraction_nondirective: fraction of real non-directive columns in
     those sentences whose received mass is exactly zero in every row.
     """
 
-    per_sentence: list[float]
     mean: float
     zero_fraction_nondirective: float
 
 
-def directive_attention_mass(
-    model,
-    docs: list[PatientDocument],
-    vocab: Vocabulary,
-    directive_tokens: set[str],
-) -> AttentionMassSummary:
+def directive_attention_mass(model, docs: list[PatientDocument], vocab: Vocabulary,
+                             directive_tokens: set[str]) -> AttentionMassSummary:
     masses: list[float] = []
-    zero_cols = 0
-    nondir_cols = 0
+    zero_cols = nondir_cols = 0
     for _, records in iter_attention_maps(model, docs, vocab, filter_tokens=directive_tokens):
         for rec in records:
             w = rec.weights[0]  # head 0, [n, n]
-            is_dir = np.array([t in directive_tokens for t in rec.col_labels])
+            is_dir = np.array([t in directive_tokens for t in rec.labels])
             masses.append(float(w[:, is_dir].sum(axis=1).mean()))
-            col_mass = w[:, ~is_dir]
-            zero_cols += int((col_mass.max(axis=0) == 0.0).sum())
+            zero_cols += int((w[:, ~is_dir].max(axis=0) == 0.0).sum())
             nondir_cols += int((~is_dir).sum())
     if not masses:
         raise UndefinedMetricError("no sentences containing directive tokens")
     return AttentionMassSummary(
-        per_sentence=masses,
         mean=float(np.mean(masses)),
         zero_fraction_nondirective=zero_cols / nondir_cols if nondir_cols else 0.0,
     )
-
-
-def sentence_support_fraction(record: AttentionRecord) -> float:
-    """Fraction of sentence columns receiving any nonzero weight (head 0)."""
-    w = record.weights[0]
-    return float((w.max(axis=0) > 0.0).sum() / w.shape[1])
 
 
 def score_documents(model, docs, vocab, batch_size: int = 16) -> list[PredictionRecord]:
@@ -240,19 +225,12 @@ def export_heatmap(record: AttentionRecord, path, head: int = 0) -> None:
     The bytes are csv.writer's. An existing file is rewritten in place, which
     frees no blocks and, on ext4, forces no flush at close.
     """
-    cells = ",".join(["%.6f"] * len(record.col_labels))
-    lines = [",".join(["", *map(_csv_field, record.col_labels)])]
-    for label, row in zip(record.row_labels, record.weights[head].tolist()):
-        lines.append(f"{_csv_field(label)},{cells % tuple(row)}")
+    labels = [_csv_field(label) for label in record.labels]
+    cells = ",".join(["%.6f"] * len(labels))
+    lines = [",".join(["", *labels])]
+    for label, row in zip(labels, record.weights[head].tolist()):
+        lines.append(f"{label},{cells % tuple(row)}")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write("\r\n".join([*lines, ""]).encode("utf-8"))
         fh.truncate()
 
-
-def read_heatmap(path) -> tuple[np.ndarray, list[str], list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    col_labels = rows[0][1:]
-    row_labels = [r[0] for r in rows[1:]]
-    weights = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return weights, row_labels, col_labels

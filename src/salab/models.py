@@ -270,29 +270,34 @@ def predict_proba(logits) -> np.ndarray:
 MAPS_CHUNK = 16
 
 
-def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = None):
-    """`(doc, records)` in document order: a word-level record per picked
-    sentence, plus a sentence-level record for an unfiltered `tr` document.
+def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = None,
+                        limit: int | None = None):
+    """`(doc, records)` in document order, for at most `limit` documents: a
+    word-level record per picked sentence, plus a sentence-level record for
+    an unfiltered `tr` document.
 
     Every kept sentence is picked, or with a filter only those holding a
     filter token.  A document with nothing picked is skipped without running
     the model; an unfiltered one (empty after truncation) with a warning.
-    The model runs once per chunk of MAPS_CHUNK picked documents, and only
-    as far as the records need: the word level of the picked sentences, and
-    the document tail as well for unfiltered `tr`.
+    Picking stops at the `limit`-th document with a pick.  The model then
+    runs once per chunk of MAPS_CHUNK picked documents, and only as far as
+    the records need: the word level of the picked sentences, and the
+    document tail as well for unfiltered `tr`.
     """
     cfg = model.config
     full = model.family == "tr" and not filter_tokens
-    chunk = []
-    for i, doc in enumerate(docs, 1):
+    picks = []
+    for doc in docs:
+        if len(picks) == limit:
+            break
         sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
         picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
         if picked:
-            chunk.append((doc, sentences, picked))
+            picks.append((doc, sentences, picked))
         elif not filter_tokens:
             log.warning("document %s empty after truncation; skipped", doc.id)
-        if not chunk or (len(chunk) < MAPS_CHUNK and i < len(docs)):
-            continue
+    for start in range(0, len(picks), MAPS_CHUNK):
+        chunk = picks[start:start + MAPS_CHUNK]
         picked_docs = [PatientDocument(d.id, [kept[t] for t in p], d.label) for d, kept, p in chunk]
         batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
         with no_grad():
@@ -304,16 +309,13 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
             out: list[AttentionRecord] = []
             for t in picked:
                 n = len(sentences[t])
-                out.append(AttentionRecord(next(rows)[:, :n, :n], list(sentences[t]),
-                                           list(sentences[t]), "word", sentence_index=t))
+                out.append(AttentionRecord(next(rows)[:, :n, :n], list(sentences[t]), sentence_index=t))
             if full:
                 n = len(sentences)
-                labels = [f"s{t}" for t in range(n)]
-                out.append(AttentionRecord(sent[b, :, :n, :n], labels, labels, "sentence"))
+                out.append(AttentionRecord(sent[b, :, :n, :n], [f"s{t}" for t in range(n)], "sentence"))
             for rec in out:
                 rec.validate()
             yield doc, out
-        chunk = []
 
 
 def extract_attention_maps(model, doc, vocab, filter_tokens: set[str] | None = None) -> list[AttentionRecord]:

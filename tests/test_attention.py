@@ -390,7 +390,7 @@ def test_weights_keep_the_input_dtype_and_a_record_holds_its_own_float64(dtype):
     q = Tensor(rng.normal(0, 1, (2, 3, 4)).astype(dtype))
     _, w = scaled_dot_attention(q, q, q, every_unit(q), MappingKind.sparsemax(), heads=2)
     assert w.dtype == dtype and w.shape == (2, 2, 3, 3)
-    rec = AttentionRecord(w[1, :, :2, :2], ["a", "b"], ["a", "b"])
+    rec = AttentionRecord(w[1, :, :2, :2], ["a", "b"])
     assert rec.weights.dtype == np.float64
     np.testing.assert_array_equal(rec.weights, w[1, :, :2, :2])
     assert not np.shares_memory(rec.weights, w)
@@ -399,9 +399,9 @@ def test_weights_keep_the_input_dtype_and_a_record_holds_its_own_float64(dtype):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_attention_record_validate_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError):
-        AttentionRecord(np.full((1, 2, 2), np.nan), ["a", "b"], ["a", "b"]).validate()
+        AttentionRecord(np.full((1, 2, 2), np.nan), ["a", "b"]).validate()
     w = np.full((1, 2, 2), 0.5)
     w[0, 1, 0] = bad
     with pytest.raises(ValueError):
-        AttentionRecord(w, ["a", "b"], ["a", "b"]).validate()
-    AttentionRecord(np.full((1, 2, 2), 0.5), ["a", "b"], ["a", "b"]).validate()
+        AttentionRecord(w, ["a", "b"]).validate()
+    AttentionRecord(np.full((1, 2, 2), 0.5), ["a", "b"]).validate()

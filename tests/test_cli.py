@@ -22,10 +22,15 @@ from salab.cli import (
     main,
     read_kv,
     save_model_dir,
+    write_kv,
 )
 from salab.data import PatientDocument, build_vocab, read_jsonl, write_jsonl
-from salab.evaluation import read_heatmap
-from salab.models import HierModelConfig, LocalModelConfig, extract_attention_maps
+from salab.models import (
+    AttentionClassifier,
+    HierModelConfig,
+    LocalModelConfig,
+    extract_attention_maps,
+)
 
 TRAIN_FLAGS = [
     "--epochs", "2", "--lr", "1e-3", "--hidden", "16", "--embed-dim", "8",
@@ -247,7 +252,7 @@ def test_train_at_default_caps(data_dir, tmp_path, model):
                  "--model", model, "--epochs", "1"]) == 0
 
 
-def test_heatmap_empty_filter_exports_every_map(data_dir, tmp_path):
+def test_heatmap_empty_filter_exports_every_map(data_dir, tmp_path, read_heatmap):
     run = tmp_path / "run"
     assert main(
         ["train", "--data", str(data_dir), "--out", str(run), "--model", "tr",
@@ -326,7 +331,8 @@ def test_heatmap_skips_an_empty_document_under_any_filter(att_run, tmp_path, cap
         assert skipped == (["document empty empty after truncation; skipped"] if not filt else [])
 
 
-def test_heatmap_limit_across_chunks_writes_the_per_document_maps(data_dir, att_run, tmp_path, capsys):
+def test_heatmap_limit_across_chunks_writes_the_per_document_maps(data_dir, att_run, tmp_path, capsys,
+                                                                  read_heatmap):
     """18 documents span two chunks of maps: the files are those of 18
     per-document calls, and each holds that call's map."""
     hm = tmp_path / "hm"
@@ -341,8 +347,26 @@ def test_heatmap_limit_across_chunks_writes_the_per_document_maps(data_dir, att_
     assert {p.name for p in hm.glob("*.csv")} == expected.keys()
     for name, rec in expected.items():
         weights, rows, cols = read_heatmap(hm / name)
-        assert rows == cols == rec.row_labels
+        assert rows == cols == rec.labels
         np.testing.assert_allclose(weights, rec.weights[0], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("limit, filt", [(1, "dnr,dni,cmo"), (3, "")], ids=["directives", "every"])
+def test_heatmap_limit_maps_only_the_documents_it_writes(data_dir, att_run, tmp_path, monkeypatch,
+                                                         limit, filt):
+    word_level = AttentionClassifier.word_level
+    mapped = []
+
+    def counted(self, batch, training=False):
+        mapped.extend(batch.doc_ids)
+        return word_level(self, batch, training)
+
+    monkeypatch.setattr(AttentionClassifier, "word_level", counted)
+    hm = tmp_path / "hm"
+    assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+                 "--out", str(hm), "--limit", str(limit), "--filter", filt]) == 0
+    written = {p.name.rsplit("_", 1)[0] for p in hm.glob("*.csv")}
+    assert len(mapped) == len(written) == limit and set(mapped) == written
 
 
 def test_heatmap_warns_once_per_unknown_filter_token(data_dir, att_run, tmp_path, caplog):
@@ -625,18 +649,75 @@ def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
 def test_config_kv_that_does_not_fit_best_ckpt_exits_2(tmp_path, capsys, family, key, value):
     """10**15 exceeds any address space, so a model built before the check
     fails at once instead of filling memory."""
+    run = _model_dir(tmp_path / "run", family, **{key: value})
+    assert_model_dir_exits_2(run, tmp_path, capsys, f"{key}={value} does not fit best.ckpt")
+
+
+def _model_dir(path, family, **changes):
+    """The model directory of a small fresh model, whose config.kv then takes `changes`."""
     vocab = build_vocab([["a", "b"]], min_freq=1)
     cfg = dict(TRAIN_DEFAULTS, model=family, hidden=8, embed_dim=4, max_words=6, max_sents=4)
-    run = tmp_path / "run"
-    run.mkdir()
-    build_model(cfg, len(vocab), seed=0).save(run / "best.ckpt")
-    save_model_dir(run, vocab, dict(cfg, **{key: value}), seed=0)
-    for argv in (["eval"], ["heatmap", "--out", str(tmp_path / "hm")]):
+    path.mkdir()
+    build_model(cfg, len(vocab), seed=0).save(path / "best.ckpt")
+    save_model_dir(path, vocab, dict(cfg, **changes), seed=0)
+    return path
+
+
+def assert_model_dir_exits_2(run, tmp_path, capsys, message=""):
+    """eval and heatmap each exit 2 with one error line holding `message`, and create no --out."""
+    data = tmp_path / "test.jsonl"
+    write_jsonl(data, [PatientDocument("d0", [["a", "b"]], 1)])
+    for command in ("eval", "heatmap"):
+        out = tmp_path / f"{command}-out"
         capsys.readouterr()
-        assert main([*argv, "--data", str(tmp_path / "missing"), "--model-dir", str(run)]) == 2
+        assert main([command, "--data", str(data), "--model-dir", str(run), "--out", str(out)]) == 2
         lines = error_lines(capsys.readouterr().err)
-        assert len(lines) == 1 and f"{key}={value} does not fit best.ckpt" in lines[0]
-    assert not (tmp_path / "hm").exists()
+        assert len(lines) == 1 and message in lines[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("family, key, value, message", [
+    ("tr", "layers", 0, "word_layers must be >= 1, got 0"),
+    ("tr", "max_sents", -1, "max_sents must be >= 1, got -1"),
+    ("att", "vocab", ["a", "b", "c"], "vocab.txt's 5 tokens do not fit best.ckpt: emb has 4 rows"),
+], ids=["layers", "max_sents", "vocab"])
+def test_model_dir_names_the_setting_or_file_at_fault(tmp_path, capsys, family, key, value, message):
+    """A setting out of its range is named before any size is compared, and a
+    vocab.txt of another size than best.ckpt's embedding is named itself."""
+    if key == "vocab":
+        run = _model_dir(tmp_path / "run", family)
+        build_vocab([value], min_freq=1).save(run / "vocab.txt")
+    else:
+        run = _model_dir(tmp_path / "run", family, **{key: value})
+    assert_model_dir_exits_2(run, tmp_path, capsys, message)
+
+
+def _set_config(**changes):
+    def apply(run):
+        write_kv(run / "config.kv", dict(read_kv(run / "config.kv"), **changes))
+    return apply
+
+
+BROKEN_MODEL_DIRS = {  # how each case breaks one file of a working tr model directory
+    "unknown-mapping": _set_config(mapping="sharpmax"),
+    "unknown-model": _set_config(model="xyz"),
+    "non-integer-hidden": _set_config(hidden="1.5"),
+    "negative-seed": _set_config(seed="-4"),
+    "heads-not-dividing-hidden": _set_config(heads="3"),
+    "nan-dropout": _set_config(dropout="nan"),
+    "missing-vocab": lambda run: (run / "vocab.txt").unlink(),
+    "non-utf8-vocab": lambda run: (run / "vocab.txt").write_bytes(b"a\n\xff\n"),
+    "truncated-ckpt": lambda run: (run / "best.ckpt").write_bytes((run / "best.ckpt").read_bytes()[:40]),
+}
+
+
+@pytest.mark.parametrize("fault", BROKEN_MODEL_DIRS)
+def test_eval_and_heatmap_reject_a_model_dir_with_one_broken_file(tmp_path, capsys, fault):
+    run = _model_dir(tmp_path / "run", "tr")
+    assert main(["eval", "--data", str(tmp_path / "missing"), "--model-dir", str(run)]) == 2
+    assert str(tmp_path / "missing") in capsys.readouterr().err  # the unbroken directory loads
+    BROKEN_MODEL_DIRS[fault](run)
+    assert_model_dir_exits_2(run, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("line, reason", [(b"bins=\xff", "not UTF-8"), (b"bins", "not key=value")])

@@ -15,7 +15,6 @@ from salab.evaluation import (
     calibration_curve,
     compute_metrics,
     export_heatmap,
-    read_heatmap,
 )
 from salab.exceptions import UndefinedMetricError
 
@@ -164,7 +163,7 @@ def test_compute_metrics_report_fields():
 
 def _record():
     w = np.array([[[1.0, 0.0], [0.25, 0.75]]])
-    return AttentionRecord(w, ["dnr", "noted"], ["dnr", "noted"])
+    return AttentionRecord(w, ["dnr", "noted"])
 
 
 def test_export_heatmap_grid(tmp_path):
@@ -176,13 +175,13 @@ def test_export_heatmap_grid(tmp_path):
     assert lines[1].startswith("dnr,1.000000,0.000000")
 
 
-def test_export_heatmap_roundtrip_and_exact_zero(tmp_path):
+def test_export_heatmap_roundtrip_and_exact_zero(tmp_path, read_heatmap):
     path = tmp_path / "h.csv"
     rec = _record()
     export_heatmap(rec, path)
     w, rows, cols = read_heatmap(path)
     np.testing.assert_allclose(w, rec.weights[0], atol=1e-6)
-    assert rows == rec.row_labels and cols == rec.col_labels
+    assert rows == cols == rec.labels
     assert "0.000000" in path.read_text()
 
 
@@ -190,8 +189,8 @@ def _scalar_formatted_csv(record, head=0) -> bytes:
     """The CSV as formatted one numpy scalar at a time, the earlier way."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow([""] + record.col_labels)
-    for label, row in zip(record.row_labels, record.weights[head]):
+    writer.writerow([""] + record.labels)
+    for label, row in zip(record.labels, record.weights[head]):
         writer.writerow([label] + [f"{v:.6f}" for v in row])
     return buf.getvalue().encode("utf-8")
 
@@ -213,7 +212,7 @@ ODD_LABELS = ["", "\r", "\n", "a\r\nb", " lead", "trail ", "\t", "é", 'a,"b",,"
 def test_export_heatmap_bytes_match_scalar_formatting(tmp_path, dtype, weights, labels):
     w = np.array(weights, dtype=dtype)
     w = np.concatenate([w, np.random.default_rng(0).random(w.shape).astype(dtype)])
-    rec = AttentionRecord(w, labels, labels)
+    rec = AttentionRecord(w, labels)
     for head in range(len(w)):
         path = tmp_path / f"h{head}.csv"
         export_heatmap(rec, path, head=head)

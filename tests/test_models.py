@@ -367,7 +367,7 @@ def test_extract_attention_maps_filter(corpus):
     model = AttentionClassifier(att_cfg(vocab), seed=7)
     only = extract_attention_maps(model, doc, vocab, filter_tokens={"cmo"})
     assert len(only) == 1 and only[0].sentence_index == 0
-    assert only[0].col_labels == ["w0", "cmo", "w1"]
+    assert only[0].labels == ["w0", "cmo", "w1"]
     every = extract_attention_maps(model, doc, vocab)
     assert len(every) == 2  # one word record per sentence
 
@@ -421,7 +421,7 @@ def test_filtered_maps_equal_the_full_forward_maps(corpus, family, mapping):
         assert [r.sentence_index for r in recs] == matches
         for rec, t in zip(recs, matches):
             n = len(doc.sentences[t])
-            assert rec.scope == "word" and rec.row_labels == rec.col_labels == doc.sentences[t]
+            assert rec.scope == "word" and rec.labels == doc.sentences[t]
             expected = full["word"][0, t, :, :n, :n]
             assert rec.weights.shape == expected.shape
             if family is HierarchicalTransformerClassifier:
@@ -494,14 +494,43 @@ def test_iter_attention_maps_equal_per_document_maps(split_docs, family, mapping
     for (_, recs), (_, want) in zip(got, expected):
         assert len(recs) == len(want)
         for rec, ref in zip(recs, want):
-            assert (rec.row_labels, rec.col_labels, rec.scope, rec.sentence_index) == (
-                ref.row_labels, ref.col_labels, ref.scope, ref.sentence_index)
+            assert (rec.labels, rec.scope, rec.sentence_index) == (
+                ref.labels, ref.scope, ref.sentence_index)
             assert rec.weights.shape == ref.weights.shape
             if family is HierarchicalTransformerClassifier:
                 np.testing.assert_array_equal(rec.weights, ref.weights)
             else:
                 np.testing.assert_allclose(rec.weights, ref.weights, rtol=0, atol=1e-6)
                 np.testing.assert_array_equal(rec.weights == 0.0, ref.weights == 0.0)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("filter_tokens", [None, {"dnr", "dni", "cmo"}])
+def test_iter_attention_maps_limit_maps_only_the_documents_it_yields(split_docs, family, filter_tokens,
+                                                                    monkeypatch, caplog):
+    """limit=3 runs the word level on the first 3 picked documents alone and
+    picks no further (the empty document at index 20 is not reached); a
+    limit above the number of picks yields every pick, bit for bit."""
+    docs, vocab = split_docs
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.sparsemax(), hidden=16), seed=17)
+    every = list(iter_attention_maps(model, docs, vocab, filter_tokens))
+    word_level = model.word_level
+    mapped = []
+    monkeypatch.setattr(model, "word_level", lambda batch: mapped.extend(batch.doc_ids) or word_level(batch))
+    caplog.set_level(logging.WARNING, logger="salab")
+    caplog.clear()
+    got = [doc.id for doc, _ in iter_attention_maps(model, docs, vocab, filter_tokens, limit=3)]
+    assert got == mapped == [doc.id for doc, _ in every[:3]]
+    assert caplog.records == []
+    mapped.clear()
+    got = list(iter_attention_maps(model, docs, vocab, filter_tokens, limit=len(docs) + 1))
+    assert [doc.id for doc, _ in got] == mapped == [doc.id for doc, _ in every]
+    for (_, recs), (_, want) in zip(got, every):
+        assert [(r.labels, r.scope, r.sentence_index) for r in recs] == [
+            (r.labels, r.scope, r.sentence_index) for r in want]
+        for rec, ref in zip(recs, want):
+            np.testing.assert_array_equal(rec.weights, ref.weights)
 
 
 @pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])
