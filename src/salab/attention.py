@@ -120,9 +120,9 @@ def multi_head_attention(
     x: Tensor,
     params: dict[str, Tensor],
     units: Packing,
-    prefix: str = "",
-    mapping: MappingKind = MappingKind.softmax(),
-    heads: int = 1,
+    prefix: str,
+    mapping: MappingKind,
+    heads: int,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over the rows x[R, d] of `units`.
 
@@ -150,12 +150,12 @@ def transformer_encoder_layer(
     x: Tensor,
     params: dict[str, Tensor],
     units: Packing,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    prefix: str = "",
-    mapping: MappingKind = MappingKind.softmax(),
-    heads: int = 1,
-    dropout_rate: float = 0.0,
+    training: bool,
+    rng: np.random.Generator,
+    prefix: str,
+    mapping: MappingKind,
+    heads: int,
+    dropout_rate: float,
 ) -> tuple[Tensor, np.ndarray]:
     """Post-norm encoder layer: LN(x + MHA(x)) then LN(y + FFN(y))."""
     att, w = multi_head_attention(x, params, units, prefix, mapping, heads)

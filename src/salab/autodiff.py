@@ -67,8 +67,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
@@ -284,11 +282,11 @@ def segment_mean(x: Tensor, counts: np.ndarray) -> Tensor:
                  lambda g: np.repeat(g, counts, axis=0) * w)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalise the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     k = x.dtype.type(1 / x.shape[-1])
     c = x.data - x.data.sum(axis=-1, keepdims=True) * k
-    r = ((c * c).sum(axis=-1, keepdims=True) * k + x.dtype.type(eps)) ** -0.5
+    r = ((c * c).sum(axis=-1, keepdims=True) * k + x.dtype.type(1e-5)) ** -0.5
     xhat = c * r
 
     def dx(g):
@@ -299,13 +297,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(xhat * gain.data + bias.data, (x, gain, bias), dx, lambda g: g * xhat, lambda g: g)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     # explicit dtype: numpy 1.x would make `bool_array * np.float32(s)` float16
     mask = np.multiply(rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), dtype=x.dtype)
     return _node(x.data * mask, (x,), lambda g: g * mask)
@@ -333,7 +329,7 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
     Forward and backward both run in float64 and cast back to the
     score dtype.
     """
-    p64 = simplex.apply_mapping_nd(scores.data.astype(np.float64), kind)
+    p64, _ = simplex.apply_mapping_nd(scores.data.astype(np.float64), kind)
     return _node(
         p64.astype(scores.dtype), (scores,),
         lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(scores.dtype),
@@ -346,12 +342,9 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
 class Adam:
     """Bias-corrected Adam over named parameter Tensors, their moments laid end to end."""
 
-    def __init__(self, params: dict[str, Tensor], lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.concatenate([np.zeros(p.data.size, p.dtype) for p in params.values()])
         self.v = np.zeros_like(self.m)
@@ -373,19 +366,20 @@ class Adam:
             raise PoisonedGradientError(f"non-finite gradient in parameter {name!r}")
         held = [(part, self.m[part].copy(), self.v[part].copy()) for _, p, part in parts if p.grad is None]
         self.t += 1
-        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        c1, c2 = 1.0 - beta1 ** self.t, 1.0 - beta2 ** self.t
         # per element, the operations of p -= lr (m / c1) / (sqrt(v / c2) + eps), leaving the step in g;
         # chunks of 16384 elements keep the one temporary small and the passes in cache
         for a in range(0, g.size, 16384):
             m, v, gs = self.m[a:a + 16384], self.v[a:a + 16384], g[a:a + 16384]
-            gg = (1.0 - self.beta2) * gs * gs
-            v *= self.beta2
+            gg = (1.0 - beta2) * gs * gs
+            v *= beta2
             v += gg
-            m *= self.beta1
-            m += np.multiply(gs, 1.0 - self.beta1, out=gs)
+            m *= beta1
+            m += np.multiply(gs, 1.0 - beta1, out=gs)
             np.multiply(self.lr, np.divide(m, c1, out=gs), out=gs)
             np.sqrt(np.divide(v, c2, out=gg), out=gg)
-            gs /= np.add(gg, self.eps, out=gg)
+            gs /= np.add(gg, eps, out=gg)
         for part, m, v in held:
             self.m[part], self.v[part] = m, v
         for _, p, part in parts:

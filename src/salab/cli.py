@@ -8,6 +8,7 @@ feeding a manifest back through --config reproduces the run.
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -103,6 +104,14 @@ def _coerce(key: str, value: str, template):
         raise ValueError(f"{key} must be {type(template).__name__}, got {value!r}") from None
 
 
+def _file_settings(path, kv: dict, defaults: dict) -> dict:
+    """The settings `kv` read from `path`, coerced to their defaults' types; an error names `path`."""
+    try:
+        return {k: _coerce(k, v, defaults[k]) for k, v in kv.items()}
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _check_settings(cfg: dict, least: dict, positive: tuple = ()) -> None:
     """Reject a setting below its least value, or one in `positive` not finite and > 0."""
     for key, low in least.items():
@@ -116,12 +125,12 @@ def _check_settings(cfg: dict, least: dict, positive: tuple = ()) -> None:
 def resolve(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        for k, v in read_kv(args.config).items():
-            if k == "command":  # every manifest names the command it came from
-                continue
+        kv = read_kv(args.config)
+        kv.pop("command", None)  # every manifest names the command it came from
+        for k in kv:
             if k not in defaults:
                 raise ValueError(f"{args.config}: {k!r} is not a setting of this command")
-            cfg[k] = _coerce(k, v, defaults[k])
+        cfg.update(_file_settings(args.config, kv, defaults))
     for k in defaults:
         v = getattr(args, k, None)
         if v is not None:
@@ -176,12 +185,17 @@ def _check_sizes(state: dict, cfg: dict, vocab_size: int) -> None:
 
 def load_model_dir(model_dir):
     model_dir = Path(model_dir)
-    kv = read_kv(model_dir / "config.kv")
+    path = model_dir / "config.kv"
+    kv = read_kv(path)  # keys it does not read, such as vocab_size, are ignored
     cfg = dict(TRAIN_DEFAULTS)
-    cfg.update((k, _coerce(k, kv[k], cfg[k])) for k in (*MODEL_KEYS, "seed") if k in kv)
+    cfg.update(_file_settings(path, {k: kv[k] for k in (*MODEL_KEYS, "seed") if k in kv}, cfg))
     vocab = datamod.Vocabulary.load(model_dir / "vocab.txt")
     state = load_checkpoint(model_dir / "best.ckpt")
-    model_config(cfg, len(vocab))  # a setting out of range is named before any size
+    try:  # a setting out of range is named, with its file, before any size
+        _check_settings(cfg, {"seed": 0})
+        model_config(cfg, len(vocab))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     _check_sizes(state, cfg, len(vocab))
     model = build_model(cfg, len(vocab), seed=cfg["seed"])
     model.load_state_dict(state)
@@ -314,6 +328,8 @@ def cmd_heatmap(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = 0
     for doc, records in iter_attention_maps(model, docs, vocab, tokens, cfg["limit"]):
+        if {os.sep, os.altsep} & set(doc.id):  # the id names the document's files
+            raise ValueError(f"document id {doc.id!r} holds a path separator")
         for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")

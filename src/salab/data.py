@@ -58,8 +58,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([t for t in lines if t])
+        try:
+            return cls([t for t in Path(path).read_text(encoding="utf-8").splitlines() if t])
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
 def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:
@@ -184,6 +186,8 @@ def _parse_document(line: str) -> PatientDocument:
             and all(isinstance(s, list) and all(isinstance(t, str) for t in s)
                     for s in sentences)):
         raise DatasetError('"sentences" must be a list of lists of strings')
+    if bad := [t for s in sentences for t in s if t.splitlines() != [t]]:  # one line of vocab.txt each
+        raise DatasetError(f"token {bad[0]!r} is empty or holds a line break")
     return PatientDocument(id=str(rec["id"]), sentences=sentences, label=int(label))
 
 

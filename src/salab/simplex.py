@@ -215,10 +215,8 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return p, tau[..., 0]
 
 
-def apply_mapping_nd(
-    z: np.ndarray, kind: MappingKind, return_threshold: bool = False
-):
-    """Dispatch on alpha over the last axis. Threshold rows are NaN for softmax."""
+def apply_mapping_nd(z: np.ndarray, kind: MappingKind) -> tuple[np.ndarray, np.ndarray]:
+    """Dispatch on alpha over the last axis; returns (p, tau), tau NaN for softmax."""
     if kind.alpha == 1.0:
         p = softmax_nd(z)
         tau = np.full(p.shape[:-1], np.nan)
@@ -228,9 +226,7 @@ def apply_mapping_nd(
         p, tau = entmax15_nd(z)
     else:
         p, tau = entmax_bisect_nd(z, kind.alpha)
-    if return_threshold:
-        return p, tau
-    return p
+    return p, tau
 
 
 def mapping_backward_nd(

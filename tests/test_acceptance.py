@@ -232,13 +232,13 @@ def test_criterion_3_simplex_invariants():
     for kind in kinds:
         for n in sizes:
             z = rng.normal(0, 3, (rows_per_size, int(n)))
-            p = sx.apply_mapping_nd(z, kind)
+            p, _ = sx.apply_mapping_nd(z, kind)
             assert np.all(p >= 0)
             assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-8
             c = rng.uniform(-10, 10, (rows_per_size, 1))
-            assert np.abs(sx.apply_mapping_nd(z + c, kind) - p).max() <= 1e-9
+            assert np.abs(sx.apply_mapping_nd(z + c, kind)[0] - p).max() <= 1e-9
             perm = rng.permutation(int(n))
-            assert np.abs(sx.apply_mapping_nd(z[:, perm], kind) - p[:, perm]).max() <= 1e-12
+            assert np.abs(sx.apply_mapping_nd(z[:, perm], kind)[0] - p[:, perm]).max() <= 1e-12
             order = np.argsort(-z, axis=-1, kind="stable")
             p_sorted = np.take_along_axis(p, order, axis=-1)
             assert np.all(np.diff(p_sorted, axis=-1) <= 1e-12)

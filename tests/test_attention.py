@@ -157,8 +157,8 @@ def test_permutation_equivariance_without_positions():
     perm = rng.permutation(6)
     params = mha_params(rng, 4)
     kw = {"mapping": MappingKind.entmax15(), "heads": 2}
-    out1, _ = multi_head_attention(Tensor(x), params, every_unit(x), **kw)
-    out2, _ = multi_head_attention(Tensor(x[perm]), params, every_unit(x), **kw)
+    out1, _ = multi_head_attention(Tensor(x), params, every_unit(x), "", **kw)
+    out2, _ = multi_head_attention(Tensor(x[perm]), params, every_unit(x), "", **kw)
     np.testing.assert_allclose(out2.data, out1.data[perm], atol=1e-10)
 
 
@@ -166,7 +166,7 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
     rng = np.random.default_rng(6)
     x = rand_t(rng, 5, 4)
     params = mha_params(rng, 4)
-    out, w = multi_head_attention(x, params, every_unit(x))
+    out, w = multi_head_attention(x, params, every_unit(x), "", MappingKind.softmax(), 1)
     from salab.autodiff import linear
 
     q = linear(x, params["wq"], params["bq"])
@@ -182,7 +182,7 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
 def test_multi_head_shape_sweep(n, d, h):
     rng = np.random.default_rng(7)
     x = rand_t(rng, n, d)
-    out, w = multi_head_attention(x, mha_params(rng, d), every_unit(x), heads=h)
+    out, w = multi_head_attention(x, mha_params(rng, d), every_unit(x), "", MappingKind.softmax(), h)
     assert out.shape == (n, d)
     assert w.shape == (h, n, n)
 
@@ -193,7 +193,7 @@ def test_multi_head_gradcheck_two_heads():
     params = mha_params(rng, 4)
 
     def f():
-        out, _ = multi_head_attention(x, params, every_unit(x), heads=2)
+        out, _ = multi_head_attention(x, params, every_unit(x), "", MappingKind.softmax(), 2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -224,7 +224,8 @@ def test_positional_embeddings_make_layer_order_sensitive():
 
     def run(inp):
         h = add_positional_embeddings(Tensor(inp), table, every_unit(inp))
-        out, _ = transformer_encoder_layer(h, params, every_unit(inp))
+        out, _ = transformer_encoder_layer(h, params, every_unit(inp), False, rng, "",
+                                           MappingKind.softmax(), 1, 0.0)
         return out.data
 
     assert np.abs(run(x)[perm] - run(x[perm])).max() > 1e-4
@@ -235,7 +236,7 @@ def test_encoder_layer_shape_and_mask_record():
     x = rand_t(rng, 3, 6)
     units = Packing(np.array([True, True, True, False, False]))
     out, w = transformer_encoder_layer(
-        x, layer_params(rng, 6), units, mapping=MappingKind.sparsemax(), heads=2)
+        x, layer_params(rng, 6), units, False, rng, "", MappingKind.sparsemax(), 2, 0.0)
     assert out.shape == x.shape
     assert w.shape == (2, 5, 5)
     assert np.all(w[:, :, 3:] == 0.0) and np.all(w[:, 3:] == 0.0)
@@ -248,7 +249,8 @@ def test_encoder_layer_gradcheck():
     labels = np.array([1.0, 0.0, 1.0])
 
     def f():
-        out, _ = transformer_encoder_layer(x, params, every_unit(x), mapping=MappingKind.entmax15())
+        out, _ = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
+                                           MappingKind.entmax15(), 1, 0.0)
         return bce_with_logits(out.sum(axis=-1), labels).mean()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -359,7 +361,7 @@ def test_multi_head_gradcheck_masked_entmax13():
     units = Packing(np.array([[True, True, True, False], [True, True, False, False]]))
 
     def f():
-        out, _ = multi_head_attention(x, params, units, mapping=MappingKind.entmax(1.3), heads=2)
+        out, _ = multi_head_attention(x, params, units, "", MappingKind.entmax(1.3), 2)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4

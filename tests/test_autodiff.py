@@ -126,7 +126,7 @@ def test_layer_norm_statistics():
 def test_dropout_contract():
     x = t64(np.ones((4, 4)))
     assert dropout(x, 0.0, True, np.random.default_rng(0)) is x
-    assert dropout(x, 0.5, False) is x
+    assert dropout(x, 0.5, False, np.random.default_rng(0)) is x
     rng = np.random.default_rng(0)
     y = dropout(x, 0.5, True, rng).data
     assert set(np.unique(y)) <= {0.0, 2.0}
@@ -225,7 +225,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_rejects_nan_gradient():
     p = t64(np.array([0.0]))
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, lr=1e-4)
     p.grad = np.array([np.nan])
     with pytest.raises(PoisonedGradientError):
         opt.step()
@@ -233,7 +233,7 @@ def test_adam_rejects_nan_gradient():
 
 def test_adam_rejects_inf_gradient():
     p = t64(np.array([0.0, 0.0]))
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, lr=1e-4)
     p.grad = np.array([1.0, -np.inf])
     with pytest.raises(PoisonedGradientError, match="non-finite"):
         opt.step()

@@ -198,6 +198,7 @@ def test_bad_number_names_its_setting(data_dir, tmp_path, capsys, key, value, vi
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
     assert len(lines) == 1
     assert f"{key} must be" in lines[0] and repr(value) in lines[0]
+    assert (f"{tmp_path / 'cfg.kv'}: " in lines[0]) == via_config
     assert not (tmp_path / "x").exists()
 
 
@@ -418,6 +419,21 @@ def test_heatmap_map_path_that_is_a_directory_exits_2(data_dir, att_run, tmp_pat
     assert main(argv) == 2
     lines = error_lines(capsys.readouterr().err)
     assert len(lines) == 1 and str(blocked) in lines[0]
+
+
+@pytest.mark.parametrize("doc_id", ["../escaped", "a/b"])
+def test_heatmap_rejects_a_document_id_that_holds_a_path_separator(att_run, tmp_path, capsys, doc_id):
+    """The id names its files, so one holding a separator exits 2 before they are written."""
+    write_jsonl(tmp_path / "test.jsonl", [PatientDocument("ok", [["w1", "dnr"]], 1),
+                                          PatientDocument(doc_id, [["dnr", "w2"]], 1)])
+    root = tmp_path / "root"
+    hm = root / "hm"
+    capsys.readouterr()
+    assert main(["heatmap", "--data", str(tmp_path / "test.jsonl"), "--model-dir", str(att_run),
+                 "--out", str(hm), "--limit", "2"]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and f"document id {doc_id!r} holds a path separator" in lines[0]
+    assert {p.relative_to(root).as_posix() for p in root.rglob("*")} == {"hm", "hm/ok_s0.csv"}
 
 
 @pytest.mark.parametrize(
@@ -698,16 +714,17 @@ def _set_config(**changes):
     return apply
 
 
-BROKEN_MODEL_DIRS = {  # how each case breaks one file of a working tr model directory
-    "unknown-mapping": _set_config(mapping="sharpmax"),
-    "unknown-model": _set_config(model="xyz"),
-    "non-integer-hidden": _set_config(hidden="1.5"),
-    "negative-seed": _set_config(seed="-4"),
-    "heads-not-dividing-hidden": _set_config(heads="3"),
-    "nan-dropout": _set_config(dropout="nan"),
-    "missing-vocab": lambda run: (run / "vocab.txt").unlink(),
-    "non-utf8-vocab": lambda run: (run / "vocab.txt").write_bytes(b"a\n\xff\n"),
-    "truncated-ckpt": lambda run: (run / "best.ckpt").write_bytes((run / "best.ckpt").read_bytes()[:40]),
+BROKEN_MODEL_DIRS = {  # the file each case breaks in a working tr model directory, and how
+    "unknown-mapping": ("config.kv", _set_config(mapping="sharpmax")),
+    "unknown-model": ("config.kv", _set_config(model="xyz")),
+    "non-integer-hidden": ("config.kv", _set_config(hidden="1.5")),
+    "negative-seed": ("config.kv", _set_config(seed="-4")),
+    "heads-not-dividing-hidden": ("config.kv", _set_config(heads="3")),
+    "nan-dropout": ("config.kv", _set_config(dropout="nan")),
+    "missing-vocab": ("vocab.txt", lambda run: (run / "vocab.txt").unlink()),
+    "non-utf8-vocab": ("vocab.txt", lambda run: (run / "vocab.txt").write_bytes(b"a\n\xff\n")),
+    "truncated-ckpt": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(
+        (run / "best.ckpt").read_bytes()[:40])),
 }
 
 
@@ -716,8 +733,9 @@ def test_eval_and_heatmap_reject_a_model_dir_with_one_broken_file(tmp_path, caps
     run = _model_dir(tmp_path / "run", "tr")
     assert main(["eval", "--data", str(tmp_path / "missing"), "--model-dir", str(run)]) == 2
     assert str(tmp_path / "missing") in capsys.readouterr().err  # the unbroken directory loads
-    BROKEN_MODEL_DIRS[fault](run)
-    assert_model_dir_exits_2(run, tmp_path, capsys)
+    name, breaks = BROKEN_MODEL_DIRS[fault]
+    breaks(run)
+    assert_model_dir_exits_2(run, tmp_path, capsys, str(run / name))
 
 
 @pytest.mark.parametrize("line, reason", [(b"bins=\xff", "not UTF-8"), (b"bins", "not key=value")])

@@ -54,6 +54,21 @@ def test_vocab_save_load_roundtrip(tmp_path):
     assert again.token_to_id == vocab.token_to_id
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=6))
+def test_every_accepted_token_keeps_its_id_through_vocab_txt(tmp_path, tokens):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"id": "d0", "label": 1, "sentences": [tokens]},
+                               ensure_ascii=False) + "\n", encoding="utf-8")
+    try:
+        docs = dm.read_jsonl(path)
+    except DatasetError:
+        return
+    vocab = dm.build_vocab(docs[0].sentences, min_freq=1)
+    vocab.save(tmp_path / "vocab.txt")
+    assert dm.Vocabulary.load(tmp_path / "vocab.txt").id_to_token == vocab.id_to_token
+
+
 def test_degenerate_directive_probabilities():
     cfg = dm.SyntheticCorpusConfig(
         n_documents=300,
@@ -147,6 +162,8 @@ def test_jsonl_roundtrip(tmp_path):
         ('{"id": "d1", "label": 1, "sentences": ["dnr"]}', '"sentences"'),
         ('{"id": "d1", "label": 1, "sentences": [["dnr", 3]]}', '"sentences"'),
         ('{"id": "d1", "label": 1}', '"sentences"'),
+        ('{"id": "d1", "label": 1, "sentences": [["a", ""]]}', "token '' is empty or holds a line break"),
+        ('{"id": "d1", "label": 1, "sentences": [["p\\u2028q"]]}', "token 'p\\u2028q' is empty or holds"),
     ],
 )
 def test_read_jsonl_rejects_malformed_line(tmp_path, line, reason):

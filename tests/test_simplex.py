@@ -226,16 +226,16 @@ def test_non_finite_rows_stay_non_finite_alone(alpha):
     z[6, 3] = -np.inf
     bad = [1, 3, 4, 5]
     with np.errstate(invalid="ignore"):  # the bad rows' inf - inf; the results are checked below
-        p = sx.apply_mapping_nd(z, kind)
+        p, _ = sx.apply_mapping_nd(z, kind)
     for i in range(len(z)):
         if i in bad:
             assert not np.isfinite(p[i]).all()
         else:  # outside errstate: a warning here fails the test
-            assert p[i].tobytes() == sx.apply_mapping_nd(z[i], kind).tobytes()
+            assert p[i].tobytes() == sx.apply_mapping_nd(z[i], kind)[0].tobytes()
             assert abs(p[i].sum() - 1.0) <= 1e-8
     assert p[6, 3] == 0.0
     for far in (-np.inf, -1e200):  # the square of -1e200 overflows
-        q = sx.apply_mapping_nd(np.array([1.0, far, 0.0]), kind)
+        q, _ = sx.apply_mapping_nd(np.array([1.0, far, 0.0]), kind)
         assert q[1] == 0.0 and q[0] > q[2] and abs(q.sum() - 1.0) <= 1e-8
 
 
@@ -268,6 +268,23 @@ def test_mapping_kind_is_its_alpha():
             MappingKind.parse(bad)
     with pytest.raises(ValueError):
         MappingKind(0.5)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_apply_mapping_nd_returns_the_solvers_p_and_tau(kind):
+    """One return shape: (p, tau) with tau one value per row, NaN for softmax."""
+    z = np.random.default_rng(21).normal(0, 3, (4, 3, 7))
+    p, tau = sx.apply_mapping_nd(z, kind)
+    assert p.shape == z.shape and tau.shape == z.shape[:-1]
+    if kind.alpha == 1.0:
+        assert np.isnan(tau).all()
+        assert p.tobytes() == sx.softmax_nd(z).tobytes()
+        return
+    assert np.isfinite(tau).all()
+    solver = {2.0: sx.sparsemax_nd, 1.5: sx.entmax15_nd}.get(
+        kind.alpha, lambda z: sx.entmax_bisect_nd(z, kind.alpha))
+    p_own, tau_own = solver(z)
+    assert p.tobytes() == p_own.tobytes() and tau.tobytes() == tau_own.tobytes()
 
 
 @pytest.mark.parametrize("text", ["entmax:abc", "entmax:"])
@@ -433,7 +450,7 @@ finite_vectors = st.lists(
 
 
 def _apply(kind, z):
-    return sx.apply_mapping_nd(np.asarray(z, dtype=np.float64), kind)
+    return sx.apply_mapping_nd(np.asarray(z, dtype=np.float64), kind)[0]
 
 
 @settings(max_examples=200, deadline=None)
