@@ -87,7 +87,7 @@ def scaled_dot_attention(
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
     if q.data.size != units.index.size * q.shape[-1]:
         raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
-    keep = units.mask[..., None, None, :]
+    keep, shape = units.mask[..., None, None, :], q.shape  # the closures save no q, k, v rows
 
     def grid(a):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
         return units.unpack(a).swapaxes(-2, -3)
@@ -96,10 +96,10 @@ def scaled_dot_attention(
         return units.pack(a.swapaxes(-2, -3))
 
     def split(a):
-        return grid(a.reshape(-1, heads, q.shape[-1] // heads))
+        return grid(a.reshape(-1, heads, shape[-1] // heads))
 
     def merge(a):
-        return rows(a).reshape(q.shape)
+        return rows(a).reshape(shape)
 
     def dscores(g):
         return grid(g) * keep * scale

@@ -8,15 +8,18 @@ supported for elementwise ops and bias adds, with gradients summed back
 down to the operand shape.
 
 Tape contract: every op builds its output with ``_node(data, parents,
-*grad_fns)``, one gradient function per parent.  The output's
-``_backward(g)`` holds the parents and those functions, never the output
-itself, so a graph has no reference cycle and is freed by reference
-counting as soon as the last Tensor of it is dropped.  Under ``no_grad()``
-an op keeps no tape (no parents, no ``_backward``), and ``backward()`` on its
-output raises ``NoTapeError``.  ``backward()`` consumes its graph, clearing
-each node's ``grad``, ``_parents`` and ``_backward`` once they have run, so
-the graph is freed during the walk; leaves keep ``.grad``, and a second
-``backward()`` through it raises ``GraphConsumedError``.
+*grad_fns)``, one gradient function per parent.  The output's tape entry
+(`_Entry`) holds a gradient slot, its shape and dtype, ``_backward(g)`` and
+links to the parents that need a gradient (their entries, or leaf Tensors;
+constants are not linked), never any Tensor's data: an intermediate's
+``.data`` is freed once the forward drops it, unless a gradient function
+saved that array, and each saves only what it reads.  Nothing links back
+to an output, so a graph has no reference cycle and is freed by reference
+counting.  Under ``no_grad()`` an op keeps no tape, and ``backward()`` on
+its output raises ``NoTapeError``.  ``backward()`` consumes its graph,
+clearing each entry's ``grad``, ``_parents`` and ``_backward`` once they
+have run; leaves keep ``.grad``, and a second ``backward()`` through it
+raises ``GraphConsumedError``.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Dense n-d value; the output of an op also holds its tape entry.
 
-    `_parents` and `_backward` are written by `_node` only, so a leaf has
-    no `_backward`; `backward` sets both to None on the nodes it consumes.
+    `_entry` is written by `_node` only; `_parents` and `_backward` read
+    the entry's, and are () and None without one.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_entry")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
@@ -72,7 +75,19 @@ class Tensor:
             self.data = self.data.astype(np.float32)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
+        self._entry = None
+
+    @property
+    def _parents(self):
+        return () if self._entry is None else self._entry._parents
+
+    @property
+    def _backward(self):
+        return None if self._entry is None else self._entry._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._entry._backward = fn
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -86,7 +101,7 @@ class Tensor:
 
     def _accum(self, g):
         # out of place: `g` may be shared with another parent or read-only
-        g = _unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
+        g = _unbroadcast(np.asarray(g, dtype=self.dtype), self.shape)
         self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
@@ -97,9 +112,10 @@ class Tensor:
             raise ValueError("backward() requires a scalar output")
         if not self.requires_grad:
             raise NoTapeError("backward() on a tape-less output (built under no_grad() or from constants)")
-        topo: list[Tensor] = []
+        root = self._entry or self
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -112,9 +128,9 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._parents:
@@ -143,11 +159,8 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        return _node(
-            self.data * other.data, (self, other),
-            lambda g: g * other.data,
-            lambda g: g * self.data,
-        )
+        a, b = self.data, other.data
+        return _node(a * b, (self, other), lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
 
@@ -155,15 +168,14 @@ class Tensor:
         return self * (_as_tensor(other, self.dtype) ** -1.0)
 
     def __pow__(self, exponent: float):
-        return _node(
-            self.data ** exponent, (self,),
-            lambda g: g * exponent * self.data ** (exponent - 1.0),
-        )
+        x = self.data
+        return _node(x ** exponent, (self,), lambda g: g * exponent * x ** (exponent - 1.0))
 
     # -- shape ops ------------------------------------------------------
 
     def reshape(self, *shape):
-        return _node(self.data.reshape(*shape), (self,), lambda g: g.reshape(self.data.shape))
+        before = self.data.shape
+        return _node(self.data.reshape(*shape), (self,), lambda g: g.reshape(before))
 
     def swapaxes(self, a: int, b: int):
         return _node(np.swapaxes(self.data, a, b), (self,), lambda g: np.swapaxes(g, a, b))
@@ -171,10 +183,10 @@ class Tensor:
     # -- reductions -----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        expand = axis is not None and not keepdims
+        expand, shape = axis is not None and not keepdims, self.data.shape
         return _node(
             self.data.sum(axis=axis, keepdims=keepdims), (self,),
-            lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, self.data.shape),
+            lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape),
         )
 
     def mean(self, axis=None, keepdims=False):
@@ -184,23 +196,20 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
 
     def relu(self):
-        return _node(np.maximum(self.data, 0.0), (self,), lambda g: g * (self.data > 0.0))
+        y = np.maximum(self.data, 0.0)  # y > 0 exactly where the input is
+        return _node(y, (self,), lambda g: g * (y > 0.0))
 
     # -- linear algebra -------------------------------------------------
 
     def __matmul__(self, other):
         other = _as_tensor(other, self.dtype)
+        a, b = self.data, other.data
         try:
-            data = self.data @ other.data
+            data = a @ b
         except ValueError as e:
-            raise ShapeError(
-                f"matmul mismatch: {self.shape} @ {other.shape}"
-            ) from e
-        return _node(
-            data, (self, other),
-            lambda g: g @ np.swapaxes(other.data, -1, -2),
-            lambda g: np.swapaxes(self.data, -1, -2) @ g,
-        )
+            raise ShapeError(f"matmul mismatch: {self.shape} @ {other.shape}") from e
+        return _node(data, (self, other), lambda g: g @ np.swapaxes(b, -1, -2),
+                     lambda g: np.swapaxes(a, -1, -2) @ g)
 
     def masked_fill(self, keep_mask: np.ndarray, value: float):
         """Replace entries where keep_mask is False by `value` (no gradient there)."""
@@ -208,10 +217,19 @@ class Tensor:
         return _node(np.where(keep, self.data, value), (self,), lambda g: g * keep)
 
 
+class _Entry:
+    """An op output's place on the tape: what `backward` reads of it, never its data."""
+
+    __slots__ = ("grad", "shape", "dtype", "_parents", "_backward")
+    _accum = Tensor._accum
+
+    def __init__(self, shape, dtype, parents, backward):
+        self.grad, self.shape, self.dtype, self._parents, self._backward = None, shape, dtype, parents, backward
+
+
 def _backprop(parents: tuple, grad_fns: tuple, g: np.ndarray) -> None:
     for parent, grad_fn in zip(parents, grad_fns):
-        if parent.requires_grad:
-            parent._accum(grad_fn(g))
+        parent._accum(grad_fn(g))
 
 
 def _node(data, parents: tuple, *grad_fns) -> Tensor:
@@ -221,10 +239,13 @@ def _node(data, parents: tuple, *grad_fns) -> Tensor:
     `parents[i]` (broadcast dimensions are summed away by `_accum`).
     This is the only place that writes a tape entry.
     """
-    needs_grad = _recording and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs_grad)
-    out._parents = parents if needs_grad else ()
-    out._backward = partial(_backprop, parents, grad_fns) if needs_grad else None
+    out = Tensor(data)
+    nodes = tuple([p._entry or p for p in parents if p.requires_grad]) if _recording else ()
+    if nodes:
+        if len(nodes) < len(parents):  # a constant parent is not linked
+            grad_fns = tuple([fn for p, fn in zip(parents, grad_fns) if p.requires_grad])
+        out.requires_grad = True
+        out._entry = _Entry(out.data.shape, out.data.dtype, nodes, partial(_backprop, nodes, grad_fns))
     return out
 
 
@@ -242,9 +263,10 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     if x.shape[-1] != W.shape[0]:
         raise ShapeError(f"linear: input {x.shape} vs weight {W.shape}")
     d, o = W.shape
-    y = x.data @ W.data
-    grad_fns = (lambda g: (g.reshape(-1, o) @ W.data.T).reshape(x.shape),
-                lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, o))
+    xd, w = x.data, W.data
+    y = xd @ w
+    grad_fns = (lambda g: (g.reshape(-1, o) @ w.T).reshape(xd.shape),
+                lambda g: xd.reshape(-1, d).T @ g.reshape(-1, o))
     if b is None:
         return _node(y, (x, W), *grad_fns)
     return _node(y + b.data, (x, W, b), *grad_fns, lambda g: g.reshape(-1, o).sum(axis=0))
@@ -302,9 +324,10 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
+    keep, scale, dtype = rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), x.dtype
     # explicit dtype: numpy 1.x would make `bool_array * np.float32(s)` float16
-    mask = np.multiply(rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), dtype=x.dtype)
-    return _node(x.data * mask, (x,), lambda g: g * mask)
+    return _node(x.data * np.multiply(keep, scale, dtype=dtype), (x,),
+                 lambda g: g * np.multiply(keep, scale, dtype=dtype))
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -330,9 +353,10 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
     score dtype.
     """
     p64, _ = simplex.apply_mapping_nd(scores.data.astype(np.float64), kind)
+    dtype = scores.dtype
     return _node(
-        p64.astype(scores.dtype), (scores,),
-        lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(scores.dtype),
+        p64.astype(dtype), (scores,),
+        lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(dtype),
     )
 
 

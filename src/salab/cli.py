@@ -420,6 +420,9 @@ def main(argv=None) -> int:
     except UndefinedMetricError as e:
         print(f"error: undefined metric: {e}", file=sys.stderr)
         code = 4
+    except MemoryError as e:  # a BatchMemoryError names the batch's [B, T, W]
+        print(f"error: out of memory: {e or 'no details'}", file=sys.stderr)
+        code = 5
     except (SalabError, ValueError) as e:
         print(f"error: bad configuration or input: {e}", file=sys.stderr)
         code = 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
 @dataclass
@@ -188,7 +190,11 @@ def _parse_document(line: str) -> PatientDocument:
         raise DatasetError('"sentences" must be a list of lists of strings')
     if bad := [t for s in sentences for t in s if t.splitlines() != [t]]:  # one line of vocab.txt each
         raise DatasetError(f"token {bad[0]!r} is empty or holds a line break")
-    return PatientDocument(id=str(rec["id"]), sentences=sentences, label=int(label))
+    doc_id = str(rec["id"])
+    for kind, texts in (("id", [doc_id]), ("token", [t for s in sentences for t in s])):
+        if bad := [t for t in texts if _LONE_SURROGATE.search(t)]:  # vocab.txt and file names are UTF-8
+            raise DatasetError(f"{kind} {bad[0]!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return PatientDocument(id=doc_id, sentences=sentences, label=int(label))
 
 
 def read_jsonl(path) -> list[PatientDocument]:

@@ -39,3 +39,10 @@ class CheckpointError(SalabError, ValueError):
 
 class DatasetError(SalabError, ValueError):
     """A dataset file has a line that is not a well-formed document."""
+
+
+class BatchMemoryError(SalabError, MemoryError):
+    """A batch of token ids [B, T, W] ran out of memory; the message names its shape."""
+
+    def __init__(self, shape: tuple, cause: MemoryError):
+        super().__init__(f"a batch of [B, T, W] = {list(shape)} ran out of memory ({cause or 'no details'})")

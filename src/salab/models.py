@@ -49,7 +49,7 @@ from .autodiff import (
     segment_mean,
 )
 from .data import Batch, PatientDocument, kept_sentences, pad_and_batch
-from .exceptions import CheckpointError, EmptyDocumentError, ShapeError
+from .exceptions import BatchMemoryError, CheckpointError, EmptyDocumentError, ShapeError
 from .rng import derive_rng
 from .simplex import MappingKind
 
@@ -300,10 +300,13 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
         chunk = picks[start:start + MAPS_CHUNK]
         picked_docs = [PatientDocument(d.id, [kept[t] for t in p], d.label) for d, kept, p in chunk]
         batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
-        with no_grad():
-            x, words, sents, word = model.word_level(batch)
-            if full:
-                sent = model._document_tail(x, words, sents, False)[1]  # [B, heads, T, T]
+        try:
+            with no_grad():
+                x, words, sents, word = model.word_level(batch)
+                if full:
+                    sent = model._document_tail(x, words, sents, False)[1]  # [B, heads, T, T]
+        except MemoryError as e:
+            raise BatchMemoryError(batch.token_ids.shape, e) from e
         rows = iter(word)  # [heads, W, W] per picked sentence, in document order
         for b, (doc, sentences, picked) in enumerate(chunk):
             out: list[AttentionRecord] = []

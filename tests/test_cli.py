@@ -3,6 +3,7 @@
 import logging
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -449,6 +450,49 @@ def test_undecodable_jsonl_line_exit_code(att_run, tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert f"{path}:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+def test_a_batch_out_of_memory_exits_5_naming_its_shape(data_dir, att_run, tmp_path, capsys, monkeypatch,
+                                                        command):
+    """A MemoryError while a batch runs is one `error: out of memory` line
+    naming the batch's [B, T, W], exit 5; a failed `train` writes no --out."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.00 GiB")  # raised, never allocated
+
+    monkeypatch.setattr(AttentionClassifier, "word_level", exhausted)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(data_dir), *TRAIN_FLAGS],
+            "eval": ["eval", "--data", str(data_dir), "--model-dir", str(att_run)],
+            "heatmap": ["heatmap", "--data", str(data_dir), "--model-dir", str(att_run)]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 5
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: out of memory: a batch of \[B, T, W\] = \[\d+, \d+, \d+\] "
+                        r"ran out of memory \(Unable to allocate 9\.00 GiB\)", lines[0])
+    if command == "train":
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["token", "id"])
+def test_a_lone_surrogate_in_train_jsonl_exits_2_before_training(data_dir, tmp_path, capsys, field):
+    """UTF-8 cannot encode a lone surrogate, so `vocab.txt` could not hold it:
+    the line is rejected when read, before any epoch runs."""
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("validation.jsonl", "test.jsonl"):
+        (bad / name).write_bytes((data_dir / name).read_bytes())
+    lines = (data_dir / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, '{"id": "x", "label": 1, "sentences": [["a\\ud800b"]]}' if field == "token"
+                 else '{"id": "x\\ud800", "label": 1, "sentences": [["dnr"]]}')
+    (bad / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "run"), *TRAIN_FLAGS]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "train.jsonl:3: " in lines[0]
+    assert f"{field} " in lines[0] and "lone surrogate" in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 def test_salab_threads_pins_blas_before_numpy_loads():

@@ -164,6 +164,10 @@ def test_jsonl_roundtrip(tmp_path):
         ('{"id": "d1", "label": 1}', '"sentences"'),
         ('{"id": "d1", "label": 1, "sentences": [["a", ""]]}', "token '' is empty or holds a line break"),
         ('{"id": "d1", "label": 1, "sentences": [["p\\u2028q"]]}', "token 'p\\u2028q' is empty or holds"),
+        ('{"id": "d1", "label": 1, "sentences": [["a", "p\\ud800q"]]}',
+         "token 'p\\ud800q' holds a lone surrogate, which UTF-8 cannot encode"),
+        ('{"id": "d\\udc00", "label": 1, "sentences": [["a"]]}',
+         "id 'd\\udc00' holds a lone surrogate, which UTF-8 cannot encode"),
     ],
 )
 def test_read_jsonl_rejects_malformed_line(tmp_path, line, reason):

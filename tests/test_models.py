@@ -2,14 +2,17 @@
 
 import gc
 import logging
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from salab import attention, models
 from salab import data as dm
 from salab.autodiff import Tensor, bce_with_logits, no_grad
 from salab.evaluation import score_documents
-from salab.exceptions import EmptyDocumentError, ShapeError
+from salab.exceptions import BatchMemoryError, EmptyDocumentError, SalabError, ShapeError
 from salab.models import (
     AttentionClassifier,
     HierarchicalTransformerClassifier,
@@ -21,6 +24,7 @@ from salab.models import (
     predict_proba,
 )
 from salab.simplex import MappingKind
+from salab.training import train_model
 from salab.validation import model_grad_error
 
 
@@ -263,6 +267,92 @@ def test_backward_frees_the_training_step_graph(corpus, family):
     assert {id(t) for t in made} == {id(logits), id(loss)}
     assert all(t._parents is None and t.grad is None for t in made)
     assert all(p.grad is not None for p in model.params.values())
+
+
+@pytest.mark.parametrize("family, levels", [(AttentionClassifier, 1), (HierarchicalTransformerClassifier, 2)])
+def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatch):
+    """With the loss still held after `forward`, the q/k/v rows, the residual
+    sums and the pre-ReLU activations are already freed: a tape entry holds
+    no Tensor's data, and no gradient function saves these arrays."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, dropout_rate=0.2), seed=8)
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    freed = {"qkv": [], "residual": [], "pre-relu": []}
+    attend, norm, relu = attention.scaled_dot_attention, attention.layer_norm, Tensor.relu
+
+    def recorded_attention(q, k, v, *args):
+        freed["qkv"] += [weakref.ref(t.data) for t in (q, k, v)]
+        return attend(q, k, v, *args)
+
+    def recorded_norm(x, *args):
+        freed["residual"].append(weakref.ref(x.data))
+        return norm(x, *args)
+
+    def recorded_relu(x):
+        freed["pre-relu"].append(weakref.ref(x.data))
+        return relu(x)
+
+    for module in (attention, models):
+        monkeypatch.setattr(module, "scaled_dot_attention", recorded_attention)
+    monkeypatch.setattr(attention, "layer_norm", recorded_norm)
+    monkeypatch.setattr(Tensor, "relu", recorded_relu)
+    logits = model.forward(batch, training=True)
+    loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+    monkeypatch.undo()
+    tr = family is HierarchicalTransformerClassifier
+    assert {k: len(v) for k, v in freed.items()} == {"qkv": 3 * levels, "residual": 2 * tr * levels,
+                                                      "pre-relu": tr * levels}
+    assert all(ref() is None for refs in freed.values() for ref in refs)
+    loss.backward()
+    assert all(p.grad is not None for p in model.params.values())
+
+
+@pytest.mark.parametrize("family, mapping, max_words, max_sents, kib",
+                         [("att", "entmax:1.3", 12, 8, 2), ("tr", "softmax", 20, 40, 4)])
+def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_words, max_sents, kib):
+    """What a training forward leaves allocated until backward, per real token,
+    at the benchmark workloads' shapes (hidden 64, embed 50, batch 16)."""
+    docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=64, seed=3))
+    vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=1)
+    cls, cfg = ((AttentionClassifier, LocalModelConfig) if family == "att"
+                else (HierarchicalTransformerClassifier, HierModelConfig))
+    model = cls(cfg(len(vocab), embed_dim=50, hidden=64, mapping=MappingKind.parse(mapping),
+                    max_words=max_words, max_sents=max_sents), seed=1)
+    batch = dm.pad_and_batch(docs, vocab, max_words, max_sents, 16)[0]
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = model.forward(batch, training=True)
+        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held / batch.word_mask.sum() <= kib * 1024
+    loss.backward()
+
+
+@pytest.mark.parametrize("path", ["train_model", "score_documents", "iter_attention_maps"])
+def test_a_batch_out_of_memory_raises_batch_memory_error(corpus, path, monkeypatch):
+    """A MemoryError while a batch runs becomes a BatchMemoryError naming
+    the batch's [B, T, W]; nothing large is allocated."""
+    docs, vocab = corpus
+    model = AttentionClassifier(att_cfg(vocab), seed=1)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.00 GiB")
+
+    monkeypatch.setattr(model, "word_level", exhausted)
+    with pytest.raises(BatchMemoryError, match=r"\[B, T, W\] = \[4, \d+, \d+\] .*9\.00 GiB") as info:
+        if path == "train_model":
+            train_model(model, docs[:4], docs[4:], vocab, epochs=1, batch_size=4)
+        elif path == "score_documents":
+            score_documents(model, docs[:4], vocab, batch_size=4)
+        else:
+            next(iter_attention_maps(model, docs[:4], vocab))
+    assert isinstance(info.value, MemoryError) and isinstance(info.value, SalabError)
 
 
 def test_heads_must_divide_hidden_at_build(corpus):
