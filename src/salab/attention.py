@@ -87,7 +87,7 @@ def scaled_dot_attention(
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
     if q.data.size != units.index.size * q.shape[-1]:
         raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
-    keep, shape = units.mask[..., None, None, :], q.shape  # the closures save no q, k, v rows
+    shape = q.shape  # the closures save no q, k, v rows
 
     def grid(a):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
         return units.unpack(a).swapaxes(-2, -3)
@@ -101,12 +101,12 @@ def scaled_dot_attention(
     def merge(a):
         return rows(a).reshape(shape)
 
-    def dscores(g):
-        return grid(g) * keep * scale
+    def dscores(g):  # 0 at padding keys already: the mapping's backward gives 0 where p is 0
+        return grid(g) * scale
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
-    s = np.where(keep, (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
+    s = np.where(units.mask[..., None, None, :], (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
     scores = _node(rows(s), (q, k), lambda g: merge(dscores(g) @ kh),
                    lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
     p = attention_weights(scores, mapping)

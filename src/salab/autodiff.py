@@ -352,11 +352,11 @@ def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
     Forward and backward both run in float64 and cast back to the
     score dtype.
     """
-    p64, _ = simplex.apply_mapping_nd(scores.data.astype(np.float64), kind)
+    p64, _ = simplex.apply_mapping_nd(scores.data, kind)
     dtype = scores.dtype
     return _node(
         p64.astype(dtype), (scores,),
-        lambda g: simplex.mapping_backward_nd(p64, g.astype(np.float64), kind).astype(dtype),
+        lambda g: simplex.mapping_backward_nd(p64, g, kind).astype(dtype),
     )
 
 

@@ -68,5 +68,5 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 f"{path}: truncated or corrupt parameter record at byte {start}: {e}"
             ) from e
         off += 4 * count
-        params[name] = arr.astype(np.float32).copy()
+        params[name] = arr.astype(np.float32)  # a copy, not a view of `data`
     return params

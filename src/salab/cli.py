@@ -51,7 +51,6 @@ MODEL_FIELDS = {
     "hidden": ("hidden",), "embed_dim": ("embed_dim",), "max_words": ("max_words",),
     "max_sents": ("max_sents",), "dropout": ("dropout_rate",),
     "heads": ("word_heads", "sent_heads"), "layers": ("word_layers", "sent_layers"),
-    "shared_qkv": ("shared_qkv",),
 }
 MODEL_KEYS = ("model", "mapping", *MODEL_FIELDS)  # the settings config.kv records
 _MODEL = HierModelConfig(vocab_size=2)
@@ -64,7 +63,7 @@ TRAIN_DEFAULTS = {
 EVAL_DEFAULTS = {"data": "data", "model_dir": "run", "out": "", "split": "test", "bins": 10}
 
 HEATMAP_DEFAULTS = {"data": "data", "model_dir": "run", "out": "heatmaps",
-                    "filter": ",".join(_CORPUS.directive_tokens), "limit": 5}
+                    "filter": ",".join(datamod.DIRECTIVE_TOKENS), "limit": 5}
 
 GRADCHECK_DEFAULTS = {"seed": 0, "trials": 200, "tol": 1e-4}
 
@@ -94,10 +93,6 @@ def write_kv(path, cfg: dict) -> None:
 
 
 def _coerce(key: str, value: str, template):
-    if isinstance(template, bool):
-        if value.lower() not in ("true", "false", "1", "0"):
-            raise ValueError(f"{key} must be true, false, 1 or 0, got {value!r}")
-        return value.lower() in ("true", "1")
     try:
         return type(template)(value)
     except ValueError:
@@ -229,15 +224,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_once(cfg: dict, seed: int, out: Path):
-    data_dir = Path(cfg["data"])
-    train_docs = datamod.read_jsonl(data_dir / "train.jsonl")
-    val_docs = datamod.read_jsonl(data_dir / "validation.jsonl")
-    test_docs = datamod.read_jsonl(data_dir / "test.jsonl")
-    vocab = datamod.build_vocab(
-        (sent for doc in train_docs for sent in doc.sentences),
-        min_freq=cfg["min_freq"],
-    )
+def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
+    train_docs, val_docs, test_docs = splits
     model = build_model(cfg, len(vocab), seed=seed)
     result = train_model(
         model, train_docs, val_docs, vocab,
@@ -270,12 +258,16 @@ def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
     _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
+    splits = [datamod.read_jsonl(Path(cfg["data"]) / f"{s}.jsonl")
+              for s in ("train", "validation", "test")]
+    vocab = datamod.build_vocab((sent for doc in splits[0] for sent in doc.sentences),
+                                min_freq=cfg["min_freq"])
     out = Path(cfg["out"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
     dirs = [out] if len(seeds) == 1 else [out / f"seed{seed}" for seed in seeds]
     # a diverging run is reported once, as a poisoned gradient, not by numpy on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        reports = [_train_once(cfg, seed, d) for seed, d in zip(seeds, dirs)]
+        reports = [_train_once(cfg, seed, d, splits, vocab) for seed, d in zip(seeds, dirs)]
     if len(reports) > 1:
         summary = {}
         for name in ("auc_roc", "auc_pr", "brier"):

@@ -89,12 +89,14 @@ def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
+DIRECTIVE_TOKENS = ("dnr", "dni", "cmo")  # planted by the generator; heatmap's default filter
+
+
 @dataclass
 class SyntheticCorpusConfig:
     n_documents: int = 5000
     vocab_size: int = 200
     positive_rate: float = 0.132
-    directive_tokens: tuple[str, ...] = ("dnr", "dni", "cmo")
     p_directive_given_positive: float = 0.9
     p_directive_given_negative: float = 0.05
     min_sentences: int = 3
@@ -147,7 +149,7 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
             cfg.p_directive_given_positive if label else cfg.p_directive_given_negative
         )
         if rng.random() < p_dir:
-            token = cfg.directive_tokens[rng.integers(len(cfg.directive_tokens))]
+            token = DIRECTIVE_TOKENS[rng.integers(len(DIRECTIVE_TOKENS))]
             s = int(rng.integers(n_sent))
             pos = int(rng.integers(len(sentences[s]) + 1))
             sentences[s].insert(pos, token)

@@ -222,8 +222,8 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
 
 
-def export_heatmap(record: AttentionRecord, path, head: int = 0) -> None:
-    """CSV grid: header = column tokens, first cell of each row = row token.
+def export_heatmap(record: AttentionRecord, path) -> None:
+    """CSV grid of head 0: header = column tokens, first cell of each row = row token.
 
     The bytes are csv.writer's. An existing file is rewritten in place, which
     frees no blocks and, on ext4, forces no flush at close.
@@ -231,7 +231,7 @@ def export_heatmap(record: AttentionRecord, path, head: int = 0) -> None:
     labels = [_csv_field(label) for label in record.labels]
     cells = ",".join(["%.6f"] * len(labels))
     lines = [",".join(["", *labels])]
-    for label, row in zip(labels, record.weights[head].tolist()):
+    for label, row in zip(labels, record.weights[0].tolist()):
         lines.append(f"{label},{cells % tuple(row)}")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write("\r\n".join([*lines, ""]).encode("utf-8"))

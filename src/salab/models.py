@@ -67,8 +67,6 @@ class LocalModelConfig:
     dropout_rate: float = 0.2
     max_words: int = 50
     max_sents: int = 1000
-    # att only: Q, K and V start from one shared matrix, then train apart
-    shared_qkv: bool = False
 
     def __post_init__(self):
         for name in ("embed_dim", "hidden", "max_words", "max_sents"):
@@ -93,8 +91,6 @@ class HierModelConfig(LocalModelConfig):
         for heads in (self.word_heads, self.sent_heads):
             if self.hidden % heads:
                 raise ShapeError(f"heads {heads} does not divide hidden {self.hidden}")
-        if self.shared_qkv:
-            raise ValueError("shared_qkv applies to the att family only")
 
 
 def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
@@ -198,14 +194,9 @@ class AttentionClassifier(_BaseModel):
     family = "att"
 
     def _build_encoder(self, rng):
-        cfg = self.config
-
-        def init():
-            return _uniform(rng, cfg.hidden, (cfg.hidden, cfg.hidden), self.dtype)
-
-        shared = init() if cfg.shared_qkv else None
+        d = self.config.hidden
         for w in ("wq", "wk", "wv"):
-            self._param(w, init() if shared is None else shared.copy())
+            self._param(w, _uniform(rng, d, (d, d), self.dtype))
 
     def _word_encoder(self, x, words, training):
         q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))

@@ -4,6 +4,7 @@ import logging
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import salab
+from salab import data as datamod
 from salab.cli import (
     EVAL_DEFAULTS,
     TRAIN_DEFAULTS,
@@ -168,8 +170,6 @@ def test_bad_mapping_exit_code(data_dir, tmp_path):
         ["--model", "tr", "--layers", "0"],
         ["--epochs", "0"],
         ["--hidden", "0"],
-        ["--model", "tr", "--shared-qkv", "true"],
-        ["--shared-qkv", "yes"],
     ],
 )
 def test_bad_train_config_exit_code(data_dir, tmp_path, capsys, flags):
@@ -561,19 +561,24 @@ def test_gradcheck_command_passes():
     assert main(["gradcheck", "--trials", "40"]) == 0
 
 
-def test_multi_seed_summary(data_dir, tmp_path):
+def test_multi_seed_summary(data_dir, tmp_path, monkeypatch):
+    """`--seeds 2` reads the data once, and `seed1/` holds what `--seed 1` alone writes."""
+    reads = []
+    read_jsonl = datamod.read_jsonl
+    monkeypatch.setattr(datamod, "read_jsonl", lambda path: reads.append(path) or read_jsonl(path))
     run = tmp_path / "seeds"
-    assert main(
-        ["train", "--data", str(data_dir), "--out", str(run),
-         "--model", "att", "--mapping", "softmax", "--seeds", "2",
-         "--epochs", "1", "--lr", "1e-3", "--hidden", "8", "--embed-dim", "8",
-         "--max-words", "12", "--max-sents", "8", "--min-freq", "1"]
-    ) == 0
+    flags = ["train", "--data", str(data_dir), "--model", "att", "--mapping", "softmax",
+             "--epochs", "1", "--lr", "1e-3", "--hidden", "8", "--embed-dim", "8",
+             "--max-words", "12", "--max-sents", "8", "--min-freq", "1"]
+    assert main([*flags, "--out", str(run), "--seeds", "2"]) == 0
+    assert sorted(Path(p).name for p in reads) == ["test.jsonl", "train.jsonl", "validation.jsonl"]
     summary = read_kv(run / "summary.kv")
     assert summary["runs"] == "2"
     assert "auc_roc_mean" in summary and "auc_roc_sd" in summary
     assert (run / "seed0" / "best.ckpt").exists()
-    assert (run / "seed1" / "best.ckpt").exists()
+    assert main([*flags, "--out", str(tmp_path / "alone"), "--seed", "1"]) == 0
+    for name in ("best.ckpt", "vocab.txt", "metrics.kv"):
+        assert (run / "seed1" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def error_lines(err: str) -> list[str]:
@@ -605,7 +610,7 @@ def test_training_that_poisons_entmax_scores_exits_3(data_dir, tmp_path, family,
 
 def test_model_configs_own_the_train_defaults():
     expected = {"hidden": "hidden", "embed_dim": "embed_dim", "max_words": "max_words",
-                "max_sents": "max_sents", "dropout": "dropout_rate", "shared_qkv": "shared_qkv"}
+                "max_sents": "max_sents", "dropout": "dropout_rate"}
     for config in (LocalModelConfig(5), HierModelConfig(5)):
         assert {k: getattr(config, f) for k, f in expected.items()} == {
             k: TRAIN_DEFAULTS[k] for k in expected}
@@ -677,12 +682,12 @@ def test_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, key, val
 def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
     settings_by_family = {
         "att": {"mapping": "entmax:1.3", "hidden": 12, "embed_dim": 6, "max_words": 9,
-                "max_sents": 7, "dropout": 0.1, "heads": 2, "layers": 2, "shared_qkv": True},
+                "max_sents": 7, "dropout": 0.1, "heads": 2, "layers": 2},
         "tr": {"mapping": "sparsemax", "hidden": 12, "embed_dim": 6, "max_words": 9,
-               "max_sents": 7, "dropout": 0.1, "heads": 3, "layers": 2, "shared_qkv": False},
+               "max_sents": 7, "dropout": 0.1, "heads": 3, "layers": 2},
     }
     for family, chosen in settings_by_family.items():
-        assert all(TRAIN_DEFAULTS[k] != v for k, v in chosen.items() if k != "shared_qkv")
+        assert all(TRAIN_DEFAULTS[k] != v for k, v in chosen.items())
         run = tmp_path / family
         flags = [f"--{k.replace('_', '-')}={v}" for k, v in chosen.items()]
         assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", family,
@@ -696,8 +701,29 @@ def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
             12, 6, 9, 7, 0.1)
         if family == "tr":
             assert (c.word_heads, c.sent_heads, c.word_layers, c.sent_layers) == (3, 3, 2, 2)
-        else:
-            assert c.shared_qkv
+
+
+@pytest.mark.parametrize("family, line", [("att", "shared_qkv=true"), ("tr", "shared_qkv=False")])
+def test_a_model_dir_holding_a_shared_qkv_line_evaluates_as_without(
+    data_dir, tmp_path, family, line
+):
+    """config.kv files of earlier runs may hold shared_qkv, which only ever set
+    the initial weights; the loader ignores it."""
+    run, old = tmp_path / "run", tmp_path / "run-old"
+    assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", family,
+                 *TRAIN_FLAGS, "--epochs", "1"]) == 0
+    shutil.copytree(run, old)
+    with open(old / "config.kv", "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    for d in (run, old):
+        assert main(["eval", "--data", str(data_dir), "--model-dir", str(d)]) == 0
+        assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(d),
+                     "--out", str(d / "hm"), "--filter", "", "--limit", "3"]) == 0
+    files = [Path("eval", n) for n in ("metrics.kv", "metrics.json", "reliability.csv")]
+    files += [p.relative_to(run) for p in sorted((run / "hm").glob("*.csv"))]
+    assert len(files) > 3
+    for f in files:
+        assert (run / f).read_bytes() == (old / f).read_bytes(), f
 
 
 @pytest.mark.parametrize("family, key, value", [

@@ -76,7 +76,7 @@ def test_degenerate_directive_probabilities():
         p_directive_given_negative=0.0,
         seed=11,
     )
-    directives = set(cfg.directive_tokens)
+    directives = set(dm.DIRECTIVE_TOKENS)
     for doc in dm.generate_synthetic_corpus(cfg):
         has = any(set(s) & directives for s in doc.sentences)
         assert has == bool(doc.label)
@@ -111,7 +111,7 @@ def corpus_by_choice(cfg):
             sentences.append([f"w{i}" for i in rng.choice(cfg.vocab_size, size=n_word, p=probs)])
         p_dir = cfg.p_directive_given_positive if label else cfg.p_directive_given_negative
         if rng.random() < p_dir:
-            token = cfg.directive_tokens[rng.integers(len(cfg.directive_tokens))]
+            token = dm.DIRECTIVE_TOKENS[rng.integers(len(dm.DIRECTIVE_TOKENS))]
             s = int(rng.integers(len(sentences)))
             sentences[s].insert(int(rng.integers(len(sentences[s]) + 1)), token)
         docs.append(dm.PatientDocument(id=f"doc{d:06d}", sentences=sentences, label=label))
@@ -304,7 +304,7 @@ def test_mask_pad_consistency():
 def test_synthetic_separability_by_containment_rule():
     cfg = dm.SyntheticCorpusConfig(n_documents=4000, seed=17)
     docs = dm.generate_synthetic_corpus(cfg)
-    directives = set(cfg.directive_tokens)
+    directives = set(dm.DIRECTIVE_TOKENS)
     recs = [
         PredictionRecord(
             d.id,

@@ -185,12 +185,12 @@ def test_export_heatmap_roundtrip_and_exact_zero(tmp_path, read_heatmap):
     assert "0.000000" in path.read_text()
 
 
-def _scalar_formatted_csv(record, head=0) -> bytes:
-    """The CSV as formatted one numpy scalar at a time, the earlier way."""
+def _scalar_formatted_csv(record) -> bytes:
+    """The CSV of head 0 as formatted one numpy scalar at a time, the earlier way."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow([""] + record.labels)
-    for label, row in zip(record.labels, record.weights[head]):
+    for label, row in zip(record.labels, record.weights[0]):
         writer.writerow([label] + [f"{v:.6f}" for v in row])
     return buf.getvalue().encode("utf-8")
 
@@ -212,11 +212,11 @@ ODD_LABELS = ["", "\r", "\n", "a\r\nb", " lead", "trail ", "\t", "é", 'a,"b",,"
 def test_export_heatmap_bytes_match_scalar_formatting(tmp_path, dtype, weights, labels):
     w = np.array(weights, dtype=dtype)
     w = np.concatenate([w, np.random.default_rng(0).random(w.shape).astype(dtype)])
-    rec = AttentionRecord(w, labels)
-    for head in range(len(w)):
-        path = tmp_path / f"h{head}.csv"
-        export_heatmap(rec, path, head=head)
-        assert path.read_bytes() == _scalar_formatted_csv(rec, head)
+    for block in range(len(w)):  # each weight block as head 0 of its own record
+        rec = AttentionRecord(w[block:block + 1], labels)
+        path = tmp_path / f"h{block}.csv"
+        export_heatmap(rec, path)
+        assert path.read_bytes() == _scalar_formatted_csv(rec)
 
 
 @pytest.mark.parametrize("extra", [-30, 0, 1000], ids=["shorter", "same-length", "longer"])

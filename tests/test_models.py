@@ -372,7 +372,6 @@ def test_heads_must_divide_hidden_at_build(corpus):
         (att_cfg, {"dropout_rate": -0.1}),
         (tr_cfg, {"word_layers": 0}),
         (tr_cfg, {"sent_heads": 0}),
-        (tr_cfg, {"shared_qkv": True}),
     ],
 )
 def test_config_rejects_bad_values(corpus, cfg_fn, bad):
@@ -439,14 +438,6 @@ def test_predict_proba_stability():
     assert predict_proba(np.array([0.0]))[0] == 0.5
     assert predict_proba(np.array([20.0]))[0] > 0.9999
     assert predict_proba(np.array([-20.0]))[0] < 1e-4
-
-
-def test_shared_qkv_flag(corpus):
-    docs, vocab = corpus
-    model = AttentionClassifier(att_cfg(vocab, shared_qkv=True), seed=6)
-    np.testing.assert_array_equal(model.params["wq"].data, model.params["wk"].data)
-    batch = dm.pad_and_batch(docs[:2], vocab, 6, 4, 2)[0]
-    assert np.isfinite(model.forward(batch).data).all()
 
 
 def test_extract_attention_maps_filter(corpus):
