@@ -1,8 +1,8 @@
 """Scaled dot-product attention with a pluggable simplex mapping.
 
 One attention call, whose last axis splits into heads (one for the local
-models), multi-head self-attention, learned positional embeddings, and a
-post-norm transformer encoder layer (FFN hidden width 2d).  Activations
+models), learned positional embeddings, and a post-norm transformer encoder
+layer around multi-head self-attention (FFN hidden width 2d).  Activations
 are the packed rows of real units (`Packing`); only the attention call and
 the positional add read the units' grid.
 """
@@ -116,24 +116,6 @@ def scaled_dot_attention(
     return out, pg
 
 
-def multi_head_attention(
-    x: Tensor,
-    params: dict[str, Tensor],
-    units: Packing,
-    prefix: str,
-    mapping: MappingKind,
-    heads: int,
-) -> tuple[Tensor, np.ndarray]:
-    """Multi-head self-attention over the rows x[R, d] of `units`.
-
-    Returns the output and per-head weights [..., h, n, n].
-    Expects parameters {prefix}wq/wk/wv/wo and biases {prefix}bq/bk/bv/bo.
-    """
-    q, k, v = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
-    att, w = scaled_dot_attention(q, k, v, units, mapping, heads)
-    return linear(att, params[prefix + "wo"], params[prefix + "bo"]), w
-
-
 def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing) -> Tensor:
     """x plus the table row of each unit's slot in its group (rows as in attention)."""
     n, d = units.mask.shape[-1], table.shape[1]
@@ -157,8 +139,13 @@ def transformer_encoder_layer(
     heads: int,
     dropout_rate: float,
 ) -> tuple[Tensor, np.ndarray]:
-    """Post-norm encoder layer: LN(x + MHA(x)) then LN(y + FFN(y))."""
-    att, w = multi_head_attention(x, params, units, prefix, mapping, heads)
+    """Post-norm encoder layer over the rows x[R, d] of `units`: LN(x + MHA(x)),
+    then LN(y + FFN(y)); returns the output and the weights [..., heads, L, L].
+    MHA's parameters are {prefix}wq/wk/wv/wo and {prefix}bq/bk/bv/bo.  q, k and v
+    go straight into the attention call, so that it frees them on return."""
+    qkv = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
+    att, w = scaled_dot_attention(*qkv, units, mapping, heads)
+    att = linear(att, params[prefix + "wo"], params[prefix + "bo"])
     att = dropout(att, dropout_rate, training, rng)
     y = layer_norm(x + att, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     h = linear(y, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]).relu()

@@ -151,21 +151,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other, self.dtype))
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
         a, b = self.data, other.data
         return _node(a * b, (self, other), lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (_as_tensor(other, self.dtype) ** -1.0)
 
     def __pow__(self, exponent: float):
         x = self.data

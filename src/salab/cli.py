@@ -46,13 +46,15 @@ GEN_FIELDS = {  # gen-data setting -> SyntheticCorpusConfig field
 _CORPUS = datamod.SyntheticCorpusConfig()
 GEN_DEFAULTS = {"out": "data", **{k: getattr(_CORPUS, f) for k, f in GEN_FIELDS.items()}}
 
+# family -> (model class, config class); a family takes the settings its config has fields for
+FAMILIES = {"att": (AttentionClassifier, LocalModelConfig),
+            "tr": (HierarchicalTransformerClassifier, HierModelConfig)}
 # train setting -> model config field(s); for tr, heads and layers set both levels
 MODEL_FIELDS = {
     "hidden": ("hidden",), "embed_dim": ("embed_dim",), "max_words": ("max_words",),
     "max_sents": ("max_sents",), "dropout": ("dropout_rate",),
     "heads": ("word_heads", "sent_heads"), "layers": ("word_layers", "sent_layers"),
 }
-MODEL_KEYS = ("model", "mapping", *MODEL_FIELDS)  # the settings config.kv records
 _MODEL = HierModelConfig(vocab_size=2)
 TRAIN_DEFAULTS = {
     "data": "data", "out": "run", "model": "att", "mapping": str(_MODEL.mapping),
@@ -136,25 +138,32 @@ def resolve(defaults: dict, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # model (re)construction
 
+def family_settings(family: str) -> list[str]:
+    """The settings of MODEL_FIELDS that `family` takes, which its config.kv records."""
+    known = {f.name for f in dataclasses.fields(FAMILIES[family][1])} if family in FAMILIES else ()
+    return [k for k, fields in MODEL_FIELDS.items() if fields[0] in known]
+
+
 def model_config(cfg: dict, vocab_size: int):
-    """The model config that `cfg`'s model settings describe; it checks them."""
-    config_cls = {"att": LocalModelConfig, "tr": HierModelConfig}.get(cfg["model"])
-    if config_cls is None:
+    """The model config that `cfg`'s model settings describe; it checks them,
+    and refuses a setting off its default that the family does not take."""
+    if cfg["model"] not in FAMILIES:
         raise ValueError(f"model must be att or tr, got {cfg['model']!r}")
-    known = {f.name for f in dataclasses.fields(config_cls)}  # att has no heads or layers
-    kw = {f: cfg[k] for k, fields in MODEL_FIELDS.items() for f in fields if f in known}
-    return config_cls(vocab_size, mapping=MappingKind.parse(cfg["mapping"]), **kw)
+    taken = family_settings(cfg["model"])
+    for k in MODEL_FIELDS:
+        if k not in taken and cfg[k] != TRAIN_DEFAULTS[k]:
+            raise ValueError(f"model {cfg['model']} takes no {k} setting, got {k}={cfg[k]}")
+    kw = {f: cfg[k] for k in taken for f in MODEL_FIELDS[k]}
+    return FAMILIES[cfg["model"]][1](vocab_size, mapping=MappingKind.parse(cfg["mapping"]), **kw)
 
 
 def build_model(cfg: dict, vocab_size: int, seed: int, dtype=np.float32):
-    config = model_config(cfg, vocab_size)
-    family = AttentionClassifier if cfg["model"] == "att" else HierarchicalTransformerClassifier
-    return family(config, seed=seed, dtype=dtype)
+    return FAMILIES[cfg["model"]][0](model_config(cfg, vocab_size), seed=seed, dtype=dtype)
 
 
 def save_model_dir(out: Path, vocab, train_cfg: dict, seed: int) -> None:
     vocab.save(out / "vocab.txt")
-    kv = {k: train_cfg[k] for k in MODEL_KEYS}
+    kv = {k: train_cfg[k] for k in ("model", "mapping", *family_settings(train_cfg["model"]))}
     write_kv(out / "config.kv", dict(kv, vocab_size=len(vocab), seed=seed))
 
 
@@ -181,9 +190,10 @@ def _check_sizes(state: dict, cfg: dict, vocab_size: int) -> None:
 def load_model_dir(model_dir):
     model_dir = Path(model_dir)
     path = model_dir / "config.kv"
-    kv = read_kv(path)  # keys it does not read, such as vocab_size, are ignored
+    kv = read_kv(path)  # it ignores the keys it does not read: vocab_size, another family's
     cfg = dict(TRAIN_DEFAULTS)
-    cfg.update(_file_settings(path, {k: kv[k] for k in (*MODEL_KEYS, "seed") if k in kv}, cfg))
+    keys = ("model", "mapping", "seed", *family_settings(kv.get("model", cfg["model"])))
+    cfg.update(_file_settings(path, {k: kv[k] for k in keys if k in kv}, cfg))
     vocab = datamod.Vocabulary.load(model_dir / "vocab.txt")
     state = load_checkpoint(model_dir / "best.ckpt")
     try:  # a setting out of range is named, with its file, before any size
@@ -376,8 +386,13 @@ def _add_flags(parser, defaults):
         parser.add_argument(flag, default=None, help=f"default: {default}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` reports it, as it reports any bad setting
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="salab",
         description="sparse-attention text classification lab",
     )
@@ -397,8 +412,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         code = args.fn(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e}", file=sys.stderr)

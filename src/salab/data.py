@@ -262,13 +262,6 @@ def kept_sentences(doc: PatientDocument, max_words: int, max_sents: int) -> list
     return [cut for sent in doc.sentences[:max_sents] if (cut := sent[:max_words])]
 
 
-def encode_document(
-    doc: PatientDocument, vocab: Vocabulary, max_words: int, max_sents: int
-) -> list[list[int]]:
-    """The ids of the document's kept sentences."""
-    return [[vocab.encode(t) for t in s] for s in kept_sentences(doc, max_words, max_sents)]
-
-
 def pad_and_batch(
     docs: list[PatientDocument],
     vocab: Vocabulary,
@@ -283,7 +276,7 @@ def pad_and_batch(
         raise ValueError("max_words, max_sents, batch_size must be >= 1")
     kept: list[tuple[PatientDocument, list[list[int]]]] = []
     for doc in docs:
-        enc = encode_document(doc, vocab, max_words, max_sents)
+        enc = [[vocab.encode(t) for t in s] for s in kept_sentences(doc, max_words, max_sents)]
         if not enc:
             log.warning("document %s empty after truncation; skipped", doc.id)
             continue

@@ -115,7 +115,6 @@ class _BaseModel:
 
     def __init__(self, config, seed: int = 0, dtype=np.float32):
         self.config = cfg = config
-        self.seed = seed
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         self._dropout_rng = derive_rng(seed, "dropout", self.family)

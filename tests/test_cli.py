@@ -627,6 +627,8 @@ def test_model_configs_own_the_train_defaults():
     (["--mapping", "sharpmax"], "mapping"),
     (["--model", "tr", "--layers", "0"], "layers"),
     (["--model", "tr", "--heads", "3", "--hidden", "8"], "heads"),
+    (["--model", "att", "--heads", "2"], "heads"),
+    (["--model", "att", "--layers", "2"], "layers"),
 ])
 def test_train_checks_model_settings_before_reading_data(tmp_path, capsys, flags, name):
     capsys.readouterr()
@@ -635,6 +637,34 @@ def test_train_checks_model_settings_before_reading_data(tmp_path, capsys, flags
     lines = error_lines(capsys.readouterr().err)
     assert len(lines) == 1 and name in lines[0] and "missing file" not in lines[0]
     assert not (tmp_path / "x").exists()
+
+
+def test_att_refuses_a_tr_setting_from_a_config_file(data_dir, tmp_path, capsys):
+    (tmp_path / "cfg.kv").write_text("heads=2\n", encoding="utf-8")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "cfg.kv"), "--data", str(data_dir),
+                 "--out", str(out), "--model", "att", *TRAIN_FLAGS]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "heads=2" in lines[0]
+    assert not out.exists()
+
+
+BAD_COMMAND_LINES = {
+    **{f"{c}-unknown-flag": [c, "--no-such-flag", "1"]
+       for c in ("gen-data", "train", "eval", "heatmap", "gradcheck")},
+    "unknown-command": ["frob"],
+    "missing-command": [],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_a_bad_command_line_returns_2_with_one_error_line(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = error_lines(captured.err)
+    assert captured.err.splitlines() == lines and len(lines) == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "gradcheck"])
@@ -682,7 +712,7 @@ def test_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, key, val
 def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
     settings_by_family = {
         "att": {"mapping": "entmax:1.3", "hidden": 12, "embed_dim": 6, "max_words": 9,
-                "max_sents": 7, "dropout": 0.1, "heads": 2, "layers": 2},
+                "max_sents": 7, "dropout": 0.1},
         "tr": {"mapping": "sparsemax", "hidden": 12, "embed_dim": 6, "max_words": 9,
                "max_sents": 7, "dropout": 0.1, "heads": 3, "layers": 2},
     }
@@ -690,8 +720,10 @@ def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
         assert all(TRAIN_DEFAULTS[k] != v for k, v in chosen.items())
         run = tmp_path / family
         flags = [f"--{k.replace('_', '-')}={v}" for k, v in chosen.items()]
+        default_heads = ["--heads", "1"] if family == "att" else []  # att takes tr's at the default
         assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", family,
-                     "--seed", "3", "--epochs", "1", "--min-freq", "1", *flags]) == 0
+                     "--seed", "3", "--epochs", "1", "--min-freq", "1", *flags, *default_heads]) == 0
+        assert read_kv(run / "config.kv").keys() == {"model", "vocab_size", "seed", *chosen}
         model, _, cfg = load_model_dir(run)
         assert {k: cfg[k] for k in chosen} == chosen
         assert (cfg["model"], cfg["seed"], str(model.config.mapping)) == (
@@ -703,12 +735,16 @@ def test_model_settings_round_trip_through_the_model_dir(data_dir, tmp_path):
             assert (c.word_heads, c.sent_heads, c.word_layers, c.sent_layers) == (3, 3, 2, 2)
 
 
-@pytest.mark.parametrize("family, line", [("att", "shared_qkv=true"), ("tr", "shared_qkv=False")])
+@pytest.mark.parametrize("family, line", [
+    ("att", "shared_qkv=true"), ("tr", "shared_qkv=False"),
+    pytest.param("att", "heads=4\nlayers=3", id="att-heads-layers"),
+])
 def test_a_model_dir_holding_a_shared_qkv_line_evaluates_as_without(
     data_dir, tmp_path, family, line
 ):
     """config.kv files of earlier runs may hold shared_qkv, which only ever set
-    the initial weights; the loader ignores it."""
+    the initial weights, and att ones heads and layers, which att never read;
+    the loader reads only the settings of the directory's family."""
     run, old = tmp_path / "run", tmp_path / "run-old"
     assert main(["train", "--data", str(data_dir), "--out", str(run), "--model", family,
                  *TRAIN_FLAGS, "--epochs", "1"]) == 0

@@ -269,8 +269,7 @@ def test_pad_and_batch_remainder_and_truncation():
 def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents, batch_size):
     vocab = dm.build_vocab([["a", "b", "c"]], min_freq=1)
     docs = [dm.PatientDocument(f"d{i}", s, 0) for i, s in enumerate(sentence_lists)]
-    kept = [enc for enc in (dm.encode_document(d, vocab, max_words, max_sents) for d in docs)
-            if enc]
+    kept = [enc for enc in (dm.kept_sentences(d, max_words, max_sents) for d in docs) if enc]
     batches = dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size)
     assert [b.token_ids.shape[0] for b in batches] == [
         len(kept[i : i + batch_size]) for i in range(0, len(kept), batch_size)

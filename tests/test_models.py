@@ -308,6 +308,32 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
     assert all(p.grad is not None for p in model.params.values())
 
 
+def test_each_encoder_layer_frees_qkv_before_its_first_layer_norm(corpus, monkeypatch):
+    """A layer's q, k and v rows are freed when its attention call returns, so
+    they are not held while the rest of the layer allocates."""
+    docs, vocab = corpus
+    config = tr_cfg(vocab, dropout_rate=0.2, word_heads=2, sent_heads=2, word_layers=2, sent_layers=2)
+    model = HierarchicalTransformerClassifier(config, seed=8)
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    attend, norm = attention.scaled_dot_attention, attention.layer_norm
+    pending, alive = [], []
+
+    def recorded_attention(q, k, v, *args):
+        pending[:] = [weakref.ref(t.data) for t in (q, k, v)]
+        return attend(q, k, v, *args)
+
+    def recorded_norm(x, *args):
+        if pending:  # the first layer norm since the last attention call
+            alive.append(sum(ref() is not None for ref in pending))
+            pending.clear()
+        return norm(x, *args)
+
+    monkeypatch.setattr(attention, "scaled_dot_attention", recorded_attention)
+    monkeypatch.setattr(attention, "layer_norm", recorded_norm)
+    model.forward(batch, training=True)
+    assert alive == [0, 0, 0, 0]  # word0, word1, sent0, sent1
+
+
 @pytest.mark.parametrize("family, mapping, max_words, max_sents, kib",
                          [("att", "entmax:1.3", 12, 8, 2), ("tr", "softmax", 20, 40, 4)])
 def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_words, max_sents, kib):
