@@ -71,9 +71,9 @@ class Packing:
 
 
 def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, units: Packing, mapping: MappingKind,
+    q: Tensor, k: Tensor, v: Tensor | None, units: Packing, mapping: MappingKind,
     heads: int = 1,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[Tensor | None, np.ndarray]:
     """Self-attention within each group of `units`; returns (output, weights).
 
     q, k and v are the [R, d] rows of the real units.  Three tape nodes: the
@@ -82,9 +82,12 @@ def scaled_dot_attention(
     and the pack back out happen inside the first and the last.  Weights
     are [..., heads, L, L] in q's dtype; padding keys score MASK_FILL, which
     every mapping maps to exactly 0, and padding-query rows are exactly 0.
+    With v None (a map read-out) the call stops at the mapping: no value
+    mix, and the output is None.
     """
-    if q.shape != k.shape or k.shape != v.shape or heads < 1 or q.shape[-1] % heads:
-        raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}, heads {heads}")
+    vshape = None if v is None else v.shape
+    if q.shape != k.shape or vshape not in (None, k.shape) or heads < 1 or q.shape[-1] % heads:
+        raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {vshape}, heads {heads}")
     if q.data.size != units.index.size * q.shape[-1]:
         raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
     shape = q.shape  # the closures save no q, k, v rows
@@ -104,13 +107,16 @@ def scaled_dot_attention(
     def dscores(g):  # 0 at padding keys already: the mapping's backward gives 0 where p is 0
         return grid(g) * scale
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh = split(q.data), split(k.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
     s = np.where(units.mask[..., None, None, :], (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
     scores = _node(rows(s), (q, k), lambda g: merge(dscores(g) @ kh),
                    lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
     p = attention_weights(scores, mapping)
     pg = grid(p.data)
+    if v is None:
+        return None, pg
+    vh = split(v.data)
     out = _node(merge(pg @ vh), (p, v), lambda g: rows(split(g) @ vh.swapaxes(-1, -2)),
                 lambda g: merge(pg.swapaxes(-1, -2) @ split(g)))
     return out, pg
@@ -138,11 +144,17 @@ def transformer_encoder_layer(
     mapping: MappingKind,
     heads: int,
     dropout_rate: float,
-) -> tuple[Tensor, np.ndarray]:
+    maps_only: bool = False,
+) -> tuple[Tensor | None, np.ndarray]:
     """Post-norm encoder layer over the rows x[R, d] of `units`: LN(x + MHA(x)),
     then LN(y + FFN(y)); returns the output and the weights [..., heads, L, L].
     MHA's parameters are {prefix}wq/wk/wv/wo and {prefix}bq/bk/bv/bo.  q, k and v
-    go straight into the attention call, so that it frees them on return."""
+    go straight into the attention call, so that it frees them on return.
+    With `maps_only` (the last layer a map read-out runs) only q and k are
+    projected, and the layer returns (None, weights) from its mapping."""
+    if maps_only:
+        q, k = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qk")
+        return scaled_dot_attention(q, k, None, units, mapping, heads)
     qkv = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
     att, w = scaled_dot_attention(*qkv, units, mapping, heads)
     att = linear(att, params[prefix + "wo"], params[prefix + "bo"])

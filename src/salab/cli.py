@@ -207,6 +207,17 @@ def load_model_dir(model_dir):
     return model, vocab, cfg
 
 
+def _check_out(*dirs: Path) -> None:
+    """Refuse an output directory that is, or sits under, an existing
+    non-directory, before a command reads or creates anything."""
+    for out in dirs:
+        for p in (out, *out.parents):
+            if p.exists():
+                if not p.is_dir():
+                    raise ValueError(f"output directory {out}: {p} is not a directory")
+                break
+
+
 def _docs_path(data: str, split: str) -> Path:
     p = Path(data)
     return p if p.is_file() else p / f"{split}.jsonl"
@@ -218,9 +229,10 @@ def _docs_path(data: str, split: str) -> Path:
 def cmd_gen_data(args) -> int:
     cfg = resolve(GEN_DEFAULTS, args)
     corpus_cfg = datamod.SyntheticCorpusConfig(**{f: cfg[k] for k, f in GEN_FIELDS.items()})
+    out = Path(cfg["out"])
+    _check_out(out)
     docs = datamod.generate_synthetic_corpus(corpus_cfg)
     split = datamod.split_dataset(docs, seed=cfg["seed"])
-    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     datamod.write_jsonl(out / "train.jsonl", split.train)
     datamod.write_jsonl(out / "validation.jsonl", split.validation)
@@ -268,13 +280,14 @@ def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
     _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
+    out = Path(cfg["out"])
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
+    dirs = [out] if len(seeds) == 1 else [out / f"seed{seed}" for seed in seeds]
+    _check_out(*dirs)
     splits = [datamod.read_jsonl(Path(cfg["data"]) / f"{s}.jsonl")
               for s in ("train", "validation", "test")]
     vocab = datamod.build_vocab((sent for doc in splits[0] for sent in doc.sentences),
                                 min_freq=cfg["min_freq"])
-    out = Path(cfg["out"])
-    seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
-    dirs = [out] if len(seeds) == 1 else [out / f"seed{seed}" for seed in seeds]
     # a diverging run is reported once, as a poisoned gradient, not by numpy on the way
     with np.errstate(over="ignore", invalid="ignore"):
         reports = [_train_once(cfg, seed, d, splits, vocab) for seed, d in zip(seeds, dirs)]
@@ -299,10 +312,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = resolve(EVAL_DEFAULTS, args)
     _check_settings(cfg, {"bins": 2})
+    out = Path(cfg["out"]) if cfg["out"] else Path(cfg["model_dir"]) / "eval"
+    _check_out(out)
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], cfg["split"]))
     report = compute_metrics(score_documents(model, docs, vocab), n_bins=cfg["bins"])
-    out = Path(cfg["out"]) if cfg["out"] else Path(cfg["model_dir"]) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.kv").write_text(report.to_kv(), encoding="utf-8")
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -321,12 +335,13 @@ def cmd_eval(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg = resolve(HEATMAP_DEFAULTS, args)
     _check_settings(cfg, {"limit": 1})
+    out = Path(cfg["out"])
+    _check_out(out)
     model, vocab, _ = load_model_dir(cfg["model_dir"])
     docs = datamod.read_jsonl(_docs_path(cfg["data"], "test"))
     tokens = {t for t in cfg["filter"].split(",") if t}
     for t in sorted(tokens - vocab.token_to_id.keys()):
         log.warning("filter token %r not in vocabulary", t)
-    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = 0
     for doc, records in iter_attention_maps(model, docs, vocab, tokens, cfg["limit"]):

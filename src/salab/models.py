@@ -11,11 +11,13 @@ same linear prediction layer.
 
 `forward` runs the word level (`word_level`: embedding, projection,
 dropout, the family's word encoder), then the document tail (the family's
-pools, `tr`'s sentence level, the prediction layer); word maps need only
-the first.  Every level computes on its real units only.  `word_level`
-builds one `Packing` per level: the real words of the batch's N real
-sentences in an [N, W] grid, and the real sentences of its B documents in
-a [B, T] grid.
+pools, `tr`'s sentence level, the prediction layer).  A map read-out
+(`iter_attention_maps`) stops at the last mapping it reads: word maps need the word level up to its last layer's
+attention weights, and `tr`'s sentence maps the full word level, then the
+sentence level up to its last mapping.  Every level computes on its real
+units only.  `word_level` builds one `Packing` per level: the real words
+of the batch's N real sentences in an [N, W] grid, and the real sentences
+of its B documents in a [B, T] grid.
 Embedding, projection, dropout, every linear, layer norm, FFN, residual
 and positional add run on the packed [R, d] rows; only the attention call
 unpacks them into its grid, and `segment_mean` pools consecutive rows.
@@ -105,10 +107,13 @@ class _BaseModel:
     A family adds its parameters in `_build_encoder(rng)`, maps the projected
     real words, [R, hidden] rows of `words` (the real words of the N real
     sentences in their [N, W] grid), to word rows and maps [N, heads, W, W]
-    in `_word_encoder(x, words, training)`, and pools the word rows into
-    document vectors, `sents` packing the sentences in their [B, T] grid, in
-    `_document_tail(x, words, sents, training) -> (pooled, sentence maps)`,
-    the sentence maps [B, heads, T, T] being None for a family without.
+    in `_word_encoder(x, words, training, maps_only)`, and pools the word
+    rows into document vectors, `sents` packing the sentences in their
+    [B, T] grid, in `_document_tail(x, words, sents, training) -> (pooled,
+    sentence maps)`, the sentence maps [B, heads, T, T] being None for a
+    family without.  With `maps_only` the word encoder stops at its last
+    mapping and returns None for the word rows; `tr`'s tail takes the same
+    keyword and then returns None for the pooled vectors.
     """
 
     family = "base"
@@ -146,9 +151,10 @@ class _BaseModel:
         self._param(prefix + "ffn_w2", _uniform(rng, 2 * d, (2 * d, d), self.dtype))
         self._param(prefix + "ffn_b2", np.zeros(d, dtype=self.dtype))
 
-    def word_level(self, batch: Batch, training: bool = False):
+    def word_level(self, batch: Batch, training: bool = False, maps_only: bool = False):
         """The word rows [R, hidden], the word and sentence `Packing`s and the
-        word maps [N, heads, W, W] of the batch's real sentences."""
+        word maps [N, heads, W, W] of the batch's real sentences; with
+        `maps_only` the encoder stops at its last mapping and the rows are None."""
         cfg = self.config
         B, T, W = batch.token_ids.shape
         if not batch.word_mask.any(axis=(1, 2)).all():
@@ -158,7 +164,7 @@ class _BaseModel:
         emb = embedding_lookup(batch.token_ids[batch.word_mask], self.params["emb"])
         x = linear(emb, self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
-        x, word_maps = self._word_encoder(x, words, training)
+        x, word_maps = self._word_encoder(x, words, training, maps_only)
         return x, words, sents, word_maps
 
     def forward(self, batch: Batch, training: bool = False) -> Tensor:
@@ -197,8 +203,9 @@ class AttentionClassifier(_BaseModel):
         for w in ("wq", "wk", "wv"):
             self._param(w, _uniform(rng, d, (d, d), self.dtype))
 
-    def _word_encoder(self, x, words, training):
-        q, k, v = (linear(x, self.params[w]) for w in ("wq", "wk", "wv"))
+    def _word_encoder(self, x, words, training, maps_only):
+        q, k = linear(x, self.params["wq"]), linear(x, self.params["wk"])
+        v = None if maps_only else linear(x, self.params["wv"])
         return scaled_dot_attention(q, k, v, words, self.config.mapping)
 
     def _document_tail(self, x, words, sents, training):
@@ -223,23 +230,25 @@ class HierarchicalTransformerClassifier(_BaseModel):
             for layer in range(layers):
                 self._layer_params(f"{name}{layer}_", rng, cfg.hidden)
 
-    def _level(self, level: str, x: Tensor, units: Packing, training: bool):
-        """Add the level's positional table, then run its encoder layers."""
+    def _level(self, level: str, x: Tensor, units: Packing, training: bool, maps_only: bool):
+        """Add the level's positional table, then run its encoder layers; with
+        `maps_only` the last one stops at its mapping."""
         heads, layers = self._levels[level]
         x = add_positional_embeddings(x, self.params[f"{level}_pos"], units)
         for layer in range(layers):
             x, weights = transformer_encoder_layer(
                 x, self.params, units, training, self._dropout_rng, f"{level}{layer}_",
                 self.config.mapping, heads, self.config.dropout_rate,
+                maps_only=maps_only and layer == layers - 1,
             )
         return x, weights
 
-    def _word_encoder(self, x, words, training):
-        return self._level("word", x, words, training)
+    def _word_encoder(self, x, words, training, maps_only):
+        return self._level("word", x, words, training, maps_only)
 
-    def _document_tail(self, x, words, sents, training):
-        y, sent_weights = self._level("sent", segment_mean(x, words.counts), sents, training)
-        return segment_mean(y, sents.counts), sent_weights  # [B, h, T, T]
+    def _document_tail(self, x, words, sents, training, maps_only=False):
+        y, sent_weights = self._level("sent", segment_mean(x, words.counts), sents, training, maps_only)
+        return (None if maps_only else segment_mean(y, sents.counts)), sent_weights  # [B, h, T, T]
 
 
 def predict_proba(logits) -> np.ndarray:
@@ -271,8 +280,9 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
     the model; an unfiltered one (empty after truncation) with a warning.
     Picking stops at the `limit`-th document with a pick.  The model then
     runs once per chunk of MAPS_CHUNK picked documents, and only as far as
-    the records need: the word level of the picked sentences, and the
-    document tail as well for unfiltered `tr`.
+    the records need: the word level of the picked sentences through its
+    last mapping, or for unfiltered `tr` the full word level and the
+    sentence level through its last mapping.
     """
     cfg = model.config
     full = model.family == "tr" and not filter_tokens
@@ -292,9 +302,9 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
         batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
         try:
             with no_grad():
-                x, words, sents, word = model.word_level(batch)
+                x, words, sents, word = model.word_level(batch, maps_only=not full)
                 if full:
-                    sent = model._document_tail(x, words, sents, False)[1]  # [B, heads, T, T]
+                    sent = model._document_tail(x, words, sents, False, maps_only=True)[1]  # [B, heads, T, T]
         except MemoryError as e:
             raise BatchMemoryError(batch.token_ids.shape, e) from e
         rows = iter(word)  # [heads, W, W] per picked sentence, in document order

@@ -379,6 +379,28 @@ def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
     assert all(t._parents for t in made)
 
 
+@pytest.mark.parametrize("heads", [1, 2])
+def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
+    """v None: the same weights, no output, and two tape nodes (the scores and
+    the mapping), never the value mix."""
+    rng = np.random.default_rng(16)
+    q, k, v = (rand_t(rng, 4, 4) for _ in range(3))
+    units = Packing(np.array([[True, True, False], [True, True, False]]))
+    _, full = scaled_dot_attention(q, k, v, units, MappingKind.sparsemax(), heads)
+    made = []
+    init = Tensor.__init__
+
+    def counted_init(t, *args, **kwargs):
+        made.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    out, w = scaled_dot_attention(q, k, None, units, MappingKind.sparsemax(), heads)
+    monkeypatch.undo()
+    assert out is None and len(made) == 2
+    np.testing.assert_array_equal(w, full)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_weights_keep_the_input_dtype_and_a_record_holds_its_own_float64(dtype):
     rng = np.random.default_rng(20)

@@ -359,9 +359,9 @@ def test_heatmap_limit_maps_only_the_documents_it_writes(data_dir, att_run, tmp_
     word_level = AttentionClassifier.word_level
     mapped = []
 
-    def counted(self, batch, training=False):
+    def counted(self, batch, **kw):
         mapped.extend(batch.doc_ids)
-        return word_level(self, batch, training)
+        return word_level(self, batch, **kw)
 
     monkeypatch.setattr(AttentionClassifier, "word_level", counted)
     hm = tmp_path / "hm"
@@ -391,6 +391,31 @@ def test_unwritable_out_exit_code(data_dir, att_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
         assert str(blocker) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, out, flags", [
+    ("train", "file", []), ("train", "file/x", []), ("train", "dir", ["--seeds", "2", "--seed", "4"]),
+    ("eval", "file", []), ("eval", "file/x", []),
+], ids=["train-is-a-file", "train-under-a-file", "train-seed-dir-is-a-file",
+        "eval-is-a-file", "eval-under-a-file"])
+def test_train_and_eval_refuse_an_out_at_a_file_before_reading_data(tmp_path, capsys, command, out, flags):
+    """An --out that is, or sits under, an existing non-directory (for
+    several seeds, a seed's directory) exits 2 with one error line naming
+    it, before any data is read (here the data and the model directory are
+    missing), and creates nothing."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "seed5").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--data", missing] if command == "train" else [
+        "eval", "--data", missing, "--model-dir", missing]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / out), *flags]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    blocker = tmp_path / ("dir/seed5" if flags else "file")
+    assert len(lines) == 1 and str(blocker) in lines[0] and "missing file" not in lines[0]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_heatmap_rerun_rewrites_its_maps_in_place(data_dir, att_run, tmp_path):

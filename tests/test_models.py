@@ -190,10 +190,20 @@ def test_no_grad_forward_is_bit_identical_to_tape_mode(corpus, family, mapping):
         np.testing.assert_array_equal(free_records[level], grid)
 
 
+# (family, path) -> the Tensors the path makes; a map read-out stops at its last mapping
+FORWARD_ONLY_TENSORS = {
+    ("att", "forward under no_grad"): 11, ("att", "score_documents"): 33,
+    ("att", "extract_attention_maps"): 6,
+    ("tr", "forward under no_grad"): 36, ("tr", "score_documents"): 108,
+    ("tr", "extract_attention_maps"): 23,
+}
+
+
 @pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
 @pytest.mark.parametrize("path", ["forward under no_grad", "score_documents", "extract_attention_maps"])
 def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
-    """Every Tensor made on a forward-only path holds no parents and no backward."""
+    """Every Tensor made on a forward-only path holds no parents and no
+    backward, and each path makes exactly the Tensors it needs."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     model = family(cfg_fn(vocab, MappingKind.sparsemax(), dropout_rate=0.2), seed=5)
@@ -213,7 +223,7 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
         with no_grad():
             model.forward(dm.pad_and_batch(docs[:5], vocab, 6, 4, 5)[0])
     monkeypatch.undo()
-    assert len(made) >= 8
+    assert len(made) == FORWARD_ONLY_TENSORS[family.family, path]
     assert not any(t._parents or getattr(t, "_backward", None) for t in made)
 
 
@@ -514,14 +524,15 @@ FILTERED_DOCS = [
 @pytest.mark.parametrize("mapping", ["softmax", "sparsemax", "entmax15", "entmax:1.3", "entmax:3"])
 def test_filtered_maps_equal_the_full_forward_maps(corpus, family, mapping):
     """The word level of the matching sentences alone gives the same maps as
-    the full model over the whole document: `tr` bit for bit, `att` within
-    1e-6 (its float32 GEMMs run over fewer rows)."""
+    the full model over the whole document: `tr` (1 and 2 layers, 2 heads)
+    bit for bit, `att` within 1e-6 (its float32 GEMMs run over fewer rows)."""
     _, vocab = corpus
     if family is AttentionClassifier:
-        model = family(att_cfg(vocab, MappingKind.parse(mapping)), seed=13)
+        models_ = [family(att_cfg(vocab, MappingKind.parse(mapping)), seed=13)]
     else:
-        model = family(tr_cfg(vocab, MappingKind.parse(mapping), word_heads=2, sent_heads=2), seed=13)
-    for doc, matches in FILTERED_DOCS:
+        models_ = [family(tr_cfg(vocab, MappingKind.parse(mapping), word_heads=2, sent_heads=2,
+                                 word_layers=layers, sent_layers=layers), seed=13) for layers in (1, 2)]
+    for model, (doc, matches) in ((m, case) for m in models_ for case in FILTERED_DOCS):
         with no_grad():
             full = maps(model, dm.pad_and_batch([doc], vocab, 6, 4, 1)[0])
         recs = extract_attention_maps(model, doc, vocab, filter_tokens={"cmo", "dnr"})
@@ -550,6 +561,87 @@ def test_filtered_tr_maps_never_run_the_document_tail(corpus, monkeypatch):
         assert [r.sentence_index for r in recs] == matches
     with pytest.raises(AssertionError, match="document tail"):
         extract_attention_maps(model, FILTERED_DOCS[0][0], vocab)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("filter_tokens", [{"cmo", "dnr"}, None], ids=["filtered", "unfiltered"])
+def test_a_tr_readout_stops_at_its_last_mapping(corpus, layers, filter_tokens, monkeypatch):
+    """Every layer a read-out reads runs in full but the last, which projects
+    q and k and stops at its mapping: no v, wo or FFN linear and no layer
+    norm after it, and no final pool.  The maps are the full pass's, bit for
+    bit."""
+    _, vocab = corpus
+    model = HierarchicalTransformerClassifier(
+        tr_cfg(vocab, MappingKind.entmax15(), word_heads=2, sent_heads=2,
+               word_layers=layers, sent_layers=layers), seed=13)
+    names = {id(t): name for name, t in model.params.items()}
+    # filtered: word layers but the last in full; unfiltered: every word layer, sentence layers but the last
+    last = f"{'word' if filter_tokens else 'sent'}{layers - 1}_"
+    full = ([f"word{i}_" for i in range(layers - 1)] if filter_tokens else
+            [f"word{i}_" for i in range(layers)] + [f"sent{i}_" for i in range(layers - 1)])
+    banned = {last + w for w in ("wv", "wo", "ffn_w1", "ffn_w2", "ln1_g", "ln2_g")}
+    used = []
+    linear, norm, pool = attention.linear, attention.layer_norm, models.segment_mean
+
+    def recorded(fn):  # linear(x, W, b) and layer_norm(x, gain, bias): name the second argument
+        def call(*args):
+            name = names.get(id(args[1]), "")
+            assert name not in banned, f"{name} ran in a map read-out"
+            used.append(name)
+            return fn(*args)
+        return call
+
+    def counted_pool(x, counts):
+        used.append("segment_mean")
+        return pool(x, counts)
+
+    monkeypatch.setattr(attention, "linear", recorded(linear))
+    monkeypatch.setattr(attention, "layer_norm", recorded(norm))
+    monkeypatch.setattr(models, "segment_mean", counted_pool)
+    doc = FILTERED_DOCS[1][0]
+    recs = extract_attention_maps(model, doc, vocab, filter_tokens=filter_tokens)
+    monkeypatch.undo()
+    assert [n for n in used if "ln" in n] == [p + ln for p in full for ln in ("ln1_g", "ln2_g")]
+    assert [n for n in used if n.endswith(("_wq", "_wk"))] == [
+        p + w for p in full + [last] for w in ("wq", "wk")]
+    assert used.count("segment_mean") == (0 if filter_tokens else 1)  # the sentence pool, not the document's
+    with no_grad():
+        want = maps(model, dm.pad_and_batch([doc], vocab, 6, 4, 1)[0])
+    words = [r for r in recs if r.scope == "word"]
+    assert [r.sentence_index for r in words] == ([0, 2] if filter_tokens else [0, 1, 2, 3])
+    for rec in words:
+        n = len(rec.labels)
+        np.testing.assert_array_equal(rec.weights, want["word"][0, rec.sentence_index, :, :n, :n])
+    if not filter_tokens:
+        np.testing.assert_array_equal(recs[-1].weights, want["sentence"][0])
+
+
+def test_an_att_readout_builds_no_values(corpus, monkeypatch):
+    """`att`'s read-out projects q and k only and records no value-mix node."""
+    docs, vocab = corpus
+    model = AttentionClassifier(att_cfg(vocab, MappingKind.sparsemax()), seed=7)
+    names = {id(t): name for name, t in model.params.items()}
+    used, nodes = [], []
+    linear, node = models.linear, attention._node
+
+    def recorded_linear(x, w, *args):
+        used.append(names[id(w)])
+        return linear(x, w, *args)
+
+    def recorded_node(data, parents, *grad_fns):
+        nodes.append(len(parents))
+        return node(data, parents, *grad_fns)
+
+    monkeypatch.setattr(models, "linear", recorded_linear)
+    monkeypatch.setattr(attention, "_node", recorded_node)
+    recs = extract_attention_maps(model, docs[0], vocab)
+    assert used == ["proj_w", "wq", "wk"]
+    assert len(nodes) == 1  # the scores; the value mix would be a second
+    with no_grad():
+        want = maps(model, dm.pad_and_batch([docs[0]], vocab, 6, 4, 1)[0])
+    for rec in recs:
+        n = len(rec.labels)
+        np.testing.assert_array_equal(rec.weights, want["word"][0, rec.sentence_index, :, :n, :n])
 
 
 @pytest.fixture(scope="module")
@@ -591,7 +683,8 @@ def test_iter_attention_maps_equal_per_document_maps(split_docs, family, mapping
     assert (MAPS_CHUNK < len(expected) < len(docs) - 1) if filter_tokens else len(expected) == len(docs) - 1
     word_level = model.word_level
     calls = []
-    monkeypatch.setattr(model, "word_level", lambda batch: calls.append(batch) or word_level(batch))
+    monkeypatch.setattr(model, "word_level",
+                        lambda batch, **kw: calls.append(batch) or word_level(batch, **kw))
     caplog.set_level(logging.WARNING, logger="salab")
     got = [(doc.id, recs) for doc, recs in iter_attention_maps(model, docs, vocab, filter_tokens)]
     assert len(calls) == -(-len(expected) // MAPS_CHUNK)
@@ -624,7 +717,8 @@ def test_iter_attention_maps_limit_maps_only_the_documents_it_yields(split_docs,
     every = list(iter_attention_maps(model, docs, vocab, filter_tokens))
     word_level = model.word_level
     mapped = []
-    monkeypatch.setattr(model, "word_level", lambda batch: mapped.extend(batch.doc_ids) or word_level(batch))
+    monkeypatch.setattr(model, "word_level",
+                        lambda batch, **kw: mapped.extend(batch.doc_ids) or word_level(batch, **kw))
     caplog.set_level(logging.WARNING, logger="salab")
     caplog.clear()
     got = [doc.id for doc, _ in iter_attention_maps(model, docs, vocab, filter_tokens, limit=3)]
