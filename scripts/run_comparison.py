@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from salab.cli import main as salab
+from salab.cli import main as salab, read_kv
 
 
 def run(argv=None):
@@ -55,10 +55,7 @@ def run(argv=None):
             if rc != 0:
                 print(f"{family}-{mapping}: train failed ({rc})", file=sys.stderr)
                 return rc
-            metrics = dict(
-                line.split("=", 1)
-                for line in (run_dir / "metrics.kv").read_text().splitlines()
-            )
+            metrics = read_kv(run_dir / "metrics.kv")
             rows.append({
                 "model": f"{family}-{mapping}",
                 "auc_roc": metrics["auc_roc"],

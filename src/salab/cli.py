@@ -1,8 +1,10 @@
 """Command-line entry point: gen-data, train, eval, gradcheck, heatmap.
 
 Configuration precedence is defaults < --config key=value file < explicit
-flags.  Every command writes a manifest of its fully resolved config;
-feeding a manifest back through --config reproduces the run.
+flags.  Flags and file values are read the same way: stripped of surrounding
+whitespace, and refused if they still hold a line break.  Every command
+writes a manifest of its fully resolved config; feeding a manifest back
+through --config reproduces the run.
 """
 
 import argparse
@@ -95,6 +97,10 @@ def write_kv(path, cfg: dict) -> None:
 
 
 def _coerce(key: str, value: str, template):
+    """A flag's or a file's value, stripped and typed like its default."""
+    value = value.strip()
+    if len(value.splitlines()) > 1:  # write_kv could not write it as one line
+        raise ValueError(f"{key} holds a line break: {value!r}")
     try:
         return type(template)(value)
     except ValueError:
@@ -343,17 +349,19 @@ def cmd_heatmap(args) -> int:
     for t in sorted(tokens - vocab.token_to_id.keys()):
         log.warning("filter token %r not in vocabulary", t)
     out.mkdir(parents=True, exist_ok=True)
-    written = 0
+    written = set()
     for doc, records in iter_attention_maps(model, docs, vocab, tokens, cfg["limit"]):
         if {os.sep, os.altsep} & set(doc.id):  # the id names the document's files
             raise ValueError(f"document id {doc.id!r} holds a path separator")
+        if doc.id in written:
+            raise ValueError(f"document id {doc.id!r} repeats among the exported documents")
         for rec in records:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")
-        written += 1
+        written.add(doc.id)
     cfg["command"] = "heatmap"
     write_kv(out / "manifest.kv", cfg)
-    print(f"exported heatmaps for {written} documents to {out}")
+    print(f"exported heatmaps for {len(written)} documents to {out}")
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class LocalModelConfig:
     vocab_size: int
     embed_dim: int = 100
     hidden: int = 128
-    mapping: MappingKind = field(default_factory=MappingKind.softmax)
+    mapping: MappingKind = MappingKind.parse("softmax")
     dropout_rate: float = 0.2
     max_words: int = 50
     max_sents: int = 1000

@@ -62,18 +62,6 @@ class MappingKind:
             raise ValueError(f"alpha must be 1 or lie in (1, 4], got {self.alpha!r}")
 
     @classmethod
-    def softmax(cls) -> "MappingKind":
-        return cls(1.0)
-
-    @classmethod
-    def sparsemax(cls) -> "MappingKind":
-        return cls(2.0)
-
-    @classmethod
-    def entmax15(cls) -> "MappingKind":
-        return cls(1.5)
-
-    @classmethod
     def entmax(cls, alpha: float) -> "MappingKind":
         """alpha-entmax for alpha in (1, 4]; alpha = 1 is spelled softmax."""
         if not 1.0 < float(alpha) <= 4.0:
@@ -124,7 +112,7 @@ def sparsemax_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1 + k*z_(k) > sum of the top k, then threshold at
     tau = (topk_sum - 1) / k and clip.
     """
-    z = MappingKind.sparsemax().scaled(z)
+    z = MappingKind.parse("sparsemax").scaled(z)
     n = z.shape[-1]
     zs = -np.sort(-z, axis=-1)
     cs = np.cumsum(zs, axis=-1)
@@ -139,7 +127,7 @@ def sparsemax_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact 1.5-entmax; returns (p, tau) in the z/2 domain."""
-    z = MappingKind.entmax15().scaled(z)
+    z = MappingKind.parse("entmax15").scaled(z)
     n = z.shape[-1]
     # tau >= -1, so a floor at -1e150 changes no sum up to the support's last
     # entry, and past it keeps the sums of squares finite (-Inf included) for
@@ -215,18 +203,15 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return p, tau[..., 0]
 
 
+# the exact solver of each named alpha, returning (p, tau); every other alpha is root-found
+_EXACT = {"softmax": lambda z: (softmax_nd(z), np.full(np.shape(z)[:-1], np.nan)),
+          "entmax15": entmax15_nd, "sparsemax": sparsemax_nd}
+
+
 def apply_mapping_nd(z: np.ndarray, kind: MappingKind) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch on alpha over the last axis; returns (p, tau), tau NaN for softmax."""
-    if kind.alpha == 1.0:
-        p = softmax_nd(z)
-        tau = np.full(p.shape[:-1], np.nan)
-    elif kind.alpha == 2.0:
-        p, tau = sparsemax_nd(z)
-    elif kind.alpha == 1.5:
-        p, tau = entmax15_nd(z)
-    else:
-        p, tau = entmax_bisect_nd(z, kind.alpha)
-    return p, tau
+    """Map the last axis by alpha's solver; returns (p, tau), tau NaN for softmax."""
+    exact = _EXACT.get(_NAMES.get(kind.alpha))
+    return exact(z) if exact else entmax_bisect_nd(z, kind.alpha)
 
 
 def mapping_backward_nd(

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import auc_pr_oracle, auc_roc_oracle, entmax15_root_oracle, projection_oracle
 
 from salab import data as dm
 from salab import simplex as sx
@@ -35,67 +36,11 @@ from salab.training import train_model
 from salab.validation import mapping_max_grad_error, model_grad_error
 
 DIRECTIVES = {"dnr", "dni", "cmo"}
-THREE = [MappingKind.softmax(), MappingKind.entmax15(), MappingKind.sparsemax()]
+THREE = [MappingKind.parse(name) for name in ("softmax", "entmax15", "sparsemax")]
 
 
 def report(n: int, msg: str) -> None:
     print(f"\nCRITERION {n} PASS: {msg}")
-
-
-# ---------------------------------------------------------------------------
-# oracles (kept independent of the implementations they check)
-
-def projection_oracle(z):
-    z = np.asarray(z, dtype=np.float64)
-    n = len(z)
-    best, best_dist = None, np.inf
-    for r in range(1, n + 1):
-        for S in itertools.combinations(range(n), r):
-            idx = list(S)
-            tau = (z[idx].sum() - 1.0) / r
-            p = np.zeros(n)
-            p[idx] = z[idx] - tau
-            if np.any(p[idx] < -1e-12):
-                continue
-            dist = float(((p - z) ** 2).sum())
-            if dist < best_dist:
-                best, best_dist = np.maximum(p, 0.0), dist
-    return best
-
-
-def entmax15_root_oracle(z):
-    z = np.asarray(z, dtype=np.float64) / 2.0
-    lo, hi = float(z.min()) - 1.0, float(z.max())
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if float((np.maximum(z - mid, 0.0) ** 2).sum()) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(z - 0.5 * (lo + hi), 0.0) ** 2
-
-
-def auc_roc_oracle(records):
-    total = correct = 0.0
-    for p in records:
-        if p.label != 1:
-            continue
-        for q in records:
-            if q.label != 0:
-                continue
-            total += 1
-            correct += 1.0 if p.score > q.score else (0.5 if p.score == q.score else 0.0)
-    return correct / total
-
-
-def auc_pr_oracle(records):
-    ranked = sorted(records, key=lambda r: (-r.score, r.doc_id))
-    n_pos = sum(r.label for r in records)
-    total = 0.0
-    for i, r in enumerate(ranked):
-        if r.label == 1:
-            total += sum(q.label for q in ranked[: i + 1]) / (i + 1)
-    return total / n_pos
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +94,7 @@ def tr_setup():
     split = dm.split_dataset(docs, seed=200)
     vocab = dm.build_vocab((s for d in split.train for s in d.sentences), min_freq=5)
     models = {}
-    for kind in (MappingKind.sparsemax(), MappingKind.softmax()):
+    for kind in (MappingKind.parse("sparsemax"), MappingKind.parse("softmax")):
         mc = HierModelConfig(
             len(vocab), embed_dim=32, hidden=32, mapping=kind,
             max_words=6, max_sents=30,

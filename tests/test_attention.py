@@ -47,7 +47,7 @@ def layer_params(rng, d, prefix=""):
 def test_single_position_passes_value_through():
     rng = np.random.default_rng(0)
     q, k, v = (rand_t(rng, 1, 4) for _ in range(3))
-    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.sparsemax())
+    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.parse("sparsemax"))
     np.testing.assert_allclose(out.data, v.data)
     np.testing.assert_array_equal(w, [[[1.0]]])
 
@@ -57,7 +57,7 @@ def test_identical_keys_give_uniform_softmax_weights():
     q = rand_t(rng, 3, 4)
     k = Tensor(np.tile(rng.normal(0, 1, 4), (3, 1)))
     v = rand_t(rng, 3, 4)
-    _, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
+    _, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.parse("softmax"))
     np.testing.assert_allclose(w, 1 / 3, atol=1e-9)
 
 
@@ -67,7 +67,7 @@ def test_dominant_key_sparsemax_is_onehot():
     q = Tensor(np.tile([30.0, 0.0], (3, 1)))
     k = Tensor(x)
     v = Tensor(np.arange(6, dtype=float).reshape(3, 2))
-    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.sparsemax())
+    out, w = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.parse("sparsemax"))
     np.testing.assert_array_equal(w[0, 0], [0.0, 1.0, 0.0])
     np.testing.assert_allclose(out.data[0], v.data[1])
 
@@ -95,22 +95,22 @@ def test_mismatched_shapes_raise_shape_error():
     q = rand_t(rng, 2, 3, 4)
     for k in (rand_t(rng, 3, 3, 4), rand_t(rng, 2, 3, 6)):
         with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k, k, every_unit(q), MappingKind.softmax())
+            scaled_dot_attention(q, k, k, every_unit(q), MappingKind.parse("softmax"))
 
 
 @pytest.mark.parametrize("heads", [3, 0])
 def test_heads_not_splitting_the_last_axis_raise_shape_error(heads):
     q = rand_t(np.random.default_rng(17), 2, 3, 4)
     with pytest.raises(ShapeError, match=rf"q \(2, 3, 4\).*heads {heads}"):
-        scaled_dot_attention(q, q, q, every_unit(q), MappingKind.softmax(), heads=heads)
+        scaled_dot_attention(q, q, q, every_unit(q), MappingKind.parse("softmax"), heads=heads)
 
 
 @pytest.mark.parametrize(
     "kind",
     [
-        MappingKind.softmax(),
-        MappingKind.sparsemax(),
-        MappingKind.entmax15(),
+        MappingKind.parse("softmax"),
+        MappingKind.parse("sparsemax"),
+        MappingKind.parse("entmax15"),
         MappingKind.entmax(1.3),
         MappingKind.entmax(3.0),
     ],
@@ -132,7 +132,7 @@ def test_mask_soundness(kind):
 def test_rowwise_simplex_invariant_and_sparsity_contrast():
     rng = np.random.default_rng(4)
     zeros = {}
-    for kind in (MappingKind.softmax(), MappingKind.sparsemax()):
+    for kind in (MappingKind.parse("softmax"), MappingKind.parse("sparsemax")):
         count = 0
         for _ in range(100):
             x = rand_t(rng, 10, 8)
@@ -150,7 +150,7 @@ def test_permutation_equivariance_without_positions():
     x = rng.normal(0, 1, (6, 4))
     perm = rng.permutation(6)
     params = layer_params(rng, 4)
-    kw = {"training": False, "rng": rng, "prefix": "", "mapping": MappingKind.entmax15(),
+    kw = {"training": False, "rng": rng, "prefix": "", "mapping": MappingKind.parse("entmax15"),
           "heads": 2, "dropout_rate": 0.0}
     out1, _ = transformer_encoder_layer(Tensor(x), params, every_unit(x), **kw)
     out2, _ = transformer_encoder_layer(Tensor(x[perm]), params, every_unit(x), **kw)
@@ -162,9 +162,9 @@ def test_multi_head_single_head_reduces_to_scaled_dot():
     x = rand_t(rng, 5, 4)
     params = layer_params(rng, 4)
     _, w = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
-                                     MappingKind.softmax(), 1, 0.0)
+                                     MappingKind.parse("softmax"), 1, 0.0)
     q, k, v = (linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
-    _, wref = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.softmax())
+    _, wref = scaled_dot_attention(q, k, v, every_unit(q), MappingKind.parse("softmax"))
     np.testing.assert_allclose(w, wref, atol=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_multi_head_shape_sweep(n, d, h):
     rng = np.random.default_rng(7)
     x = rand_t(rng, n, d)
     out, w = transformer_encoder_layer(x, layer_params(rng, d), every_unit(x), False, rng, "",
-                                       MappingKind.softmax(), h, 0.0)
+                                       MappingKind.parse("softmax"), h, 0.0)
     assert out.shape == (n, d)
     assert w.shape == (h, n, n)
 
@@ -185,7 +185,7 @@ def test_multi_head_gradcheck_two_heads():
 
     def f():
         out, _ = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
-                                           MappingKind.softmax(), 2, 0.0)
+                                           MappingKind.parse("softmax"), 2, 0.0)
         return (out * out).sum()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -217,7 +217,7 @@ def test_positional_embeddings_make_layer_order_sensitive():
     def run(inp):
         h = add_positional_embeddings(Tensor(inp), table, every_unit(inp))
         out, _ = transformer_encoder_layer(h, params, every_unit(inp), False, rng, "",
-                                           MappingKind.softmax(), 1, 0.0)
+                                           MappingKind.parse("softmax"), 1, 0.0)
         return out.data
 
     assert np.abs(run(x)[perm] - run(x[perm])).max() > 1e-4
@@ -228,7 +228,7 @@ def test_encoder_layer_shape_and_mask_record():
     x = rand_t(rng, 3, 6)
     units = Packing(np.array([True, True, True, False, False]))
     out, w = transformer_encoder_layer(
-        x, layer_params(rng, 6), units, False, rng, "", MappingKind.sparsemax(), 2, 0.0)
+        x, layer_params(rng, 6), units, False, rng, "", MappingKind.parse("sparsemax"), 2, 0.0)
     assert out.shape == x.shape
     assert w.shape == (2, 5, 5)
     assert np.all(w[:, :, 3:] == 0.0) and np.all(w[:, 3:] == 0.0)
@@ -242,7 +242,7 @@ def test_encoder_layer_gradcheck():
 
     def f():
         out, _ = transformer_encoder_layer(x, params, every_unit(x), False, rng, "",
-                                           MappingKind.entmax15(), 1, 0.0)
+                                           MappingKind.parse("entmax15"), 1, 0.0)
         return bce_with_logits(out.sum(axis=-1), labels).mean()
 
     assert grad_check(f, {"x": x, **params}) <= 1e-4
@@ -373,7 +373,7 @@ def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
         init(t, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counted_init)
-    scaled_dot_attention(q, k, v, units, MappingKind.softmax(), heads)
+    scaled_dot_attention(q, k, v, units, MappingKind.parse("softmax"), heads)
     monkeypatch.undo()
     assert len(made) == 3
     assert all(t._parents for t in made)
@@ -386,7 +386,7 @@ def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
     rng = np.random.default_rng(16)
     q, k, v = (rand_t(rng, 4, 4) for _ in range(3))
     units = Packing(np.array([[True, True, False], [True, True, False]]))
-    _, full = scaled_dot_attention(q, k, v, units, MappingKind.sparsemax(), heads)
+    _, full = scaled_dot_attention(q, k, v, units, MappingKind.parse("sparsemax"), heads)
     made = []
     init = Tensor.__init__
 
@@ -395,7 +395,7 @@ def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
         init(t, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counted_init)
-    out, w = scaled_dot_attention(q, k, None, units, MappingKind.sparsemax(), heads)
+    out, w = scaled_dot_attention(q, k, None, units, MappingKind.parse("sparsemax"), heads)
     monkeypatch.undo()
     assert out is None and len(made) == 2
     np.testing.assert_array_equal(w, full)
@@ -405,7 +405,7 @@ def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
 def test_weights_keep_the_input_dtype_and_a_record_holds_its_own_float64(dtype):
     rng = np.random.default_rng(20)
     q = Tensor(rng.normal(0, 1, (2, 3, 4)).astype(dtype))
-    _, w = scaled_dot_attention(q, q, q, every_unit(q), MappingKind.sparsemax(), heads=2)
+    _, w = scaled_dot_attention(q, q, q, every_unit(q), MappingKind.parse("sparsemax"), heads=2)
     assert w.dtype == dtype and w.shape == (2, 2, 3, 3)
     rec = AttentionRecord(w[1, :, :2, :2], ["a", "b"])
     assert rec.weights.dtype == np.float64

@@ -462,6 +462,64 @@ def test_heatmap_rejects_a_document_id_that_holds_a_path_separator(att_run, tmp_
     assert {p.relative_to(root).as_posix() for p in root.rglob("*")} == {"hm", "hm/ok_s0.csv"}
 
 
+def test_heatmap_refuses_a_repeated_document_id(att_run, tmp_path, capsys, read_heatmap):
+    """Two documents with one id would write the same files: the second
+    exits 2 before its maps are written, and the first's stay."""
+    write_jsonl(tmp_path / "test.jsonl", [PatientDocument("dup", [["w1", "dnr"]], 1),
+                                          PatientDocument("dup", [["dnr", "w2", "w3"]], 1)])
+    hm = tmp_path / "hm"
+    capsys.readouterr()
+    assert main(["heatmap", "--data", str(tmp_path / "test.jsonl"), "--model-dir", str(att_run),
+                 "--out", str(hm)]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "document id 'dup' repeats" in lines[0]
+    assert sorted(p.name for p in hm.iterdir()) == ["dup_s0.csv"]
+    assert read_heatmap(hm / "dup_s0.csv")[1] == ["w1", "dnr"]
+
+
+def test_a_heatmap_rerun_from_its_manifest_writes_the_same_maps(data_dir, att_run, tmp_path):
+    """Flag values are stripped as --config values are, so the manifest of a
+    run whose --filter has a space in it reproduces that run."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["heatmap", "--data", str(data_dir), "--model-dir", str(att_run),
+                 "--out", str(first), "--filter", " dnr,dni"]) == 0
+    assert read_kv(first / "manifest.kv")["filter"] == "dnr,dni"
+    assert main(["heatmap", "--config", str(first / "manifest.kv"), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.glob("*.csv"))
+    assert names and names == sorted(p.name for p in second.glob("*.csv"))
+    assert all((first / n).read_bytes() == (second / n).read_bytes() for n in names)
+
+
+BREAKS = {"lf": "\n", "cr": "\r", "crlf": "\r\n", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c",
+          "gs": "\x1d", "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
+@pytest.mark.parametrize("brk, via_config", [
+    *(pytest.param(brk, False, id=f"flag-{name}") for name, brk in BREAKS.items()),
+    # a --config line already ends at \n or \r
+    *(pytest.param(brk, True, id=f"config-{name}") for name, brk in BREAKS.items()
+      if name not in ("lf", "cr", "crlf")),
+])
+def test_a_value_holding_a_line_break_exits_2_before_reading_data(tmp_path, capsys, brk, via_config):
+    """write_kv could not write such a value as one line, so a flag or
+    --config value that holds one inside it is refused, naming its setting,
+    before any data is read (here the data and the model are missing) or
+    --out is made."""
+    missing = str(tmp_path / "missing")
+    argv = ["heatmap", "--data", missing, "--model-dir", missing, "--out", str(tmp_path / "hm")]
+    value = f" dnr{brk}dni "
+    if via_config:
+        (tmp_path / "cfg.kv").write_text(f"filter={value}\n", encoding="utf-8", newline="")
+        argv += ["--config", str(tmp_path / "cfg.kv")]
+    else:
+        argv += ["--filter", value]
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "filter holds a line break" in lines[0]
+    assert not (tmp_path / "hm").exists()
+
+
 @pytest.mark.parametrize(
     "raw", [b'{"id": "x", "label": 0, "sentences": [["\xff"]]}', b"[" * 100_000],
     ids=["not-utf8", "deep-nesting"],
@@ -566,7 +624,7 @@ def test_scoring_batches_reuse_freed_heap_memory():
             data.SyntheticCorpusConfig(n_documents=200, vocab_size=200, seed=3))
         vocab = data.build_vocab((s for d in docs for s in d.sentences), min_freq=5)
         config = models.HierModelConfig(
-            vocab_size=len(vocab), embed_dim=50, hidden=64, mapping=MappingKind.sparsemax(),
+            vocab_size=len(vocab), embed_dim=50, hidden=64, mapping=MappingKind.parse("sparsemax"),
             max_words=20, max_sents=40)
         model = models.HierarchicalTransformerClassifier(config, seed=3)
         evaluation.score_documents(model, docs, vocab, 16)

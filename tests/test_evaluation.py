@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+from oracles import auc_pr_oracle, auc_roc_oracle
 
 from salab.attention import AttentionRecord
 from salab.evaluation import (
@@ -25,38 +26,6 @@ def recs(scores, labels):
         for i, (s, y) in enumerate(zip(scores, labels))
     ]
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-def auc_roc_oracle(records):
-    total = correct = 0.0
-    for p in records:
-        if p.label != 1:
-            continue
-        for n in records:
-            if n.label != 0:
-                continue
-            total += 1
-            if p.score > n.score:
-                correct += 1
-            elif p.score == n.score:
-                correct += 0.5
-    return correct / total
-
-
-def auc_pr_oracle(records):
-    ranked = sorted(records, key=lambda r: (-r.score, r.doc_id))
-    n_pos = sum(r.label for r in records)
-    total = 0.0
-    for i, r in enumerate(ranked):
-        if r.label == 1:
-            hits = sum(q.label for q in ranked[: i + 1])
-            total += hits / (i + 1)
-    return total / n_pos
-
-
-# ---------------------------------------------------------------------------
 
 def test_auc_roc_examples():
     assert auc_roc(recs([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])) == 1.0

@@ -45,7 +45,7 @@ def att_cfg(vocab, mapping=None, **kw):
     kw.setdefault("max_words", 6)
     kw.setdefault("max_sents", 4)
     kw.setdefault("dropout_rate", 0.0)
-    return LocalModelConfig(len(vocab), mapping=mapping or MappingKind.softmax(), **kw)
+    return LocalModelConfig(len(vocab), mapping=mapping or MappingKind.parse("softmax"), **kw)
 
 
 def tr_cfg(vocab, mapping=None, **kw):
@@ -54,7 +54,7 @@ def tr_cfg(vocab, mapping=None, **kw):
     kw.setdefault("max_words", 6)
     kw.setdefault("max_sents", 4)
     kw.setdefault("dropout_rate", 0.0)
-    return HierModelConfig(len(vocab), mapping=mapping or MappingKind.softmax(), **kw)
+    return HierModelConfig(len(vocab), mapping=mapping or MappingKind.parse("softmax"), **kw)
 
 
 def maps(model, batch):
@@ -78,7 +78,7 @@ def test_single_token_document(corpus):
 
 def test_batch_independence(corpus):
     docs, vocab = corpus
-    model = AttentionClassifier(att_cfg(vocab, MappingKind.sparsemax()), seed=0)
+    model = AttentionClassifier(att_cfg(vocab, MappingKind.parse("sparsemax")), seed=0)
     single = dm.pad_and_batch(docs[:1], vocab, 6, 4, 1)[0]
     doubled = dm.pad_and_batch([docs[0], docs[0]], vocab, 6, 4, 2)[0]
     alone = model.forward(single)
@@ -103,7 +103,7 @@ def test_padding_insensitivity(corpus, family):
     """Extra pad sentences / words never change the logit."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
-    model = family(cfg_fn(vocab, MappingKind.sparsemax(), max_words=8, max_sents=5), seed=1)
+    model = family(cfg_fn(vocab, MappingKind.parse("sparsemax"), max_words=8, max_sents=5), seed=1)
     tight = dm.pad_and_batch(docs[:3], vocab, 6, 4, 3)[0]
     loose = dm.pad_and_batch(docs[:3], vocab, 8, 5, 3)[0]
     logits_a = model.forward(tight)
@@ -143,7 +143,7 @@ def test_each_document_scores_as_if_alone(corpus, family):
     """The real sentences of a packed batch go back to their own document's slots."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
-    model = family(cfg_fn(vocab, MappingKind.entmax15()), seed=2)
+    model = family(cfg_fn(vocab, MappingKind.parse("entmax15")), seed=2)
     batch = dm.pad_and_batch(docs[:6], vocab, 6, 4, 6)[0]
     logits, records = model.forward(batch), maps(model, batch)
     for i, doc in enumerate(docs[:6]):
@@ -206,7 +206,7 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
     backward, and each path makes exactly the Tensors it needs."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
-    model = family(cfg_fn(vocab, MappingKind.sparsemax(), dropout_rate=0.2), seed=5)
+    model = family(cfg_fn(vocab, MappingKind.parse("sparsemax"), dropout_rate=0.2), seed=5)
     made = []
     init = Tensor.__init__
 
@@ -266,7 +266,7 @@ def test_backward_frees_the_training_step_graph(corpus, family):
     every parameter has its gradient."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
-    model = family(cfg_fn(vocab, MappingKind.entmax15(), dropout_rate=0.2), seed=6)
+    model = family(cfg_fn(vocab, MappingKind.parse("entmax15"), dropout_rate=0.2), seed=6)
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
     before = [o for o in gc.get_objects() if isinstance(o, Tensor)]
     known = {id(o) for o in before}
@@ -440,7 +440,7 @@ def test_determinism_fixed_seed(corpus):
     batch = dm.pad_and_batch(docs, vocab, 6, 4, len(docs))[0]
 
     def run():
-        m = AttentionClassifier(att_cfg(vocab, MappingKind.entmax15()), seed=3)
+        m = AttentionClassifier(att_cfg(vocab, MappingKind.parse("entmax15")), seed=3)
         return m.forward(batch).data.copy()
 
     np.testing.assert_array_equal(run(), run())
@@ -449,9 +449,9 @@ def test_determinism_fixed_seed(corpus):
 def test_mapping_swap_checkpoint_compatibility(corpus, tmp_path):
     docs, vocab = corpus
     batch = dm.pad_and_batch(docs[:4], vocab, 6, 4, 4)[0]
-    m1 = AttentionClassifier(att_cfg(vocab, MappingKind.softmax()), seed=4)
+    m1 = AttentionClassifier(att_cfg(vocab, MappingKind.parse("softmax")), seed=4)
     m1.save(tmp_path / "m.ckpt")
-    m2 = AttentionClassifier(att_cfg(vocab, MappingKind.sparsemax()), seed=99)
+    m2 = AttentionClassifier(att_cfg(vocab, MappingKind.parse("sparsemax")), seed=99)
     m2.load(tmp_path / "m.ckpt")
     for name in m1.params:
         np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
@@ -572,7 +572,7 @@ def test_a_tr_readout_stops_at_its_last_mapping(corpus, layers, filter_tokens, m
     bit."""
     _, vocab = corpus
     model = HierarchicalTransformerClassifier(
-        tr_cfg(vocab, MappingKind.entmax15(), word_heads=2, sent_heads=2,
+        tr_cfg(vocab, MappingKind.parse("entmax15"), word_heads=2, sent_heads=2,
                word_layers=layers, sent_layers=layers), seed=13)
     names = {id(t): name for name, t in model.params.items()}
     # filtered: word layers but the last in full; unfiltered: every word layer, sentence layers but the last
@@ -619,7 +619,7 @@ def test_a_tr_readout_stops_at_its_last_mapping(corpus, layers, filter_tokens, m
 def test_an_att_readout_builds_no_values(corpus, monkeypatch):
     """`att`'s read-out projects q and k only and records no value-mix node."""
     docs, vocab = corpus
-    model = AttentionClassifier(att_cfg(vocab, MappingKind.sparsemax()), seed=7)
+    model = AttentionClassifier(att_cfg(vocab, MappingKind.parse("sparsemax")), seed=7)
     names = {id(t): name for name, t in model.params.items()}
     used, nodes = [], []
     linear, node = models.linear, attention._node
@@ -713,7 +713,7 @@ def test_iter_attention_maps_limit_maps_only_the_documents_it_yields(split_docs,
     limit above the number of picks yields every pick, bit for bit."""
     docs, vocab = split_docs
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
-    model = family(cfg_fn(vocab, MappingKind.sparsemax(), hidden=16), seed=17)
+    model = family(cfg_fn(vocab, MappingKind.parse("sparsemax"), hidden=16), seed=17)
     every = list(iter_attention_maps(model, docs, vocab, filter_tokens))
     word_level = model.word_level
     mapped = []

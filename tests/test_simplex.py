@@ -1,67 +1,27 @@
 """Simplex mapping tests: frozen examples, independent oracles, properties."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import entmax15_root_oracle, projection_oracle
 
 from salab import simplex as sx
 from salab.attention import MASK_FILL
 from salab.simplex import MappingKind
 
 ALL_KINDS = [
-    MappingKind.softmax(),
-    MappingKind.sparsemax(),
-    MappingKind.entmax15(),
+    MappingKind.parse("softmax"),
+    MappingKind.parse("sparsemax"),
+    MappingKind.parse("entmax15"),
     MappingKind.entmax(1.3),
 ]
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
-
-def projection_oracle(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the simplex by support enumeration.
-
-    For each candidate support S the projection restricted to S is
-    z_S - tau with tau = (sum(z_S) - 1)/|S|; the true solution is the
-    feasible candidate closest to z.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    n = len(z)
-    best, best_dist = None, np.inf
-    for r in range(1, n + 1):
-        for S in itertools.combinations(range(n), r):
-            tau = (z[list(S)].sum() - 1.0) / r
-            p = np.zeros(n)
-            p[list(S)] = z[list(S)] - tau
-            if np.any(p[list(S)] < -1e-12):
-                continue
-            dist = float(((p - z) ** 2).sum())
-            if dist < best_dist:
-                best, best_dist = np.maximum(p, 0.0), dist
-    return best
-
-
-def entmax15_root_oracle(z: np.ndarray) -> np.ndarray:
-    """Solve sum(max(z/2 - tau, 0)^2) = 1 by bisection to 1e-12."""
-    z = np.asarray(z, dtype=np.float64) / 2.0
-
-    def f(tau):
-        return float((np.maximum(z - tau, 0.0) ** 2).sum()) - 1.0
-
-    lo, hi = float(z.min()) - 1.0, float(z.max())
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(z - 0.5 * (lo + hi), 0.0) ** 2
-
+# independent oracles (the exact ones live in oracles.py)
 
 def entmax_bisect_oracle(z: np.ndarray, alpha: float, iters: int = 200):
     """alpha-entmax over the last axis by `iters` halvings of [-1, 0].
@@ -184,7 +144,7 @@ def test_bisect_masked_rows_stay_on_simplex(alpha):
 
 
 def test_backward_examples():
-    sp = MappingKind.sparsemax()
+    sp = MappingKind.parse("sparsemax")
     np.testing.assert_allclose(
         sx.mapping_backward_nd([1.0, 0.0], [3.7, -1.2], sp), [0.0, 0.0], atol=1e-12
     )
@@ -192,7 +152,7 @@ def test_backward_examples():
         sx.mapping_backward_nd([0.75, 0.25], [1.0, 0.0], sp), [0.5, -0.5], atol=1e-12
     )
     np.testing.assert_allclose(
-        sx.mapping_backward_nd([1 / 3] * 3, [1.0, 1.0, 1.0], MappingKind.softmax()),
+        sx.mapping_backward_nd([1 / 3] * 3, [1.0, 1.0, 1.0], MappingKind.parse("softmax")),
         [0.0, 0.0, 0.0],
         atol=1e-12,
     )
@@ -250,7 +210,7 @@ def test_entmax_bisect_rejects_bad_alpha():
 
 def test_backward_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        sx.mapping_backward_nd([0.5, 0.5], [1.0], MappingKind.softmax())
+        sx.mapping_backward_nd([0.5, 0.5], [1.0], MappingKind.parse("softmax"))
 
 
 def test_mapping_kind_parse_roundtrip():
@@ -259,8 +219,8 @@ def test_mapping_kind_parse_roundtrip():
 
 
 def test_mapping_kind_is_its_alpha():
-    assert MappingKind.parse("entmax:2") == MappingKind.sparsemax()
-    assert MappingKind.parse("entmax:1.5") == MappingKind.entmax15()
+    assert MappingKind.parse("entmax:2") == MappingKind(2.0)
+    assert MappingKind.parse("entmax:1.5") == MappingKind(1.5)
     assert str(MappingKind.parse("entmax:2")) == "sparsemax"
     assert [k.alpha for k in ALL_KINDS] == [1.0, 2.0, 1.5, 1.3]
     for bad in ("entmax:1", "entmax:4.5", "sharpmax"):
