@@ -110,15 +110,15 @@ def scaled_dot_attention(
     qh, kh = split(q.data), split(k.data)
     scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
     s = np.where(units.mask[..., None, None, :], (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
-    scores = _node(rows(s), (q, k), lambda g: merge(dscores(g) @ kh),
-                   lambda g: merge((qh.swapaxes(-1, -2) @ dscores(g)).swapaxes(-1, -2)))
+    scores = _node(rows(s), (q, k), lambda ds: merge(ds @ kh),
+                   lambda ds: merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)), shared=dscores)
     p = attention_weights(scores, mapping)
     pg = grid(p.data)
     if v is None:
         return None, pg
     vh = split(v.data)
-    out = _node(merge(pg @ vh), (p, v), lambda g: rows(split(g) @ vh.swapaxes(-1, -2)),
-                lambda g: merge(pg.swapaxes(-1, -2) @ split(g)))
+    out = _node(merge(pg @ vh), (p, v), lambda gh: rows(gh @ vh.swapaxes(-1, -2)),
+                lambda gh: merge(pg.swapaxes(-1, -2) @ gh), shared=split)
     return out, pg
 
 
@@ -129,9 +129,15 @@ def add_positional_embeddings(x: Tensor, table: Tensor, units: Packing) -> Tenso
         raise ShapeError(
             f"sequence length {n} exceeds positional table capacity {table.shape[0]}"
         )
-    pad = ((0, table.shape[0] - n), (0, 0))
-    return _node(x.data + table.data[units.index % n].reshape(x.shape), (x, table), lambda g: g,
-                 lambda g: np.pad(units.unpack(g.reshape(-1, d)).reshape(-1, n, d).sum(axis=0), pad))
+    capacity = table.shape[0]
+
+    def dtable(g):  # each slot's rows summed over the groups; rows n and on stay 0
+        out = np.zeros((capacity, d), dtype=g.dtype)
+        units.unpack(g.reshape(-1, d)).reshape(-1, n, d).sum(axis=0, out=out[:n])
+        return out
+
+    return _node(x.data + table.data[units.index % n].reshape(x.shape), (x, table),
+                 lambda g: g, dtable)
 
 
 def transformer_encoder_layer(

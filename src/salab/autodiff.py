@@ -218,16 +218,20 @@ class _Entry:
         self.grad, self.shape, self.dtype, self._parents, self._backward = None, shape, dtype, parents, backward
 
 
-def _backprop(parents: tuple, grad_fns: tuple, g: np.ndarray) -> None:
+def _backprop(parents: tuple, grad_fns: tuple, shared, g: np.ndarray) -> None:
+    if shared is not None:
+        g = shared(g)
     for parent, grad_fn in zip(parents, grad_fns):
         parent._accum(grad_fn(g))
 
 
-def _node(data, parents: tuple, *grad_fns) -> Tensor:
+def _node(data, parents: tuple, *grad_fns, shared=None) -> Tensor:
     """The output Tensor of an op over `parents`.
 
     `grad_fns[i](g)` maps the output's gradient `g` to the gradient for
     `parents[i]` (broadcast dimensions are summed away by `_accum`).
+    With `shared`, each takes `shared(g)` instead, computed once for all
+    the parents that need a gradient.
     This is the only place that writes a tape entry.
     """
     out = Tensor(data)
@@ -236,7 +240,7 @@ def _node(data, parents: tuple, *grad_fns) -> Tensor:
         if len(nodes) < len(parents):  # a constant parent is not linked
             grad_fns = tuple([fn for p, fn in zip(parents, grad_fns) if p.requires_grad])
         out.requires_grad = True
-        out._entry = _Entry(out.data.shape, out.data.dtype, nodes, partial(_backprop, nodes, grad_fns))
+        out._entry = _Entry(out.data.shape, out.data.dtype, nodes, partial(_backprop, nodes, grad_fns, shared))
     return out
 
 

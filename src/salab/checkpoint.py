@@ -43,7 +43,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read every parameter; a foreign or truncated file raises CheckpointError."""
+    """Read every parameter; a foreign or truncated file, or one naming a
+    parameter twice, raises CheckpointError."""
     path = Path(path)
     data = path.read_bytes()
     if not data.startswith(MAGIC):
@@ -67,6 +68,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(
                 f"{path}: truncated or corrupt parameter record at byte {start}: {e}"
             ) from e
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} at byte {start} repeats an earlier record")
         off += 4 * count
         params[name] = arr.astype(np.float32)  # a copy, not a view of `data`
     return params

@@ -87,7 +87,10 @@ def read_kv(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{n}: {line!r} is not key=value")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"{path}:{n}: {key!r} repeats a key of an earlier line")
+        out[key] = value.strip()
     return out
 
 

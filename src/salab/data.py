@@ -14,6 +14,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +75,7 @@ def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
-    counts: Counter[str] = Counter()
-    for stream in token_streams:
-        counts.update(stream)
+    counts = Counter(chain.from_iterable(token_streams))
     if not counts:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(
@@ -126,32 +125,40 @@ class SyntheticCorpusConfig:
 
 
 def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocument]:
-    """Draw labels, then plant one directive token per selected document."""
+    """Draw labels, then plant one directive token per selected document.
+
+    Document d is drawn from its own stream derive_rng(seed, "corpus", d),
+    so the first k documents of any longer corpus are the k-document corpus.
+    """
     ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
     filler_probs = ranks ** -cfg.zipf_exponent
     cdf = (filler_probs / filler_probs.sum()).cumsum()
     if not cdf[-1] > 0:
         raise ValueError(f"no Zipf law over {cfg.vocab_size} tokens at zipf {cfg.zipf_exponent}")
     cdf /= cdf[-1]  # the CDF Generator.choice(p=filler_probs) builds on every call
-    filler_tokens = [f"w{i}" for i in range(cfg.vocab_size)]
+    to_rank = cdf.searchsorted
+    # an object array, so one fancy index and .tolist() turn a sentence's ranks into its tokens
+    filler_tokens = np.array([f"w{i}" for i in range(cfg.vocab_size)], dtype=object)
+    sent_lo, sent_hi = cfg.min_sentences, cfg.max_sentences + 1
+    word_lo, word_hi = cfg.min_words, cfg.max_words + 1
 
     docs: list[PatientDocument] = []
     for d in range(cfg.n_documents):
         rng = derive_rng(cfg.seed, "corpus", d)
-        label = int(rng.random() < cfg.positive_rate)
-        n_sent = int(rng.integers(cfg.min_sentences, cfg.max_sentences + 1))
-        sentences = []
-        for _ in range(n_sent):
-            n_word = int(rng.integers(cfg.min_words, cfg.max_words + 1))
-            idx = cdf.searchsorted(rng.random(n_word), side="right")
-            sentences.append([filler_tokens[i] for i in idx])
+        random, integers = rng.random, rng.integers
+        label = int(random() < cfg.positive_rate)
+        n_sent = int(integers(sent_lo, sent_hi))
+        sentences = [
+            filler_tokens[to_rank(random(integers(word_lo, word_hi)), side="right")].tolist()
+            for _ in range(n_sent)
+        ]
         p_dir = (
             cfg.p_directive_given_positive if label else cfg.p_directive_given_negative
         )
-        if rng.random() < p_dir:
-            token = DIRECTIVE_TOKENS[rng.integers(len(DIRECTIVE_TOKENS))]
-            s = int(rng.integers(n_sent))
-            pos = int(rng.integers(len(sentences[s]) + 1))
+        if random() < p_dir:
+            token = DIRECTIVE_TOKENS[integers(len(DIRECTIVE_TOKENS))]
+            s = int(integers(n_sent))
+            pos = int(integers(len(sentences[s]) + 1))
             sentences[s].insert(pos, token)
         docs.append(PatientDocument(id=f"doc{d:06d}", sentences=sentences, label=label))
     return docs

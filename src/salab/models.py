@@ -178,13 +178,18 @@ class _BaseModel:
         return {k: p.data.astype(np.float32) for k, p in self.params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Every parameter from `state`, or none: a state that names a parameter
+        the model does not have, misses one or has one in another shape raises
+        CheckpointError before any weight changes."""
+        if foreign := [name for name in state if name not in self.params]:
+            raise CheckpointError(f"parameter {foreign[0]} is not one of this model's")
         for name, p in self.params.items():
             if name not in state:
                 raise CheckpointError(f"parameter {name} missing")
-            arr = state[name]
-            if arr.shape != p.shape:
-                raise CheckpointError(f"parameter {name}: shape {arr.shape} vs {p.shape}")
-            p.data = arr.astype(self.dtype)
+            if state[name].shape != p.shape:
+                raise CheckpointError(f"parameter {name}: shape {state[name].shape} vs {p.shape}")
+        for name, p in self.params.items():
+            p.data = state[name].astype(self.dtype)
 
     def save(self, path) -> None:
         ckpt.save_checkpoint(path, self.state_dict())

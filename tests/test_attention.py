@@ -331,6 +331,45 @@ def test_packed_attention_call_gradcheck_ragged(heads):
     assert grad_check(f, {"q": q, "k": k, "v": v}) <= 1e-6
 
 
+@pytest.mark.parametrize("needs", ["q", "k", "v", "qk", "qv", "kv"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_a_parent_gets_the_same_gradient_whichever_others_need_one(needs, heads):
+    """The score and value-mix nodes each compute the piece of `g` their two
+    parents share once; a parent's gradient is bit for bit the same whether
+    or not the other parents need one."""
+    mask = np.arange(5) < np.array([[2], [5], [4]])
+    rng = np.random.default_rng(20)
+    inputs = [rng.normal(0, 1, (11, 4)).astype(np.float32) for _ in range(3)]
+    upstream = Tensor(rng.normal(0, 1, (11, 4)).astype(np.float32))
+    grads = []
+    for wanted in ("qkv", needs):
+        q, k, v = (Tensor(a, requires_grad=c in wanted) for a, c in zip(inputs, "qkv"))
+        out, _ = scaled_dot_attention(q, k, v, Packing(mask), MappingKind.entmax(1.3), heads)
+        (out * upstream).sum().backward()
+        grads.append({c: t.grad for c, t in zip("qkv", (q, k, v))})
+    full, some = grads
+    for c in "qkv":
+        assert (some[c] is None) == (c not in needs)
+        if c in needs:
+            assert some[c].tobytes() == full[c].tobytes()
+
+
+def test_positional_table_gradient_sums_each_slot_over_the_groups():
+    """Row j of the table's gradient sums the upstream rows of the units in
+    slot j, in group order; rows past the longest group are exact zeros."""
+    rng = np.random.default_rng(21)
+    mask = np.arange(4) < np.array([[2], [4], [1]])
+    x, table = rand_t(rng, 7, 3), rand_t(rng, 6, 3)
+    upstream = rng.normal(0, 1, (7, 3))
+    (add_positional_embeddings(x, table, Packing(mask)) * Tensor(upstream)).sum().backward()
+    grid = np.zeros((3, 4, 3))
+    grid[mask] = upstream
+    want = np.zeros((6, 3))
+    for group in grid:
+        want[:4] += group
+    assert table.grad.tobytes() == want.tobytes()
+
+
 def test_packed_positional_add_gradcheck_ragged():
     rng = np.random.default_rng(19)
     mask = np.arange(4) < np.array([[2], [4], [1]])

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from salab.exceptions import CheckpointError
-from salab.models import AttentionClassifier, LocalModelConfig
+from salab.models import (
+    AttentionClassifier,
+    HierarchicalTransformerClassifier,
+    HierModelConfig,
+    LocalModelConfig,
+)
 
 
 def test_roundtrip(tmp_path):
@@ -79,6 +84,42 @@ def test_mis_shaped_parameter_raises_checkpoint_error(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", state)
     with pytest.raises(CheckpointError, match="emb"):
         model.load(tmp_path / "m.ckpt")
+
+
+def test_a_repeated_parameter_record_raises_checkpoint_error(tmp_path):
+    """A second `pred_b` record would silently replace the first; the error
+    names the parameter and the byte its second record starts at."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"pred_b": np.ones(1, dtype=np.float32)})
+    record = path.read_bytes()[len(MAGIC):]
+    path.write_bytes(MAGIC + record + record)
+    with pytest.raises(CheckpointError, match=f"'pred_b' at byte {len(MAGIC) + len(record)} repeats"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("deeper", "parameter word1_wq is not one of this model's"),
+    ("missing", "parameter pred_b missing"),
+    ("reshaped", "parameter pred_b: shape"),
+], ids=["deeper", "missing", "reshaped"])
+def test_a_state_that_does_not_fit_raises_and_changes_no_weight(fault, message):
+    """A 2-layer `tr` state names the first parameter a 1-layer model lacks;
+    a state missing, or mis-shaping, the model's last parameter (pred_b)
+    names it. Either way the model's weights stay as they were."""
+    cfg = dict(vocab_size=5, embed_dim=2, hidden=2, max_words=3, max_sents=3)
+    model = HierarchicalTransformerClassifier(HierModelConfig(**cfg), seed=1)
+    layers = 2 if fault == "deeper" else 1
+    state = HierarchicalTransformerClassifier(
+        HierModelConfig(**cfg, word_layers=layers, sent_layers=layers), seed=0).state_dict()
+    if fault == "missing":
+        del state["pred_b"]
+    elif fault == "reshaped":
+        state["pred_b"] = np.zeros(3, dtype=np.float32)
+    before = model.state_dict()
+    with pytest.raises(CheckpointError, match=message):
+        model.load_state_dict(state)
+    for name, arr in model.state_dict().items():
+        np.testing.assert_array_equal(arr, before[name])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

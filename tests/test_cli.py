@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import salab
 from salab import data as datamod
+from salab.checkpoint import MAGIC
 from salab.cli import (
     EVAL_DEFAULTS,
     TRAIN_DEFAULTS,
@@ -914,6 +915,8 @@ BROKEN_MODEL_DIRS = {  # the file each case breaks in a working tr model directo
     "non-utf8-vocab": ("vocab.txt", lambda run: (run / "vocab.txt").write_bytes(b"a\n\xff\n")),
     "truncated-ckpt": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(
         (run / "best.ckpt").read_bytes()[:40])),
+    "repeated-ckpt-record": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(
+        (run / "best.ckpt").read_bytes() + (run / "best.ckpt").read_bytes()[len(MAGIC):])),
 }
 
 
@@ -935,6 +938,27 @@ def test_read_kv_names_the_path_and_the_line(tmp_path, capsys, line, reason):
     assert main(["eval", "--config", str(cfg), "--model-dir", str(tmp_path / "none")]) == 2
     lines = error_lines(capsys.readouterr().err)
     assert len(lines) == 1 and f"{cfg}:2: " in lines[0] and reason in lines[0]
+
+
+@pytest.mark.parametrize("where", ["--config", "config.kv"])
+def test_a_repeated_key_exits_2_naming_the_line_and_the_key(data_dir, tmp_path, capsys, where):
+    """`epochs=1` then `epochs=30` would train 30 epochs; a repeated key is
+    refused in a --config file and in a model directory's config.kv alike."""
+    if where == "--config":
+        path = tmp_path / "cfg.kv"
+        path.write_text("epochs=1\n# a comment\nepochs=30\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--data", str(data_dir), "--out", str(out)]) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and f"{path}:3: 'epochs' repeats" in lines[0]
+        assert not out.exists()
+    else:
+        run = _model_dir(tmp_path / "run", "att")
+        path = run / "config.kv"
+        path.write_text(path.read_text(encoding="utf-8") + " hidden = 8\n", encoding="utf-8")
+        n = len(path.read_text(encoding="utf-8").splitlines())
+        assert_model_dir_exits_2(run, tmp_path, capsys, f"{path}:{n}: 'hidden' repeats")
 
 
 _KV_LINE = st.builds(

@@ -118,10 +118,32 @@ def corpus_by_choice(cfg):
     return docs
 
 
-@pytest.mark.parametrize("seed", [0, 1, 21])
-def test_corpus_equals_draws_by_choice(seed):
-    cfg = dm.SyntheticCorpusConfig(n_documents=200, seed=seed)
+EDGE_CORPORA = {
+    "one-token": {"vocab_size": 1},
+    "fixed-words": {"min_words": 7, "max_words": 7},
+    "fixed-sentences": {"min_sentences": 4, "max_sentences": 4},
+    "no-directive": {"p_directive_given_positive": 0.0, "p_directive_given_negative": 0.0},
+    "all-directive": {"p_directive_given_positive": 1.0, "p_directive_given_negative": 1.0},
+}
+
+
+@pytest.mark.parametrize("seed, edge", [
+    *(pytest.param(seed, {}, id=str(seed)) for seed in (0, 1, 21)),
+    *(pytest.param(seed, edge, id=f"{name}-{seed}")
+      for name, edge in EDGE_CORPORA.items() for seed in (0, 1, 21)),
+])
+def test_corpus_equals_draws_by_choice(seed, edge):
+    cfg = dm.SyntheticCorpusConfig(n_documents=200, seed=seed, **edge)
     assert dm.generate_synthetic_corpus(cfg) == corpus_by_choice(cfg)
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (37, 200)])
+def test_a_corpus_is_a_prefix_of_any_longer_one(k, n):
+    """Document d comes from its own stream, so the first k documents of an
+    n-document corpus are the k-document corpus."""
+    short, long = (dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=m, seed=5))
+                   for m in (k, n))
+    assert len(long) == n and long[:k] == short
 
 
 @pytest.mark.parametrize("bad", [{"vocab_size": 0}, {"vocab_size": -2}, {"zipf_exponent": float("nan")}])
@@ -267,7 +289,7 @@ def test_pad_and_batch_remainder_and_truncation():
     st.integers(1, 8), st.integers(1, 5), st.integers(1, 4),
 )
 def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents, batch_size):
-    vocab = dm.build_vocab([["a", "b", "c"]], min_freq=1)
+    vocab = dm.build_vocab([["a", "b"]], min_freq=1)  # "c" reads as unknown
     docs = [dm.PatientDocument(f"d{i}", s, 0) for i, s in enumerate(sentence_lists)]
     kept = [enc for enc in (dm.kept_sentences(d, max_words, max_sents) for d in docs) if enc]
     batches = dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size)
@@ -281,6 +303,10 @@ def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents
         assert batch.sentence_mask.shape == shape[:2]
         assert np.array_equal(batch.word_mask, batch.token_ids != 0)
         assert np.array_equal(batch.sentence_mask, batch.word_mask.any(axis=-1))
+        assert batch.word_mask.sum() == sum(len(sent) for enc in chunk for sent in enc)
+        for i, enc in enumerate(chunk):
+            for t, sent in enumerate(enc):
+                assert batch.token_ids[i, t, : len(sent)].tolist() == [vocab.encode(w) for w in sent]
 
 
 def test_reserved_tokens_in_a_document_read_as_unknown():

@@ -628,9 +628,9 @@ def test_an_att_readout_builds_no_values(corpus, monkeypatch):
         used.append(names[id(w)])
         return linear(x, w, *args)
 
-    def recorded_node(data, parents, *grad_fns):
+    def recorded_node(data, parents, *grad_fns, **kwargs):
         nodes.append(len(parents))
-        return node(data, parents, *grad_fns)
+        return node(data, parents, *grad_fns, **kwargs)
 
     monkeypatch.setattr(models, "linear", recorded_linear)
     monkeypatch.setattr(attention, "_node", recorded_node)
