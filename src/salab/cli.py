@@ -212,7 +212,10 @@ def load_model_dir(model_dir):
         raise ValueError(f"{path}: {e}") from None
     _check_sizes(state, cfg, len(vocab))
     model = build_model(cfg, len(vocab), seed=cfg["seed"])
-    model.load_state_dict(state)
+    try:  # a parameter the model does not have, or one it misses or shapes otherwise
+        model.load_state_dict(state)
+    except CheckpointError as e:
+        raise CheckpointError(f"{model_dir / 'best.ckpt'}: {e}") from None
     return model, vocab, cfg
 
 

@@ -32,20 +32,25 @@ SPARSE_FLOOR = 1e-12
 # 2**-50 wide (a few float64 ulps); a fixed count keeps runs bit-reproducible.
 BISECT_ITERS = 50
 
-# Newton steps for 1 < alpha < 2, from the sort-based lower bound in
-# `entmax_bisect_nd`.  The count is fixed, not a convergence test, so runs
-# are bit-reproducible and a row's result does not depend on the other rows
-# in its batch.  Over all-equal, two-level, Gaussian, uniform, exponential,
-# Cauchy and geometric rows of length 2 to 1000 at alpha 1.0001 to 1.999,
-# at most 6 steps brought every row within 1e-12 of a 200-step bisection
-# (or within twice that bisection's own error, where it is larger); from
-# tau = -1 it took 11.  One step of margin gives 7.
-NEWTON_ITERS = 7
+# Newton steps for 1 < alpha < 2 from `entmax_bisect_nd`'s lower bound; a fixed count keeps
+# runs bit-reproducible and rows independent of their batch.  On all-equal, near-equal,
+# two-level, block, linear, one-top, Gaussian, uniform, exponential, Cauchy, geometric and
+# masked rows of length 1-1000, alpha 1.0001-1.999, the norm form met a 200-step bisection
+# (1e-12 or twice its own error; same zeros) in at most 5 steps, 4 off one-top rows (on the
+# sum: 6).  6 keeps a step of margin, but for length-1000 one-top rows at the support's edge.
+NEWTON_ITERS = 6
 
 
 # the named spellings of alpha; any other alpha is spelled entmax:<alpha>
 _NAMED_ALPHAS = {"softmax": 1.0, "entmax15": 1.5, "sparsemax": 2.0}
 _NAMES = {alpha: name for name, alpha in _NAMED_ALPHAS.items()}
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims, taken across a row-minor copy: numpy
+    pays a cost per row reduced along a short last axis, and attention has
+    at least as many rows (queries) as entries (keys) per row."""
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T).max(0).reshape(x.shape[:-1] + (1,))
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class MappingKind:
         exactly where the scaled score exceeds the threshold tau.
         """
         z = np.asarray(z, dtype=np.float64)
-        return (self.alpha - 1.0) * (z - z.max(axis=-1, keepdims=True))
+        return (self.alpha - 1.0) * (z - _row_max(z))
 
 
 def softmax_nd(z: np.ndarray) -> np.ndarray:
@@ -119,7 +124,8 @@ def sparsemax_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1, dtype=np.float64)
     support = 1.0 + k * zs > cs
     k_star = support.sum(axis=-1, keepdims=True)
-    tau = (np.take_along_axis(cs, k_star - 1, axis=-1) - 1.0) / k_star
+    top = cs.reshape(-1, n)[np.arange(k_star.size), k_star.reshape(-1) - 1]  # one flat index
+    tau = (top.reshape(k_star.shape) - 1.0) / k_star
     p = np.maximum(z - tau, 0.0)
     p[p < SPARSE_FLOOR] = 0.0
     return p, tau[..., 0]
@@ -139,7 +145,8 @@ def entmax15_nd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     delta = np.maximum((1.0 - ss) / k, 0.0)
     tau_candidates = mean - np.sqrt(delta)
     k_star = (tau_candidates <= zs).sum(axis=-1, keepdims=True)
-    tau = np.take_along_axis(tau_candidates, k_star - 1, axis=-1)
+    tau = tau_candidates.reshape(-1, n)[np.arange(k_star.size), k_star.reshape(-1) - 1]
+    tau = tau.reshape(k_star.shape)
     p = np.maximum(z - tau, 0.0) ** 2
     p[p < SPARSE_FLOOR] = 0.0
     return p, tau[..., 0]
@@ -153,22 +160,22 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     the top entry alone contributes 1, at 0 nothing does.  Masked columns
     (large negative fills) do not widen this bracket.
 
-    For 1 < alpha < 2, f is convex and decreasing, so Newton's method
-    started below the root climbs to it without overshooting; the top entry
-    stays in the support, so the slope is never 0.  The start is the largest
-    of the lower bounds mean(top k of zz) - k**(1 - alpha), k = 1..n: by
-    Jensen's inequality the top k entries alone already give f >= 0 there,
-    and k = 1 is the bracket's -1.  For alpha >= 2, f is concave with a
-    slope that blows up at the support's edge, and the bracket is bisected.
-    (At alpha = 2 the Newton step would compute 0**0 = 1 for entries outside
-    the support.)
+    For 1 < alpha < 2, Newton's method finds the same root of the norm
+    F(tau) = S_a**(1/a) - 1, S_b = sum_i max(zz_i - tau, 0)**b, a = 1/(alpha-1):
+    convex, decreasing and closer to linear than f, so from below it climbs to the
+    root without overshooting, each step adding (S_a - S_a**(2 - alpha)) / S_(a-1).
+    The top entry stays in the support, so the slope is never 0.  The start is the
+    largest lower bound mean(top k of zz) - k**(1 - alpha), k = 1..n (by Jensen the
+    top k alone give f >= 0 there; k = 1 is the bracket's -1).  For alpha >= 2, f is
+    concave with a slope that blows up at the support's edge (at alpha = 2 a Newton
+    step would compute 0**0 = 1 outside the support), and the bracket is bisected.
     """
     zz = MappingKind.entmax(alpha).scaled(z)
     inv = 1.0 / (alpha - 1.0)
     if inv > 1.0:
         zs = -np.sort(-zz, axis=-1)
         k = np.arange(1, zz.shape[-1] + 1, dtype=np.float64)
-        tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
+        tau = _row_max(np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha))
         # tau only rises from here, so an entry at or below it (masked ones
         # included) never enters the support.  Newton runs on the flat
         # candidates alone, and reduceat sums each row's segment on its own.
@@ -182,8 +189,8 @@ def entmax_bisect_nd(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
         for _ in range(NEWTON_ITERS):
             d = np.maximum(zc - tau[row], 0.0)
             t = d ** (inv - 1.0)
-            f = np.add.reduceat(t * d, starts) - 1.0
-            tau += f / (inv * np.add.reduceat(t, starts))
+            sa = np.add.reduceat(t * d, starts)
+            tau += (sa - sa ** (2.0 - alpha)) / np.add.reduceat(t, starts)
         pc = np.maximum(zc - tau[row], 0.0) ** inv
         pc[pc < SPARSE_FLOOR] = 0.0
         p = np.zeros(zz.size)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import salab
 from salab import data as datamod
-from salab.checkpoint import MAGIC
+from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from salab.cli import (
     EVAL_DEFAULTS,
     TRAIN_DEFAULTS,
@@ -917,6 +917,10 @@ BROKEN_MODEL_DIRS = {  # the file each case breaks in a working tr model directo
         (run / "best.ckpt").read_bytes()[:40])),
     "repeated-ckpt-record": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(
         (run / "best.ckpt").read_bytes() + (run / "best.ckpt").read_bytes()[len(MAGIC):])),
+    "foreign-ckpt-record": ("best.ckpt", lambda run: save_checkpoint(
+        run / "best.ckpt", {**load_checkpoint(run / "best.ckpt"), "foo": np.zeros(2)})),
+    "missing-ckpt-record": ("best.ckpt", lambda run: save_checkpoint(run / "best.ckpt", {
+        k: v for k, v in load_checkpoint(run / "best.ckpt").items() if k != "pred_b"})),
 }
 
 

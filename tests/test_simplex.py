@@ -45,23 +45,23 @@ def entmax_bisect_oracle(z: np.ndarray, alpha: float, iters: int = 200):
     return p, tau[..., 0]
 
 
-def newton_full_rows(z: np.ndarray, alpha: float):
+def newton_full_rows(z: np.ndarray, alpha: float, steps: int = sx.NEWTON_ITERS):
     """The Newton solver for 1 < alpha < 2 over every entry of every row.
 
-    Same start, step count and snap as `entmax_bisect_nd`, but each step
-    raises whole rows to a power, masked and dropped entries included;
-    returns (p, tau).
+    Same start, norm-form step and snap as `entmax_bisect_nd`, `steps` steps
+    (its own count by default), but each step raises whole rows to a power,
+    masked and dropped entries included; returns (p, tau).
     """
     zz = MappingKind.entmax(alpha).scaled(z)
     inv = 1.0 / (alpha - 1.0)
     zs = -np.sort(-zz, axis=-1)
     k = np.arange(1, zz.shape[-1] + 1, dtype=np.float64)
     tau = (np.cumsum(zs, axis=-1) / k - k ** (1.0 - alpha)).max(axis=-1, keepdims=True)
-    for _ in range(sx.NEWTON_ITERS):
+    for _ in range(steps):
         d = np.maximum(zz - tau, 0.0)
         t = d ** (inv - 1.0)
-        f = (t * d).sum(axis=-1, keepdims=True) - 1.0
-        tau += f / (inv * t.sum(axis=-1, keepdims=True))
+        sa = (t * d).sum(axis=-1, keepdims=True)
+        tau += (sa - sa ** (2.0 - alpha)) / t.sum(axis=-1, keepdims=True)
     p = np.maximum(zz - tau, 0.0) ** inv
     p[p < sx.SPARSE_FLOOR] = 0.0
     return p, tau[..., 0]
@@ -390,6 +390,67 @@ def test_newton_keeps_entry_just_above_start_bound(alpha):
     assert p[0, 1] > 0.0 and p[0, 2] == 0.0
     np.testing.assert_array_equal(p == 0.0, ref == 0.0)
     assert np.abs(p - ref).max() <= 1e-12 and np.abs(tau - ref_tau).max() <= 1e-15
+
+
+MARGIN_ALPHAS = [1.0001, 1.01, 1.3, 1.7, 1.95, 1.999]
+
+
+def _hard_rows(n, seed):
+    """Block, linear, one-top, Cauchy and masked rows of length n, 4 each."""
+    rng = np.random.default_rng(seed)
+    masked = rng.normal(0, 3, (4, n))
+    masked[:, 1:][rng.random((4, n - 1)) < rng.uniform(0, 0.9, (4, 1))] = MASK_FILL
+    return np.concatenate([
+        np.repeat(rng.normal(0, 3, (4, n // 10 + 1)), 10, axis=-1)[:, :n],
+        np.linspace(0.0, -1.0, n) * rng.uniform(0.01, 100, (4, 1)),
+        np.where(np.arange(n) == 0, rng.uniform(0.5, 30, (4, 1)), 0.0),
+        rng.standard_cauchy((4, n)),
+        masked,
+    ])
+
+
+def _meets_bisection(p, z, alpha):
+    """Per row: p within 1e-12 of a 200-step bisection, with the same zeros.
+
+    Where the bisection's own error, how far its p moves when its tau moves
+    one ulp, is larger, within twice that (at alpha 1.0001 it is ~1e-12).
+    """
+    ref, ref_tau = entmax_bisect_oracle(z, alpha)
+    zz = MappingKind.entmax(alpha).scaled(z)
+    ulp = np.spacing(np.abs(ref_tau))[..., None]
+    moved = np.maximum(zz - ref_tau[..., None] - ulp, 0.0) ** (1.0 / (alpha - 1.0))
+    moved[moved < sx.SPARSE_FLOOR] = 0.0
+    tol = np.maximum(1e-12, 2.0 * np.abs(moved - ref).max(axis=-1))
+    return (np.abs(p - ref).max(axis=-1) <= tol) & ((p == 0.0) == (ref == 0.0)).all(axis=-1)
+
+
+@pytest.mark.parametrize("alpha", MARGIN_ALPHAS)
+def test_newton_keeps_one_step_of_margin(alpha):
+    """NEWTON_ITERS - 1 steps already meet the bisection on every row."""
+    for n in (2, 12, 100, 1000):
+        z = _hard_rows(n, 17 + n)
+        assert _meets_bisection(newton_full_rows(z, alpha, sx.NEWTON_ITERS - 1)[0], z, alpha).all()
+
+
+def test_newton_worst_row_found_needs_every_step():
+    """One top entry over 999 equal entries at the support's edge is the
+    slowest row found: all NEWTON_ITERS steps meet the bisection, one fewer
+    does not.  This pins the count from above, and shows the one row shape
+    that has no step of margin."""
+    z = np.zeros((1, 1000))
+    z[0, 0] = 1.9644142809066267
+    assert _meets_bisection(sx.entmax_bisect_nd(z, 1.5)[0], z, 1.5).all()
+    assert not _meets_bisection(newton_full_rows(z, 1.5, sx.NEWTON_ITERS - 1)[0], z, 1.5).all()
+
+
+@pytest.mark.parametrize("alpha", sorted(set(MARGIN_ALPHAS + NEWTON_ALPHAS)))
+def test_newton_never_overshoots_the_root(alpha):
+    """Newton from below stays below: tau never passes the bisection root."""
+    for z in (*(_hard_rows(n, 18 + n) for n in (1, 2, 12, 100)), _masked_rows(19)[0],
+              np.where(np.arange(1000) == 0, np.linspace(0.5, 5, 50)[:, None], 0.0)):
+        _, tau = sx.entmax_bisect_nd(z, alpha)
+        _, ref_tau = entmax_bisect_oracle(z, alpha)
+        assert (tau - ref_tau).max() <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
