@@ -2,10 +2,10 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the tape in reverse topological order
-and accumulates gradients into every ``requires_grad`` leaf.  Only the
-operations the two model families need are implemented; broadcasting is
-supported for elementwise ops and bias adds, with gradients summed back
-down to the operand shape.
+and accumulates gradients into every ``requires_grad`` leaf.  The models
+use the fused ops below the class and ``+``, ``reshape`` and ``relu``; the
+other operators (broadcasting, with gradients summed back down to the
+operand shape) serve the tests and the benchmark tracer.
 
 Tape contract: every op builds its output with ``_node(data, parents,
 *grad_fns)``, one gradient function per parent.  The output's tape entry
@@ -180,10 +180,6 @@ class Tensor:
             lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape),
         )
 
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- nonlinearities -------------------------------------------------
 
     def relu(self):
@@ -326,17 +322,18 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-element binary cross entropy in the stable log-sum-exp form."""
+    """Mean binary cross entropy over every element, as one tape entry, in the stable log-sum-exp form."""
     y = np.asarray(labels, dtype=logits.dtype)
     if y.shape != logits.shape:
         raise ShapeError(f"labels {y.shape} vs logits {logits.shape}")
     s = logits.data
-    loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
+    inv_n = s.dtype.type(1.0 / s.size)
+    loss = (np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))).sum() * inv_n
 
     def backward(g):
         # where exp(-s) overflows to inf, 1/(1+inf) = 0 is the right limit
         with np.errstate(over="ignore"):
-            return g * (1.0 / (1.0 + np.exp(-s)) - y)
+            return g * inv_n * (1.0 / (1.0 + np.exp(-s)) - y)
 
     return _node(loss, (logits,), backward)
 
@@ -367,23 +364,23 @@ class Adam:
         self.t = 0
         self.m = np.concatenate([np.zeros(p.data.size, p.dtype) for p in params.values()])
         self.v = np.zeros_like(self.m)
+        ends = np.cumsum([p.data.size for p in params.values()])
+        self._parts = [(k, p, slice(end - p.data.size, end)) for (k, p), end in zip(params.items(), ends)]
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
-        ends = np.cumsum([p.data.size for p in self.params.values()])
-        parts = [(k, p, slice(end - p.data.size, end)) for (k, p), end in zip(self.params.items(), ends)]
         g = np.empty_like(self.m)
-        for name, p, part in parts:
+        for name, p, part in self._parts:
             if p.grad is not None and p.grad.shape != p.shape:
                 raise ShapeError(f"gradient {p.grad.shape} for parameter {name!r} of shape {p.shape}")
             g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
         if not np.isfinite(g).all():
-            name = next(name for name, _, part in parts if not np.isfinite(g[part]).all())
+            name = next(name for name, _, part in self._parts if not np.isfinite(g[part]).all())
             raise PoisonedGradientError(f"non-finite gradient in parameter {name!r}")
-        held = [(part, self.m[part].copy(), self.v[part].copy()) for _, p, part in parts if p.grad is None]
+        held = [(part, self.m[part].copy(), self.v[part].copy()) for _, p, part in self._parts if p.grad is None]
         self.t += 1
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1.0 - beta1 ** self.t, 1.0 - beta2 ** self.t
@@ -401,7 +398,7 @@ class Adam:
             gs /= np.add(gg, eps, out=gg)
         for part, m, v in held:
             self.m[part], self.v[part] = m, v
-        for _, p, part in parts:
+        for _, p, part in self._parts:
             if p.grad is not None:
                 p.data -= g[part].reshape(p.shape)
 

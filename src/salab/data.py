@@ -61,10 +61,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary `save` wrote; a token on two lines, or `<pad>` or
+        `<unk>` on one, would shift every later id, so it raises ValueError
+        naming "<path>:<line>"."""
         try:
-            return cls([t for t in Path(path).read_text(encoding="utf-8").splitlines() if t])
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+        first: dict[str, int] = {}
+        for n, t in enumerate(lines, 1):
+            if t in (PAD_TOKEN, UNK_TOKEN):
+                raise ValueError(f"{path}:{n}: {t!r} is a reserved token, not a vocabulary entry")
+            if t and first.setdefault(t, n) != n:
+                raise ValueError(f"{path}:{n}: {t!r} repeats the token of line {first[t]}")
+        return cls([t for t in lines if t])
 
 
 def build_vocab(token_streams, min_freq: int = 5) -> Vocabulary:

@@ -17,7 +17,7 @@ import numpy as np
 from .attention import AttentionRecord
 from .autodiff import no_grad
 from .data import PatientDocument, Vocabulary, pad_and_batch
-from .exceptions import BatchMemoryError, UndefinedMetricError
+from .exceptions import UndefinedMetricError, batch_memory_guard
 from .models import iter_attention_maps, predict_proba
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -203,11 +203,8 @@ def score_documents(model, docs, vocab, batch_size: int = 16) -> list[Prediction
     cfg = model.config
     out = []
     for batch in pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):
-        try:
-            with no_grad():
-                logits = model.forward(batch, training=False)
-        except MemoryError as e:
-            raise BatchMemoryError(batch.token_ids.shape, e) from e
+        with batch_memory_guard(batch.token_ids.shape), no_grad():
+            logits = model.forward(batch, training=False)
         probs = predict_proba(logits)
         for doc_id, p, y in zip(batch.doc_ids, probs, batch.labels):
             out.append(PredictionRecord(doc_id, float(p), int(y)))

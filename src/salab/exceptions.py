@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SalabError(Exception):
     """Base class for package-specific failures."""
@@ -42,7 +44,17 @@ class DatasetError(SalabError, ValueError):
 
 
 class BatchMemoryError(SalabError, MemoryError):
-    """A batch of token ids [B, T, W] ran out of memory; the message names its shape."""
+    """A batch of token ids [B, T, W] ran out of memory in `batch_memory_guard`; the message names its shape."""
 
     def __init__(self, shape: tuple, cause: MemoryError):
         super().__init__(f"a batch of [B, T, W] = {list(shape)} ran out of memory ({cause or 'no details'})")
+
+
+@contextmanager
+def batch_memory_guard(shape: tuple):
+    try:
+        yield
+    except BatchMemoryError:
+        raise
+    except MemoryError as e:
+        raise BatchMemoryError(shape, e) from e

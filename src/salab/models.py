@@ -51,7 +51,7 @@ from .autodiff import (
     segment_mean,
 )
 from .data import Batch, PatientDocument, kept_sentences, pad_and_batch
-from .exceptions import BatchMemoryError, CheckpointError, EmptyDocumentError, ShapeError
+from .exceptions import CheckpointError, EmptyDocumentError, ShapeError, batch_memory_guard
 from .rng import derive_rng
 from .simplex import MappingKind
 
@@ -305,13 +305,10 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
         chunk = picks[start:start + MAPS_CHUNK]
         picked_docs = [PatientDocument(d.id, [kept[t] for t in p], d.label) for d, kept, p in chunk]
         batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
-        try:
-            with no_grad():
-                x, words, sents, word = model.word_level(batch, maps_only=not full)
-                if full:
-                    sent = model._document_tail(x, words, sents, False, maps_only=True)[1]  # [B, heads, T, T]
-        except MemoryError as e:
-            raise BatchMemoryError(batch.token_ids.shape, e) from e
+        with batch_memory_guard(batch.token_ids.shape), no_grad():
+            x, words, sents, word = model.word_level(batch, maps_only=not full)
+            if full:
+                sent = model._document_tail(x, words, sents, False, maps_only=True)[1]  # [B, heads, T, T]
         rows = iter(word)  # [heads, W, W] per picked sentence, in document order
         for b, (doc, sentences, picked) in enumerate(chunk):
             out: list[AttentionRecord] = []

@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import Adam, bce_with_logits
 from .data import PatientDocument, Vocabulary, pad_and_batch
 from .evaluation import MetricsReport, compute_metrics, score_documents
-from .exceptions import BatchMemoryError
+from .exceptions import batch_memory_guard
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -59,13 +59,11 @@ def train_model(
         losses = []
         for batch in batches:
             opt.zero_grad()
-            try:
+            with batch_memory_guard(batch.token_ids.shape):
                 logits = model.forward(batch, training=True)
-                loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+                loss = bce_with_logits(logits, batch.labels)
                 loss.backward()
                 opt.step()
-            except MemoryError as e:
-                raise BatchMemoryError(batch.token_ids.shape, e) from e
             losses.append(loss.item())
         val_report = compute_metrics(score_documents(model, val_docs, vocab, batch_size))
         stats = EpochStats(epoch, float(np.mean(losses)), val_report)

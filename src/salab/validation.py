@@ -44,10 +44,8 @@ def model_grad_error(model, batch) -> float:
 
     The model should be built with float64 storage.
     """
-    labels = batch.labels.astype(model.dtype)
-
     def loss():
         logits = model.forward(batch, training=False)
-        return bce_with_logits(logits, labels).mean()
+        return bce_with_logits(logits, batch.labels)
 
     return grad_check(loss, model.params)

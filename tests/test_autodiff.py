@@ -149,10 +149,35 @@ def test_bce_saturated_logits_raise_no_warning(dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loss = bce_with_logits(logits, labels)
-        loss.sum().backward()
+        loss.backward()
     assert np.isfinite(loss.data).all() and np.isfinite(logits.grad).all()
-    np.testing.assert_allclose(loss.data, [0.0, 0.0, 200.0, 200.0], atol=1e-30)
-    np.testing.assert_allclose(logits.grad, [0.0, 0.0, -1.0, 1.0], atol=1e-30)
+    np.testing.assert_allclose(loss.data, 100.0, atol=1e-30)  # the mean of 0, 0, 200 and 200
+    np.testing.assert_allclose(logits.grad, [0.0, 0.0, -0.25, 0.25], atol=1e-30)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_bce_equals_the_per_element_chain_bit_for_bit(dtype):
+    """The loss is one tape entry whose value and gradient are, bit for bit,
+    those of the per-element losses, their sum and the product with 1/n
+    (not a division by n), under an upstream gradient of 1 or 3."""
+    rng = np.random.default_rng(23)  # a draw on which sum / n and sum * (1/n) differ
+    s = np.concatenate([rng.normal(0, 3, 40), rng.uniform(-1e4, 1e4, 20),
+                        [-1e4, 1e4, -100.0, 100.0, 0.0]]).astype(dtype)
+    y = rng.integers(0, 2, s.size)  # integer, as batch labels are: the loss casts them
+    yf, inv_n = y.astype(dtype), dtype(1.0 / s.size)
+    per_element = np.maximum(s, 0.0) - s * yf + np.log1p(np.exp(-np.abs(s)))
+    with np.errstate(over="ignore"):
+        sigmoid = 1.0 / (1.0 + np.exp(-s))
+    for upstream in (1.0, 3.0):
+        logits = Tensor(s, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = bce_with_logits(logits, y)
+            assert loss._parents == (logits,) and loss.shape == () and loss.dtype == dtype
+            (loss * upstream).backward()
+        np.testing.assert_array_equal(loss.data, per_element.sum() * inv_n)
+        assert logits.grad.dtype == dtype
+        np.testing.assert_array_equal(logits.grad, (dtype(upstream) * inv_n) * (sigmoid - yf))
 
 
 def test_relu_and_arithmetic_gradcheck():
@@ -181,7 +206,7 @@ def test_bce_linear_chain_gradcheck():
     labels = np.array([1.0, 0.0, 1.0, 0.0])
 
     def f():
-        return bce_with_logits(linear(x, W).reshape(4), labels).mean()
+        return bce_with_logits(linear(x, W).reshape(4), labels)
 
     assert grad_check(f, {"x": x, "W": W}) <= 1e-4
 
@@ -258,9 +283,10 @@ def test_adam_determinism():
 # fused layer ops against the Tensor-op chains they replace
 
 def _ln_chain(x, gain, bias, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    k = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * k
     centered = x + mu * -1.0
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * k
     return centered * ((var + eps) ** -0.5) * gain + bias
 
 
@@ -422,7 +448,7 @@ def test_flat_adam_equals_per_parameter_adam_bit_for_bit(corpus, family, dtype):
             for p in model.params.values():
                 p.zero_grad()
             logits = model.forward(batch, training=True)
-            bce_with_logits(logits, batch.labels.astype(dtype)).mean().backward()
+            bce_with_logits(logits, batch.labels).backward()
             opt.step()
         for name, p in flat_model.params.items():
             np.testing.assert_array_equal(p.data, ref_model.params[name].data, err_msg=name)

@@ -913,6 +913,8 @@ BROKEN_MODEL_DIRS = {  # the file each case breaks in a working tr model directo
     "nan-dropout": ("config.kv", _set_config(dropout="nan")),
     "missing-vocab": ("vocab.txt", lambda run: (run / "vocab.txt").unlink()),
     "non-utf8-vocab": ("vocab.txt", lambda run: (run / "vocab.txt").write_bytes(b"a\n\xff\n")),
+    "repeated-vocab-token": ("vocab.txt:2", lambda run: (run / "vocab.txt").write_bytes(b"a\na\n")),
+    "reserved-vocab-token": ("vocab.txt:1", lambda run: (run / "vocab.txt").write_bytes(b"<unk>\nb\n")),
     "truncated-ckpt": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(
         (run / "best.ckpt").read_bytes()[:40])),
     "repeated-ckpt-record": ("best.ckpt", lambda run: (run / "best.ckpt").write_bytes(

@@ -1,6 +1,7 @@
 """Vocabulary, synthetic corpus, dataset file, and batching tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,13 +39,15 @@ def test_build_vocab_never_keeps_reserved_tokens():
     assert vocab.token_to_id == {"<unk>": dm.UNK_ID, "a": 2, "b": 3}
 
 
-def test_vocab_file_listing_reserved_tokens_keeps_every_id(tmp_path):
-    """Older vocab.txt files list a frequent <pad> or <unk> again; each
-    keeps its position and the later id, as models trained on it expect."""
-    (tmp_path / "vocab.txt").write_text("<pad>\n<unk>\na\nb\n", encoding="utf-8")
-    vocab = dm.Vocabulary.load(tmp_path / "vocab.txt")
-    assert vocab.id_to_token == ["<pad>", "<unk>", "<pad>", "<unk>", "a", "b"]
-    assert [vocab.encode(t) for t in ("<pad>", "<unk>", "a", "b", "zzz")] == [2, 3, 4, 5, 1]
+def test_vocab_file_listing_a_reserved_token_or_a_repeat_is_refused(tmp_path):
+    """A token on two lines, or a listed <pad> or <unk>, would shift every
+    later id; loading refuses it, naming the file and the line."""
+    path = tmp_path / "vocab.txt"
+    for text, line, reason in (("a\n<pad>\nb\n", 2, "reserved"), ("<unk>\na\n", 1, "reserved"),
+                               ("a\nb\n\nc\nb\n", 5, "repeats the token of line 2")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{reason}"):
+            dm.Vocabulary.load(path)
 
 
 def test_vocab_save_load_roundtrip(tmp_path):

@@ -10,9 +10,9 @@ import pytest
 
 from salab import attention, models
 from salab import data as dm
-from salab.autodiff import Tensor, bce_with_logits, no_grad
+from salab.autodiff import Adam, Tensor, bce_with_logits, no_grad
 from salab.evaluation import score_documents
-from salab.exceptions import BatchMemoryError, EmptyDocumentError, SalabError, ShapeError
+from salab.exceptions import BatchMemoryError, EmptyDocumentError, SalabError, ShapeError, batch_memory_guard
 from salab.models import (
     AttentionClassifier,
     HierarchicalTransformerClassifier,
@@ -165,7 +165,7 @@ def test_training_step_leaves_no_reference_cycles(corpus, family):
     gc.disable()
     try:
         logits = model.forward(batch, training=True)
-        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        loss = bce_with_logits(logits, batch.labels)
         loss.backward()
         del logits, loss
         assert gc.collect() == 0
@@ -228,11 +228,11 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
 
 
 @pytest.mark.parametrize("family,nodes,dropouts",
-                         [(AttentionClassifier, 16, 2), (HierarchicalTransformerClassifier, 44, 5)])
+                         [(AttentionClassifier, 14, 2), (HierarchicalTransformerClassifier, 42, 5)])
 def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
     """A training step writes `nodes` tape entries, one per dropout call among
-    them; besides those, it makes only the one constant of the loss's mean
-    (dropout builds no mask Tensor)."""
+    them and one for the loss, and makes no other Tensor (dropout builds no
+    mask Tensor, the loss no constant)."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
@@ -248,14 +248,14 @@ def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
 
         monkeypatch.setattr(Tensor, "__init__", recorded_init)
         logits = model.forward(batch, training=True)
-        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        loss = bce_with_logits(logits, batch.labels)
         monkeypatch.undo()
         tape = [t for t in made if t._parents]
         loss.backward()
         return made, tape
 
     made, tape = step_tensors(0.2)
-    assert (len(tape), len(made)) == (nodes, nodes + 1)
+    assert len(tape) == len(made) == nodes
     assert len(step_tensors(0.0)[1]) == nodes - dropouts
 
 
@@ -271,7 +271,7 @@ def test_backward_frees_the_training_step_graph(corpus, family):
     before = [o for o in gc.get_objects() if isinstance(o, Tensor)]
     known = {id(o) for o in before}
     logits = model.forward(batch, training=True)
-    loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+    loss = bce_with_logits(logits, batch.labels)
     loss.backward()
     made = [o for o in gc.get_objects() if isinstance(o, Tensor) and id(o) not in known]
     assert {id(t) for t in made} == {id(logits), id(loss)}
@@ -308,7 +308,7 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
     monkeypatch.setattr(Tensor, "relu", recorded_relu)
     logits = model.forward(batch, training=True)
-    loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+    loss = bce_with_logits(logits, batch.labels)
     monkeypatch.undo()
     tr = family is HierarchicalTransformerClassifier
     assert {k: len(v) for k, v in freed.items()} == {"qkv": 3 * levels, "residual": 2 * tr * levels,
@@ -361,7 +361,7 @@ def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_word
     try:
         before = tracemalloc.get_traced_memory()[0]
         logits = model.forward(batch, training=True)
-        loss = bce_with_logits(logits, batch.labels.astype(model.dtype)).mean()
+        loss = bce_with_logits(logits, batch.labels)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
@@ -372,23 +372,41 @@ def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_word
 
 @pytest.mark.parametrize("path", ["train_model", "score_documents", "iter_attention_maps"])
 def test_a_batch_out_of_memory_raises_batch_memory_error(corpus, path, monkeypatch):
-    """A MemoryError while a batch runs becomes a BatchMemoryError naming
-    the batch's [B, T, W]; nothing large is allocated."""
+    """A MemoryError anywhere in a batch's work (the forward, the backward,
+    the Adam step, an unfiltered `tr` read-out's sentence level) becomes a
+    BatchMemoryError naming the batch's [B, T, W]; nothing large is allocated."""
     docs, vocab = corpus
-    model = AttentionClassifier(att_cfg(vocab), seed=1)
 
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.00 GiB")
 
-    monkeypatch.setattr(model, "word_level", exhausted)
-    with pytest.raises(BatchMemoryError, match=r"\[B, T, W\] = \[4, \d+, \d+\] .*9\.00 GiB") as info:
-        if path == "train_model":
-            train_model(model, docs[:4], docs[4:], vocab, epochs=1, batch_size=4)
-        elif path == "score_documents":
-            score_documents(model, docs[:4], vocab, batch_size=4)
-        else:
-            next(iter_attention_maps(model, docs[:4], vocab))
-    assert isinstance(info.value, MemoryError) and isinstance(info.value, SalabError)
+    att = AttentionClassifier(att_cfg(vocab), seed=1)
+    tr = HierarchicalTransformerClassifier(tr_cfg(vocab), seed=1)
+    places = {  # (model, the object whose attribute runs out of memory, the attribute)
+        "train_model": [(att, att, "word_level"), (att, Tensor, "backward"), (att, Adam, "step")],
+        "score_documents": [(att, att, "word_level")],
+        "iter_attention_maps": [(att, att, "word_level"), (tr, tr, "_document_tail")],
+    }[path]
+    for model, owner, attr in places:
+        monkeypatch.setattr(owner, attr, exhausted)
+        with pytest.raises(BatchMemoryError, match=r"\[B, T, W\] = \[4, \d+, \d+\] .*9\.00 GiB") as info:
+            if path == "train_model":
+                train_model(model, docs[:4], docs[4:], vocab, epochs=1, batch_size=4)
+            elif path == "score_documents":
+                score_documents(model, docs[:4], vocab, batch_size=4)
+            else:
+                next(iter_attention_maps(model, docs[:4], vocab))
+        monkeypatch.undo()
+        assert isinstance(info.value, MemoryError) and isinstance(info.value, SalabError), attr
+
+
+def test_batch_memory_guard_passes_a_named_batch_through():
+    """A BatchMemoryError from an inner block keeps the shape it names."""
+    inner = BatchMemoryError((2, 3, 4), MemoryError("x"))
+    with pytest.raises(BatchMemoryError) as info:
+        with batch_memory_guard((9, 9, 9)):
+            raise inner
+    assert info.value is inner and "[2, 3, 4]" in str(info.value)
 
 
 def test_heads_must_divide_hidden_at_build(corpus):
