@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DatasetError
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 log = logging.getLogger(__name__)
 
@@ -153,8 +153,7 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
     word_lo, word_hi = cfg.min_words, cfg.max_words + 1
 
     docs: list[PatientDocument] = []
-    for d in range(cfg.n_documents):
-        rng = derive_rng(cfg.seed, "corpus", d)
+    for d, rng in enumerate(derive_rngs(cfg.seed, "corpus", cfg.n_documents)):
         random, integers = rng.random, rng.integers
         label = int(random() < cfg.positive_rate)
         n_sent = int(integers(sent_lo, sent_hi))

@@ -20,6 +20,7 @@ from salab import data as datamod
 from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from salab.cli import (
     EVAL_DEFAULTS,
+    GEN_DEFAULTS,
     TRAIN_DEFAULTS,
     build_model,
     load_model_dir,
@@ -1000,6 +1001,28 @@ def test_eval_with_any_config_file_exits_2_with_one_error_line(tmp_path, capsys,
     capsys.readouterr()
     assert main(["eval", "--config", str(path), "--model-dir", str(tmp_path / "none")]) == 2
     assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+_FLAG_VALUE = st.sampled_from(["0", "-1", "0.5", "1e400", "nan", " 7 ", "18446744073709551621"]) \
+    | st.text(max_size=12)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_KV_FILE, st.sampled_from(sorted(GEN_DEFAULTS)), _FLAG_VALUE)
+def test_gen_data_with_any_config_file_and_flag_value_exits_2_creating_nothing(
+        tmp_path, capsys, payload, key, value):
+    """--out names an existing file (or a path under it, when the flag drawn is
+    --out), so a valid case stops at the output check before anything is drawn."""
+    path, blocker = tmp_path / "f.kv", tmp_path / "blocker"
+    path.write_bytes(payload)
+    blocker.write_bytes(b"")
+    out = f"{blocker}/{value}" if key == "out" else str(blocker)
+    flag = [] if key == "out" else [f"--{key.replace('_', '-')}={value}"]
+    capsys.readouterr()
+    assert main(["gen-data", "--config", str(path), f"--out={out}", *flag]) == 2
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert sorted(tmp_path.rglob("*")) == [blocker, path] and blocker.stat().st_size == 0
 
 
 def test_python_m_salab_entry_point(tmp_path):

@@ -131,7 +131,7 @@ EDGE_CORPORA = {
 
 
 @pytest.mark.parametrize("seed, edge", [
-    *(pytest.param(seed, {}, id=str(seed)) for seed in (0, 1, 21)),
+    *(pytest.param(seed, {}, id=str(seed)) for seed in (0, 1, 21, 2**64 + 5)),
     *(pytest.param(seed, edge, id=f"{name}-{seed}")
       for name, edge in EDGE_CORPORA.items() for seed in (0, 1, 21)),
 ])
