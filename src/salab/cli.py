@@ -64,6 +64,8 @@ TRAIN_DEFAULTS = {
     **{k: getattr(_MODEL, fields[0]) for k, fields in MODEL_FIELDS.items()},
 }
 
+MAX_SEEDS = 1000  # train --seeds: one model directory per seed
+
 EVAL_DEFAULTS = {"data": "data", "model_dir": "run", "out": "", "split": "test", "bins": 10}
 
 HEATMAP_DEFAULTS = {"data": "data", "model_dir": "run", "out": "heatmaps",
@@ -291,6 +293,8 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
     _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
+    if cfg["seeds"] > MAX_SEEDS:  # each seed's directory is checked before any data is read
+        raise ValueError(f"seeds must be <= {MAX_SEEDS}, got {cfg['seeds']}")
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])

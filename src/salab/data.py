@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DatasetError
-from .rng import derive_rng, derive_rngs
+from .rng import StreamDecoder, derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +123,10 @@ class SyntheticCorpusConfig:
         for lo, hi in (("min_sentences", "max_sentences"), ("min_words", "max_words")):
             if getattr(self, lo) > getattr(self, hi):
                 raise ValueError(f"{lo} {getattr(self, lo)} exceeds {hi} {getattr(self, hi)}")
+            # numpy draws a count over 2**32 values or more 64 bits at a time, and no such
+            # sentence or document would fit in memory
+            if getattr(self, hi) >= 2**32:
+                raise ValueError(f"{hi} must be < 2**32, got {getattr(self, hi)}")
         for p in (
             self.positive_rate,
             self.p_directive_given_positive,
@@ -134,11 +138,18 @@ class SyntheticCorpusConfig:
             raise ValueError("positive_rate must lie in (0, 1)")
 
 
+_CHUNK_DOCS, _CHUNK_WORDS = 256, 2**22  # documents decoded in lockstep; their words' budget
+
+
 def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocument]:
     """Draw labels, then plant one directive token per selected document.
 
-    Document d is drawn from its own stream derive_rng(seed, "corpus", d),
-    so the first k documents of any longer corpus are the k-document corpus.
+    Document d is drawn from its own stream derive_rng(seed, "corpus", d), so the first k
+    documents of any longer corpus are the k-document corpus.  Its draws, in order: the label's
+    random(), integers(min_sentences, max_sentences + 1), per sentence integers(min_words,
+    max_words + 1) and that many random() for Zipf ranks, the directive test's random(), then
+    the token, sentence and position.  Documents are decoded from their raw Philox words in
+    chunks by rng.StreamDecoder, byte-identical to making those calls on derive_rng's Generator.
     """
     ranks = np.arange(1, cfg.vocab_size + 1, dtype=np.float64)
     filler_probs = ranks ** -cfg.zipf_exponent
@@ -146,31 +157,51 @@ def generate_synthetic_corpus(cfg: SyntheticCorpusConfig) -> list[PatientDocumen
     if not cdf[-1] > 0:
         raise ValueError(f"no Zipf law over {cfg.vocab_size} tokens at zipf {cfg.zipf_exponent}")
     cdf /= cdf[-1]  # the CDF Generator.choice(p=filler_probs) builds on every call
-    to_rank = cdf.searchsorted
-    # an object array, so one fancy index and .tolist() turn a sentence's ranks into its tokens
+    # an object array, so one fancy index and .tolist() turn a chunk's ranks into its tokens
     filler_tokens = np.array([f"w{i}" for i in range(cfg.vocab_size)], dtype=object)
-    sent_lo, sent_hi = cfg.min_sentences, cfg.max_sentences + 1
-    word_lo, word_hi = cfg.min_words, cfg.max_words + 1
-
+    # the most words a document takes unless a draw is rejected, at one word or less per draw:
+    # label, sentence count, directive test, token, sentence, position, and per sentence its
+    # word count and words
+    words = 6 + cfg.max_sentences * (1 + cfg.max_words)
+    chunk = max(1, min(_CHUNK_DOCS, _CHUNK_WORDS // words))
     docs: list[PatientDocument] = []
-    for d, rng in enumerate(derive_rngs(cfg.seed, "corpus", cfg.n_documents)):
-        random, integers = rng.random, rng.integers
-        label = int(random() < cfg.positive_rate)
-        n_sent = int(integers(sent_lo, sent_hi))
-        sentences = [
-            filler_tokens[to_rank(random(integers(word_lo, word_hi)), side="right")].tolist()
-            for _ in range(n_sent)
-        ]
-        p_dir = (
-            cfg.p_directive_given_positive if label else cfg.p_directive_given_negative
-        )
-        if random() < p_dir:
-            token = DIRECTIVE_TOKENS[integers(len(DIRECTIVE_TOKENS))]
-            s = int(integers(n_sent))
-            pos = int(integers(len(sentences[s]) + 1))
-            sentences[s].insert(pos, token)
-        docs.append(PatientDocument(id=f"doc{d:06d}", sentences=sentences, label=label))
+    for start in range(0, cfg.n_documents, chunk):
+        docs += _corpus_chunk(cfg, start, min(start + chunk, cfg.n_documents), words, cdf,
+                              filler_tokens)
     return docs
+
+
+def _corpus_chunk(cfg, start, stop, words, cdf, filler_tokens) -> list[PatientDocument]:
+    """Documents start..stop-1 of generate_synthetic_corpus, decoded together."""
+    rng = StreamDecoder(cfg.seed, "corpus", start, stop, words)
+    rows = np.arange(stop - start)
+    label = rng.random(rows) < cfg.positive_rate
+    n_sent = rng.integers(cfg.min_sentences, cfg.max_sentences + 1, rows)
+    first = np.cumsum(n_sent) - n_sent  # document i's sentences are slots first[i]...
+    n_words = np.empty(n_sent.sum(), np.int64)
+    word_at = np.empty_like(n_words)
+    for j in range(int(n_sent.max())):  # sentence j of every document that has one
+        has = np.flatnonzero(n_sent > j)
+        slot = first[has] + j
+        n_words[slot] = k = rng.integers(cfg.min_words, cfg.max_words + 1, has)
+        word_at[slot] = rng.advance(has, k)
+    u = rng.doubles(np.repeat(rows, n_sent), word_at, n_words)
+    tokens = filler_tokens[cdf.searchsorted(u, side="right")].tolist()
+    ends = np.cumsum(n_words).tolist()
+    sentences = [tokens[a:b] for a, b in zip([0, *ends], ends)]
+
+    p_dir = np.where(label, cfg.p_directive_given_positive, cfg.p_directive_given_negative)
+    planted = np.flatnonzero(rng.random(rows) < p_dir)
+    token = rng.integers(0, len(DIRECTIVE_TOKENS), planted)
+    slot = first[planted] + rng.integers(0, n_sent[planted], planted)
+    at = rng.integers(0, n_words[slot] + 1, planted)
+    for s, a, t in zip(slot.tolist(), at.tolist(), token.tolist()):
+        sentences[s].insert(a, DIRECTIVE_TOKENS[t])
+    first, n_sent = first.tolist(), n_sent.tolist()
+    return [
+        PatientDocument(id=f"doc{start + i:06d}", sentences=sentences[f:f + n], label=y)
+        for i, (f, n, y) in enumerate(zip(first, n_sent, label.astype(int).tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------

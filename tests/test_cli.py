@@ -21,6 +21,8 @@ from salab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from salab.cli import (
     EVAL_DEFAULTS,
     GEN_DEFAULTS,
+    GRADCHECK_DEFAULTS,
+    HEATMAP_DEFAULTS,
     TRAIN_DEFAULTS,
     build_model,
     load_model_dir,
@@ -968,14 +970,19 @@ def test_a_repeated_key_exits_2_naming_the_line_and_the_key(data_dir, tmp_path, 
         assert_model_dir_exits_2(run, tmp_path, capsys, f"{path}:{n}: 'hidden' repeats")
 
 
-_KV_LINE = st.builds(
-    lambda key, sep, value: key + sep + value,
-    st.sampled_from([*EVAL_DEFAULTS, "command", "bins ", "hiden"]).map(str.encode)
-    | st.binary(max_size=8),
-    st.sampled_from([b"=", b" = ", b""]),
-    st.sampled_from([b"", b"3", b"-1", b"1e9", b"x", b"\xff", b"\xc3\xa9"]) | st.binary(max_size=8),
-)
-_KV_FILE = st.binary(max_size=200) | st.lists(_KV_LINE, max_size=6).map(b"\n".join)
+def kv_file(defaults):
+    """Any bytes, or lines that mostly look like the command's key=value settings."""
+    line = st.builds(
+        lambda key, sep, value: key + sep + value,
+        st.sampled_from([*defaults, "command", "bins ", "hiden"]).map(str.encode)
+        | st.binary(max_size=8),
+        st.sampled_from([b"=", b" = ", b""]),
+        st.sampled_from([b"", b"3", b"-1", b"1e9", b"x", b"\xff", b"\xc3\xa9"]) | st.binary(max_size=8),
+    )
+    return st.binary(max_size=200) | st.lists(line, max_size=6).map(b"\n".join)
+
+
+_KV_FILE = kv_file(EVAL_DEFAULTS)
 
 
 @settings(max_examples=200, deadline=None,
@@ -1023,6 +1030,59 @@ def test_gen_data_with_any_config_file_and_flag_value_exits_2_creating_nothing(
     assert main(["gen-data", "--config", str(path), f"--out={out}", *flag]) == 2
     assert len(error_lines(capsys.readouterr().err)) == 1
     assert sorted(tmp_path.rglob("*")) == [blocker, path] and blocker.stat().st_size == 0
+
+
+@pytest.fixture
+def no_gradchecks(monkeypatch):
+    """gradcheck's numerical checks, each replaced by a check that passes at once."""
+    monkeypatch.setattr(salab.cli, "mapping_max_grad_error", lambda kind, trials, seed: 0.0)
+    monkeypatch.setattr(salab.cli, "model_grad_error", lambda model, batch: 0.0)
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("train", TRAIN_DEFAULTS), ("heatmap", HEATMAP_DEFAULTS), ("gradcheck", GRADCHECK_DEFAULTS),
+])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_file_and_flag_value_exits_0_2_or_5_with_at_most_one_error_line(
+        tmp_path, capsys, monkeypatch, no_gradchecks, command, defaults, data):
+    """`--data` and `--model-dir` name missing paths, so a valid case stops at its first
+    read; relative paths resolve in an empty directory, and a refused case creates nothing
+    there, under `--out` or anywhere else."""
+    payload = data.draw(st.just(b"") | kv_file(defaults), "config")  # empty: the flag decides
+    key, value = data.draw(st.sampled_from(sorted(defaults)), "flag"), data.draw(_FLAG_VALUE, "value")
+    work = tmp_path / f"w{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = work / "f.kv"
+    path.write_bytes(payload)
+    paths = [f"--{k.replace('_', '-')}={work / 'missing'}" for k in ("data", "model_dir") if k in defaults]
+    capsys.readouterr()
+    code = main([command, "--config", str(path), *paths, f"--{key.replace('_', '-')}={value}"])
+    assert code in (0, 2, 5)
+    assert len(error_lines(capsys.readouterr().err)) == (code != 0)
+    if code == 2:
+        assert list(work.rglob("*")) == [path]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["train", "--seeds", "18446744073709551621"], "seeds must be <= 1000"),
+    (["train", "--seeds", "1001"], "seeds must be <= 1000"),
+    (["gen-data", "--n-docs", "5", "--word-max", "100000000000"], "max_words must be < 2**32"),
+    (["gen-data", "--word-max", "4294967297"], "max_words must be < 2**32"),
+    (["gen-data", "--sent-min", "4294967296", "--sent-max", "4294967296"], "max_sentences must be < 2**32"),
+])
+def test_a_count_too_large_to_draw_exits_2_naming_it_and_creating_nothing(tmp_path, capsys,
+                                                                          argv, field):
+    """A seed count too large to list its directories, and a word or sentence count of
+    2**32 or more (numpy draws those 64 bits at a time), are refused before any work."""
+    data = ["--data", str(tmp_path / "missing")] if argv[0] == "train" else []
+    capsys.readouterr()
+    assert main([*argv, *data, "--out", str(tmp_path / "out")]) == 2
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and field in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_python_m_salab_entry_point(tmp_path):

@@ -127,6 +127,11 @@ EDGE_CORPORA = {
     "fixed-sentences": {"min_sentences": 4, "max_sentences": 4},
     "no-directive": {"p_directive_given_positive": 0.0, "p_directive_given_negative": 0.0},
     "all-directive": {"p_directive_given_positive": 1.0, "p_directive_given_negative": 1.0},
+    # integers(1) for the planted sentence draws nothing; 300 documents span two chunks
+    "one-sentence": {"min_sentences": 1, "max_sentences": 1, "n_documents": 300,
+                     "p_directive_given_positive": 1.0, "p_directive_given_negative": 1.0},
+    "long-notes": {"min_sentences": 80, "max_sentences": 120, "min_words": 3, "max_words": 6},
+    "wide": {"min_sentences": 1, "max_sentences": 40, "min_words": 1, "max_words": 60},
 }
 
 
@@ -136,17 +141,24 @@ EDGE_CORPORA = {
       for name, edge in EDGE_CORPORA.items() for seed in (0, 1, 21)),
 ])
 def test_corpus_equals_draws_by_choice(seed, edge):
-    cfg = dm.SyntheticCorpusConfig(n_documents=200, seed=seed, **edge)
+    cfg = dm.SyntheticCorpusConfig(**{"n_documents": 200, "seed": seed, **edge})
     assert dm.generate_synthetic_corpus(cfg) == corpus_by_choice(cfg)
 
 
-@pytest.mark.parametrize("k, n", [(1, 2), (37, 200)])
+@pytest.mark.parametrize("k, n", [(1, 2), (37, 200), (dm._CHUNK_DOCS, dm._CHUNK_DOCS + 1)])
 def test_a_corpus_is_a_prefix_of_any_longer_one(k, n):
     """Document d comes from its own stream, so the first k documents of an
-    n-document corpus are the k-document corpus."""
+    n-document corpus are the k-document corpus, whatever chunks decode them."""
     short, long = (dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=m, seed=5))
                    for m in (k, n))
     assert len(long) == n and long[:k] == short
+
+
+def test_a_corpus_does_not_depend_on_its_chunk_size(monkeypatch):
+    cfg = dm.SyntheticCorpusConfig(n_documents=40, seed=8, min_sentences=1, max_sentences=9)
+    whole = dm.generate_synthetic_corpus(cfg)
+    monkeypatch.setattr(dm, "_CHUNK_WORDS", 200)  # a few documents per chunk
+    assert dm.generate_synthetic_corpus(cfg) == whole
 
 
 @pytest.mark.parametrize("bad", [{"vocab_size": 0}, {"vocab_size": -2}, {"zipf_exponent": float("nan")}])
@@ -161,6 +173,8 @@ def test_corpus_rejects_config_without_filler_distribution(bad):
     ({"min_sentences": 0}, "min_sentences must be >= 1"),
     ({"min_words": 6, "max_words": 2}, "min_words 6 exceeds max_words 2"),
     ({"min_sentences": 5, "max_sentences": 2}, "min_sentences 5 exceeds max_sentences 2"),
+    ({"max_words": 2**32}, r"max_words must be < 2\*\*32, got 4294967296"),
+    ({"min_sentences": 2**40, "max_sentences": 2**40}, "max_sentences must be < 2"),
 ])
 def test_corpus_config_names_its_bad_fields(bad, message):
     with pytest.raises(ValueError, match=message):
