@@ -64,8 +64,6 @@ TRAIN_DEFAULTS = {
     **{k: getattr(_MODEL, fields[0]) for k, fields in MODEL_FIELDS.items()},
 }
 
-MAX_SEEDS = 1000  # train --seeds: one model directory per seed
-
 EVAL_DEFAULTS = {"data": "data", "model_dir": "run", "out": "", "split": "test", "bins": 10}
 
 HEATMAP_DEFAULTS = {"data": "data", "model_dir": "run", "out": "heatmaps",
@@ -293,13 +291,14 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
     _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
-    if cfg["seeds"] > MAX_SEEDS:  # each seed's directory is checked before any data is read
-        raise ValueError(f"seeds must be <= {MAX_SEEDS}, got {cfg['seeds']}")
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
-    dirs = [out] if len(seeds) == 1 else [out / f"seed{seed}" for seed in seeds]
-    _check_out(*dirs)
+    dirs = [out] if cfg["seeds"] == 1 else (out / f"seed{seed}" for seed in seeds)
+    # of the seeds' directories only those out already holds can clash, however many seeds run
+    held = out.iterdir() if cfg["seeds"] > 1 and out.is_dir() else ()
+    _check_out(out, *(p for p in held if p.name[4:].isdecimal()
+                      and p.name == f"seed{int(p.name[4:])}" and int(p.name[4:]) in seeds))
     splits = [datamod.read_jsonl(Path(cfg["data"]) / f"{s}.jsonl")
               for s in ("train", "validation", "test")]
     vocab = datamod.build_vocab((sent for doc in splits[0] for sent in doc.sentences),

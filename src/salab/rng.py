@@ -35,13 +35,13 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 def _philox_keys(seed: int, tag, start: int, stop: int) -> np.ndarray:
     """The [n, 2] Philox keys of derive_rng(seed, tag, i), start <= i < stop: SeedSequence's
     mixing and generate_state(2, np.uint64) over uint32 words in uint64 arrays (ints where all i
-    share one)."""
+    share one, and throughout for a single stream)."""
     if (seed := int(seed)) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL - len(words)) + [zlib.crc32(str(tag).encode("utf-8"))]
-    ids = range(start, stop)
-    words.append(np.fromiter((zlib.crc32(str(i).encode("utf-8")) for i in ids), np.uint64, len(ids)))
+    ids = [zlib.crc32(str(i).encode("utf-8")) for i in range(start, stop)]
+    words.append(ids[0] if len(ids) == 1 else np.array(ids, np.uint64))  # one stream: all ints
     h = _INIT_A  # the hash constants run through a fixed sequence, whatever the words
 
     def hashmix(v, mult=_MULT_A):
@@ -60,7 +60,7 @@ def _philox_keys(seed: int, tag, start: int, stop: int) -> np.ndarray:
         pool[dst] = mix(pool[dst], hashmix(w))
     h = _INIT_B
     state = [hashmix(v, _MULT_B) for v in pool]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    return np.array([state[0] | state[1] << 32, state[2] | state[3] << 32], np.uint64).T.reshape(-1, 2)
 
 
 def stream_words(seed: int, tag, start: int, stop: int, m: int) -> np.ndarray:
@@ -133,14 +133,10 @@ class StreamDecoder:
         if len(r) and r.max() > 2**32:
             raise ValueError(f"integers over {r.max()} values: numpy draws those 64 bits at a time")
         low_cut = (2**32 - r) % r  # 2**32 mod r
-        while len(draw):
-            m = self._half_words(rows[draw]) * r
-            ok = (m & _MASK) >= low_cut
-            if ok.all():  # a rejection is rare unless r is near 2**32
-                out[draw] += (m >> 32).astype(np.int64)
-                break
-            out[draw[ok]] += (m[ok] >> 32).astype(np.int64)
-            draw, r, low_cut = draw[~ok], r[~ok], low_cut[~ok]
+        m = self._half_words(rows[draw]) * r
+        while len(again := np.flatnonzero((m & _MASK) < low_cut)):
+            m[again] = self._half_words(rows[draw[again]]) * r[again]
+        out[draw] += (m >> 32).astype(np.int64)
         return out
 
     def _half_words(self, rows):

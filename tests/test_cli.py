@@ -1067,22 +1067,41 @@ def test_any_config_file_and_flag_value_exits_0_2_or_5_with_at_most_one_error_li
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["train", "--seeds", "18446744073709551621"], "seeds must be <= 1000"),
-    (["train", "--seeds", "1001"], "seeds must be <= 1000"),
-    (["gen-data", "--n-docs", "5", "--word-max", "100000000000"], "max_words must be < 2**32"),
-    (["gen-data", "--word-max", "4294967297"], "max_words must be < 2**32"),
-    (["gen-data", "--sent-min", "4294967296", "--sent-max", "4294967296"], "max_sentences must be < 2**32"),
+    (["--n-docs", "5", "--word-max", "100000000000"], "max_words must be < 2**32"),
+    (["--word-max", "4294967297"], "max_words must be < 2**32"),
+    (["--sent-min", "4294967296", "--sent-max", "4294967296"], "max_sentences must be < 2**32"),
 ])
 def test_a_count_too_large_to_draw_exits_2_naming_it_and_creating_nothing(tmp_path, capsys,
                                                                           argv, field):
-    """A seed count too large to list its directories, and a word or sentence count of
-    2**32 or more (numpy draws those 64 bits at a time), are refused before any work."""
-    data = ["--data", str(tmp_path / "missing")] if argv[0] == "train" else []
+    """A word or sentence count of 2**32 or more (numpy draws those 64 bits at a time) is
+    refused before any work."""
     capsys.readouterr()
-    assert main([*argv, *data, "--out", str(tmp_path / "out")]) == 2
+    assert main(["gen-data", *argv, "--out", str(tmp_path / "out")]) == 2
     lines = error_lines(capsys.readouterr().err)
     assert len(lines) == 1 and field in lines[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed, seeds", [(0, 1001), (2**64, 2**64 + 5)], ids=["1001", "2**64+5"])
+def test_any_seed_count_checks_only_the_seed_directories_out_holds(tmp_path, capsys, seed, seeds):
+    """train checks the seeds' directories against what --out holds, not seed by seed: a seed's
+    directory at a file is refused, and without one the missing data is what is named."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("seed", "seedx", "seed01", f"seed{seed + seeds}"):  # none is a seed's directory
+        (out / name).write_text("")
+    blocker = out / f"seed{seed + seeds - 1}"
+    blocker.write_text("")
+    argv = ["train", "--seed", str(seed), "--seeds", str(seeds), "--out", str(out),
+            "--data", str(tmp_path / "missing")]
+    for named in (blocker, tmp_path / "missing"):
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = error_lines(capsys.readouterr().err)
+        assert len(lines) == 1 and str(named) in lines[0]
+        assert sorted(tmp_path.rglob("*")) == before
+        blocker.unlink(missing_ok=True)
 
 
 def test_python_m_salab_entry_point(tmp_path):

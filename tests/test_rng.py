@@ -16,7 +16,7 @@ def test_each_stream_has_the_seed_sequence_key_and_the_draws_of_derive_rng(seed,
     tag, m = "corpus", 5  # five words: a Philox block of four and one more
     words = stream_words(seed, tag, 0, n, m)
     assert words.shape == (n, m) and words.dtype == np.uint64
-    for i in {0, 1, 377, n - 1} & set(range(n)):
+    for i in range(n):
         spawn_key = (zlib.crc32(tag.encode()), zlib.crc32(str(i).encode()))
         key = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, np.uint64)
         np.testing.assert_array_equal(words[i], np.random.Philox(key=key).random_raw(m))
