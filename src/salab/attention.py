@@ -82,6 +82,8 @@ def scaled_dot_attention(
     and the pack back out happen inside the first and the last.  Weights
     are [..., heads, L, L] in q's dtype; padding keys score MASK_FILL, which
     every mapping maps to exactly 0, and padding-query rows are exactly 0.
+    The tape saves q, k, v and the probabilities as rows, and each backward
+    unpacks what it reads; every grid but the weights dies once read.
     With v None (a map read-out) the call stops at the mapping: no value
     mix, and the output is None.
     """
@@ -90,7 +92,8 @@ def scaled_dot_attention(
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {vshape}, heads {heads}")
     if q.data.size != units.index.size * q.shape[-1]:
         raise ShapeError(f"attention rows: q {q.shape} for {units.index.size} real units")
-    shape = q.shape  # the closures save no q, k, v rows
+    shape = q.shape
+    qd, kd = q.data, k.data
 
     def grid(a):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
         return units.unpack(a).swapaxes(-2, -3)
@@ -107,18 +110,19 @@ def scaled_dot_attention(
     def dscores(g):  # 0 at padding keys already: the mapping's backward gives 0 where p is 0
         return grid(g) * scale
 
-    qh, kh = split(q.data), split(k.data)
-    scale = q.dtype.type(1 / math.sqrt(qh.shape[-1]))
-    s = np.where(units.mask[..., None, None, :], (qh @ kh.swapaxes(-1, -2)) * scale, MASK_FILL)
-    scores = _node(rows(s), (q, k), lambda ds: merge(ds @ kh),
-                   lambda ds: merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)), shared=dscores)
-    p = attention_weights(scores, mapping)
-    pg = grid(p.data)
+    scale = q.dtype.type(1 / math.sqrt(shape[-1] // heads))
+    s = rows(np.where(units.mask[..., None, None, :],
+                      (split(qd) @ split(kd).swapaxes(-1, -2)) * scale, MASK_FILL))
+    p = attention_weights(_node(s, (q, k), lambda ds: merge(ds @ split(kd)),
+                                lambda ds: merge((split(qd).swapaxes(-1, -2) @ ds).swapaxes(-1, -2)),
+                                shared=dscores), mapping)
+    del s
+    pd, pg = p.data, grid(p.data)
     if v is None:
         return None, pg
-    vh = split(v.data)
-    out = _node(merge(pg @ vh), (p, v), lambda gh: rows(gh @ vh.swapaxes(-1, -2)),
-                lambda gh: merge(pg.swapaxes(-1, -2) @ gh), shared=split)
+    vd = v.data
+    out = _node(merge(pg @ split(vd)), (p, v), lambda gh: rows(gh @ split(vd).swapaxes(-1, -2)),
+                lambda gh: merge(grid(pd).swapaxes(-1, -2) @ gh), shared=split)
     return out, pg
 
 

@@ -316,9 +316,13 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     if not training or rate == 0.0:
         return x
     keep, scale, dtype = rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), x.dtype
+    bits, shape = np.packbits(keep), x.shape  # the tape keeps the mask at one bit per element
+
+    def backward(g):
+        return g * np.multiply(np.unpackbits(bits, count=g.size).view(bool).reshape(shape), scale, dtype=dtype)
+
     # explicit dtype: numpy 1.x would make `bool_array * np.float32(s)` float16
-    return _node(x.data * np.multiply(keep, scale, dtype=dtype), (x,),
-                 lambda g: g * np.multiply(keep, scale, dtype=dtype))
+    return _node(x.data * np.multiply(keep, scale, dtype=dtype), (x,), backward)
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:

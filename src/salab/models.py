@@ -161,15 +161,15 @@ class _BaseModel:
             raise EmptyDocumentError("batch contains a document with zero tokens")
         sents = Packing(batch.sentence_mask)
         words = Packing(batch.word_mask.reshape(B * T, W)[sents.index])
-        emb = embedding_lookup(batch.token_ids[batch.word_mask], self.params["emb"])
-        x = linear(emb, self.params["proj_w"], self.params["proj_b"])
+        x = linear(embedding_lookup(batch.token_ids[batch.word_mask], self.params["emb"]),
+                   self.params["proj_w"], self.params["proj_b"])
         x = dropout(x, cfg.dropout_rate, training, self._dropout_rng)
         x, word_maps = self._word_encoder(x, words, training, maps_only)
         return x, words, sents, word_maps
 
     def forward(self, batch: Batch, training: bool = False) -> Tensor:
         """Logits [B]: the word level, then the document tail."""
-        x, words, sents, _ = self.word_level(batch, training)
+        x, words, sents = self.word_level(batch, training)[:3]  # the word maps die here
         pooled, _ = self._document_tail(x, words, sents, training)
         logits = linear(pooled, self.params["pred_w"], self.params["pred_b"])
         return logits.reshape(len(sents.counts))

@@ -1,5 +1,6 @@
 """Autodiff primitives: forward values, backward vs finite differences."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -545,6 +546,22 @@ def test_dropout_keep_rate_and_backward():
     g = np.random.default_rng(18).normal(0, 1, n)
     (out * Tensor(g)).sum().backward()
     np.testing.assert_array_equal(x.grad, g * out.data)  # out.data is the mask, x being ones
+
+
+def test_dropout_backward_reads_its_mask_from_bits_on_a_size_not_a_multiple_of_8(saved_arrays):
+    """On 15 elements the tape keeps the mask as 2 bytes of bits, and the
+    gradient is g * keep * scale, keep taken from a cloned generator's draws."""
+    rng, rate = np.random.default_rng(31), 0.4
+    keep = copy.deepcopy(rng).random((3, 5), dtype=np.float32) >= rate
+    assert 0 < keep.sum() < keep.size and keep.reshape(-1)[8:].any()  # the last byte's bits matter
+    x = Tensor(np.arange(1.0, 16.0, dtype=np.float32).reshape(3, 5), requires_grad=True)
+    out = dropout(x, rate, True, rng)
+    assert [(a.dtype, a.shape) for a in saved_arrays(out)] == [(np.uint8, (2,))]
+    g = np.random.default_rng(32).normal(0, 1, (3, 5)).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    scale = np.float32(1 / (1 - rate))
+    np.testing.assert_array_equal(out.data, x.data * keep * scale)
+    np.testing.assert_array_equal(x.grad, g * keep * scale)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -279,21 +279,58 @@ def test_backward_frees_the_training_step_graph(corpus, family):
     assert all(p.grad is not None for p in model.params.values())
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    return a if a.base is None else a.base
+
+
+def record_attention_grids(monkeypatch, qkv: list, grids: list):
+    """Patch `scaled_dot_attention` to append each call's q, k and v Tensors to
+    `qkv`, and a weak reference to every grid it unpacks or packs, apart from
+    the weights grid it returns, to `grids`."""
+    attend, unpack, pack = attention.scaled_dot_attention, attention.Packing.unpack, attention.Packing.pack
+    inside = []
+
+    def recorded_unpack(units, rows):
+        grid = unpack(units, rows)
+        if inside:
+            inside.append(_owner(grid))
+        return grid
+
+    def recorded_pack(units, grid):
+        if inside:
+            inside.append(_owner(grid))
+        return pack(units, grid)
+
+    def recorded_attention(q, k, v, *args):
+        qkv.append((q, k, v))
+        inside[:] = [None]
+        try:
+            out, w = attend(q, k, v, *args)
+        finally:
+            made, inside[:] = inside[1:], []
+        grids.extend(weakref.ref(g) for g in made if g is not _owner(w))
+        return out, w
+
+    for module in (attention, models):
+        monkeypatch.setattr(module, "scaled_dot_attention", recorded_attention)
+    monkeypatch.setattr(attention.Packing, "unpack", recorded_unpack)
+    monkeypatch.setattr(attention.Packing, "pack", recorded_pack)
+
+
 @pytest.mark.parametrize("family, levels", [(AttentionClassifier, 1), (HierarchicalTransformerClassifier, 2)])
-def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatch):
-    """With the loss still held after `forward`, the q/k/v rows, the residual
-    sums and the pre-ReLU activations are already freed: a tape entry holds
-    no Tensor's data, and no gradient function saves these arrays."""
+def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatch, saved_arrays):
+    """With the loss still held after `forward`, the residual sums, the
+    pre-ReLU activations and every grid an attention call unpacked or packed,
+    its weights included, are freed.  The tape holds each call's q, k and v
+    once, as the [R, d] rows the call was given, and no 4-d array (no grid);
+    backward frees them."""
     docs, vocab = corpus
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     model = family(cfg_fn(vocab, dropout_rate=0.2), seed=8)
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
-    freed = {"qkv": [], "residual": [], "pre-relu": []}
-    attend, norm, relu = attention.scaled_dot_attention, attention.layer_norm, Tensor.relu
-
-    def recorded_attention(q, k, v, *args):
-        freed["qkv"] += [weakref.ref(t.data) for t in (q, k, v)]
-        return attend(q, k, v, *args)
+    qkv, grids = [], []
+    freed = {"residual": [], "pre-relu": [], "weights": []}
+    norm, relu, attend = attention.layer_norm, Tensor.relu, attention.scaled_dot_attention
 
     def recorded_norm(x, *args):
         freed["residual"].append(weakref.ref(x.data))
@@ -303,71 +340,111 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
         freed["pre-relu"].append(weakref.ref(x.data))
         return relu(x)
 
+    record_attention_grids(monkeypatch, qkv, grids)
+    recorded_attention = attention.scaled_dot_attention
+
+    def weights_recorded(*args):
+        out, w = recorded_attention(*args)
+        freed["weights"].append(weakref.ref(_owner(w)))
+        return out, w
+
     for module in (attention, models):
-        monkeypatch.setattr(module, "scaled_dot_attention", recorded_attention)
+        monkeypatch.setattr(module, "scaled_dot_attention", weights_recorded)
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
     monkeypatch.setattr(Tensor, "relu", recorded_relu)
     logits = model.forward(batch, training=True)
     loss = bce_with_logits(logits, batch.labels)
     monkeypatch.undo()
+    assert attend is attention.scaled_dot_attention
     tr = family is HierarchicalTransformerClassifier
-    assert {k: len(v) for k, v in freed.items()} == {"qkv": 3 * levels, "residual": 2 * tr * levels,
-                                                      "pre-relu": tr * levels}
-    assert all(ref() is None for refs in freed.values() for ref in refs)
+    assert {k: len(v) for k, v in freed.items()} == {"residual": 2 * tr * levels, "pre-relu": tr * levels,
+                                                      "weights": levels}
+    assert len(qkv) == levels and len(grids) == 5 * levels  # q, k, v unpacked; scores, mix packed
+    assert all(ref() is None for refs in (*freed.values(), grids) for ref in refs)
+    saved = {id(a): a for a in saved_arrays(loss)}
+    rows = [t.data for call in qkv for t in call]
+    assert all(id(r) in saved and r.ndim == 2 for r in rows)
+    assert not [a.shape for a in saved.values() if a.ndim == 4]
+    del qkv[:], saved
+    rows = [weakref.ref(r) for r in rows]
     loss.backward()
     assert all(p.grad is not None for p in model.params.values())
+    assert all(ref() is None for ref in rows)
 
 
-def test_each_encoder_layer_frees_qkv_before_its_first_layer_norm(corpus, monkeypatch):
-    """A layer's q, k and v rows are freed when its attention call returns, so
-    they are not held while the rest of the layer allocates."""
+def test_each_encoder_layer_frees_its_attention_grids_before_its_first_layer_norm(corpus, monkeypatch):
+    """Every grid a layer's attention call unpacks or packs, but the weights it
+    returns, is freed when the call returns, so none is held while the rest of
+    the layer allocates."""
     docs, vocab = corpus
     config = tr_cfg(vocab, dropout_rate=0.2, word_heads=2, sent_heads=2, word_layers=2, sent_layers=2)
     model = HierarchicalTransformerClassifier(config, seed=8)
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
-    attend, norm = attention.scaled_dot_attention, attention.layer_norm
-    pending, alive = [], []
-
-    def recorded_attention(q, k, v, *args):
-        pending[:] = [weakref.ref(t.data) for t in (q, k, v)]
-        return attend(q, k, v, *args)
+    norm = attention.layer_norm
+    qkv, pending, alive = [], [], []
 
     def recorded_norm(x, *args):
         if pending:  # the first layer norm since the last attention call
-            alive.append(sum(ref() is not None for ref in pending))
+            alive.append((len(pending), sum(ref() is not None for ref in pending)))
             pending.clear()
         return norm(x, *args)
 
-    monkeypatch.setattr(attention, "scaled_dot_attention", recorded_attention)
+    record_attention_grids(monkeypatch, qkv, pending)
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
+    with no_grad():
+        model.forward(batch)
     model.forward(batch, training=True)
-    assert alive == [0, 0, 0, 0]  # word0, word1, sent0, sent1
+    assert [n for n, _ in alive] == [5] * 8  # q, k, v unpacked, scores and mix packed; word0, word1, sent0, sent1; tape-free, then training
+    assert [live for _, live in alive] == [0] * 8
 
 
-@pytest.mark.parametrize("family, mapping, max_words, max_sents, kib",
-                         [("att", "entmax:1.3", 12, 8, 2), ("tr", "softmax", 20, 40, 4)])
-def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_words, max_sents, kib):
-    """What a training forward leaves allocated until backward, per real token,
-    at the benchmark workloads' shapes (hidden 64, embed 50, batch 16)."""
+def _bytes_per_token_setup(family, mapping, max_words, max_sents):
+    """A model and the first batch of 16 at the benchmark workloads' shapes (hidden 64, embed 50)."""
     docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=64, seed=3))
     vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=1)
     cls, cfg = ((AttentionClassifier, LocalModelConfig) if family == "att"
                 else (HierarchicalTransformerClassifier, HierModelConfig))
     model = cls(cfg(len(vocab), embed_dim=50, hidden=64, mapping=MappingKind.parse(mapping),
                     max_words=max_words, max_sents=max_sents), seed=1)
-    batch = dm.pad_and_batch(docs, vocab, max_words, max_sents, 16)[0]
+    return model, dm.pad_and_batch(docs, vocab, max_words, max_sents, 16)[0]
+
+
+def _traced(fn):
+    """fn's result, the bytes it left allocated and its peak over what was allocated before it."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        logits = model.forward(batch, training=True)
-        loss = bce_with_logits(logits, batch.labels)
-        held = tracemalloc.get_traced_memory()[0] - before
+        out = fn()
+        now, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
+    return out, now - before, peak - before
+
+
+@pytest.mark.parametrize("family, mapping, max_words, max_sents, kib",
+                         [("att", "entmax:1.3", 12, 8, 1.5), ("tr", "softmax", 20, 40, 3.5)])
+def test_tape_bytes_per_token_after_a_training_forward(family, mapping, max_words, max_sents, kib):
+    """What a training forward leaves allocated until backward, per real token,
+    at the benchmark workloads' shapes (hidden 64, embed 50, batch 16): q, k,
+    v and the probabilities as rows, dropout masks as bits."""
+    model, batch = _bytes_per_token_setup(family, mapping, max_words, max_sents)
+    loss, held, _ = _traced(lambda: bce_with_logits(model.forward(batch, training=True), batch.labels))
     assert held / batch.word_mask.sum() <= kib * 1024
     loss.backward()
+
+
+@pytest.mark.parametrize("family, mapping, max_words, max_sents, kib",
+                         [("att", "entmax:1.3", 12, 8, 2), ("tr", "softmax", 20, 40, 3)])
+def test_peak_bytes_per_token_of_a_tape_free_forward(family, mapping, max_words, max_sents, kib):
+    """A forward under `no_grad` frees each attention grid once read: its
+    tracemalloc peak per real token, at the shapes above."""
+    model, batch = _bytes_per_token_setup(family, mapping, max_words, max_sents)
+    with no_grad():
+        _, _, peak = _traced(lambda: model.forward(batch))
+    assert peak / batch.word_mask.sum() <= kib * 1024
 
 
 @pytest.mark.parametrize("path", ["train_model", "score_documents", "iter_attention_maps"])
