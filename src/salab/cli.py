@@ -2,9 +2,9 @@
 
 Configuration precedence is defaults < --config key=value file < explicit
 flags.  Flags and file values are read the same way: stripped of surrounding
-whitespace, and refused if they still hold a line break.  Every command
-writes a manifest of its fully resolved config; feeding a manifest back
-through --config reproduces the run.
+whitespace, and refused if they still hold a line break or are not UTF-8.
+Every command writes a manifest of its fully resolved config; feeding a
+manifest back through --config reproduces the run.
 """
 
 import argparse
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREADS
 from . import data as datamod
 from .checkpoint import load_checkpoint
 from .evaluation import compute_metrics, export_heatmap, score_documents
@@ -104,6 +105,10 @@ def _coerce(key: str, value: str, template):
     value = value.strip()
     if len(value.splitlines()) > 1:  # write_kv could not write it as one line
         raise ValueError(f"{key} holds a line break: {value!r}")
+    try:  # nor, in UTF-8, a lone surrogate (a command-line byte that is not UTF-8)
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{key} is not UTF-8 text: {value!r}") from None
     try:
         return type(template)(value)
     except ValueError:
@@ -132,7 +137,8 @@ def resolve(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         kv = read_kv(args.config)
-        kv.pop("command", None)  # every manifest names the command it came from
+        for key in ("command", "blas_threads"):  # a manifest records these beside the settings
+            kv.pop(key, None)
         for k in kv:
             if k not in defaults:
                 raise ValueError(f"{args.config}: {k!r} is not a setting of this command")
@@ -319,7 +325,7 @@ def cmd_train(args) -> int:
             f"± {summary['auc_roc_sd']}"
         )
     # written only once the run succeeded, so a rejected setting leaves nothing
-    cfg["command"] = "train"
+    cfg["command"], cfg["blas_threads"] = "train", BLAS_THREADS
     write_kv(out / "manifest.kv", cfg)
     return 0
 
@@ -341,7 +347,7 @@ def cmd_eval(args) -> int:
         for b in report.bins:
             stats = "0,," if b.empty else f"{b.count},{b.mean_score:.6f},{b.positive_fraction:.6f}"
             fh.write(f"{b.low:.{places}f},{b.high:.{places}f},{stats}\n")
-    cfg["command"] = "eval"
+    cfg["command"], cfg["blas_threads"] = "eval", BLAS_THREADS
     write_kv(out / "manifest.kv", cfg)
     print(report.to_kv().strip())
     return 0
@@ -368,7 +374,7 @@ def cmd_heatmap(args) -> int:
             name = "sentences" if rec.scope == "sentence" else f"s{rec.sentence_index}"
             export_heatmap(rec, out / f"{doc.id}_{name}.csv")
         written.add(doc.id)
-    cfg["command"] = "heatmap"
+    cfg["command"], cfg["blas_threads"] = "heatmap", BLAS_THREADS
     write_kv(out / "manifest.kv", cfg)
     print(f"exported heatmaps for {len(written)} documents to {out}")
     return 0

@@ -1,5 +1,6 @@
 """CLI smoke and contract tests on a desk-scale corpus."""
 
+import io
 import logging
 import os
 import platform
@@ -612,6 +613,38 @@ def test_salab_threads_pins_blas_before_numpy_loads():
     assert out[1] in ("1", "None")  # None: no OpenBLAS loaded, so nothing to read
 
 
+def test_one_blas_thread_unless_asked_and_the_manifests_record_the_count(data_dir, tmp_path):
+    """With no thread variable set, `salab train` writes the same `best.ckpt` as under
+    SALAB_THREADS=1; train, eval and heatmap record `blas_threads` in their manifests,
+    2 under SALAB_THREADS=2, and a manifest fed back through --config runs again."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("SALAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(salab.__file__).resolve().parents[1])
+
+    def run(threads, *argv):
+        env = base if threads is None else dict(base, SALAB_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "salab", *argv], env=env, cwd=tmp_path, check=True,
+                       capture_output=True, timeout=120)
+
+    runs = {}
+    for threads in (None, "1", "2"):
+        out = runs[threads] = tmp_path / f"run{threads}"
+        run(threads, "train", "--data", str(data_dir), "--out", str(out), "--model", "tr",
+            "--mapping", "sparsemax", "--seed", "3", *TRAIN_FLAGS)
+    assert (runs[None] / "best.ckpt").read_bytes() == (runs["1"] / "best.ckpt").read_bytes()
+    run("2", "eval", "--data", str(data_dir), "--model-dir", str(runs["2"]))
+    run("2", "heatmap", "--data", str(data_dir), "--model-dir", str(runs["2"]),
+        "--out", str(tmp_path / "maps"), "--limit", "1")
+    for manifest, threads in ((runs[None] / "manifest.kv", "1"), (runs["1"] / "manifest.kv", "1"),
+                              (runs["2"] / "manifest.kv", "2"), (runs["2"] / "eval" / "manifest.kv", "2"),
+                              (tmp_path / "maps" / "manifest.kv", "2")):
+        assert read_kv(manifest)["blas_threads"] == threads
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(runs["1"] / "manifest.kv"), "--out", str(again)]) == 0
+    ignored = {"out": "", "blas_threads": ""}
+    assert read_kv(again / "manifest.kv") | ignored == read_kv(runs["1"] / "manifest.kv") | ignored
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
 def test_scoring_batches_reuse_freed_heap_memory():
     """`import salab` keeps freed memory in glibc's heap, so a scoring pass
@@ -1064,6 +1097,57 @@ def test_any_config_file_and_flag_value_exits_0_2_or_5_with_at_most_one_error_li
     assert len(error_lines(capsys.readouterr().err)) == (code != 0)
     if code == 2:
         assert list(work.rglob("*")) == [path]
+
+
+EDGE_VALUES = [  # numbers at and past every limit, paths, text no file system or encoder takes
+    "0", "-1", "1", "0.5", "-0.0", "1e400", "-1e400", "inf", "nan", "1e-400",
+    str(2**31), str(2**32), str(2**63), str(-2**63 - 1), str(2**64 + 5), "0x10", "1_0", " 7 ",
+    "", " ", "/", ".", "..", "a/b", "x" * 300, "\x00", "a\x00b", "\ud800", "\udcff", "\u00e9",
+    "#", "=", "softmax", "entmax:1.3", "entmax:nan", "tr",
+]
+SURROGATES = ("\ud800", "\udcff")  # the second is what a command-line byte 0xff decodes to
+COMMANDS = {"gen-data": GEN_DEFAULTS, "train": TRAIN_DEFAULTS, "eval": EVAL_DEFAULTS,
+            "heatmap": HEATMAP_DEFAULTS, "gradcheck": GRADCHECK_DEFAULTS}
+
+
+def test_every_flag_of_every_command_at_every_edge_value_exits_0_or_2_with_at_most_one_error_line(
+        tmp_path, monkeypatch, no_gradchecks):
+    """Every command x every flag (--config too) x EDGE_VALUES, one flag at a time.
+    `--data` and `--model-dir` name paths under a missing directory and gen-data's
+    `--out` one under a file, so a valid case stops before any work; every case
+    returns 0 or 2 and creates nothing, and a setting holding a lone surrogate, which
+    no manifest could record, is refused by name.  One parser serves every call, and the
+    streams take any text, as the interpreter's stderr does (backslashreplace)."""
+    parser = salab.cli.make_parser()
+    monkeypatch.setattr(salab.cli, "make_parser", lambda: parser)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    blocker = work / "blocker"
+    blocker.write_bytes(b"")
+    escapes = []
+    for command, defaults in COMMANDS.items():
+        under = {k: work / "missing" for k in ("data", "model_dir") if k in defaults}
+        under |= {"out": blocker} if command == "gen-data" else {}
+        for key in ("config", *defaults):
+            for value in EDGE_VALUES:
+                flags = {k: str(v) for k, v in under.items()} | {key: f"{under[key]}/{value}" if key in under
+                                                                 else value}
+                argv = [command, *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())]
+                err = io.StringIO()
+                monkeypatch.setattr(sys, "stderr", err)
+                monkeypatch.setattr(sys, "stdout", io.StringIO())
+                try:
+                    code = main(argv)
+                except BaseException as e:  # an escape: any exception out of main
+                    code = f"{type(e).__name__}: {e}"
+                errors = error_lines(err.getvalue())
+                if code not in (0, 2) or len(errors) != (code != 0) or list(work.iterdir()) != [blocker] \
+                        or (key != "config" and value in SURROGATES
+                            and not (errors and f"{key} is not UTF-8 text" in errors[0])):
+                    escapes.append((argv, code, err.getvalue(), sorted(work.iterdir())))
+    monkeypatch.undo()
+    assert not escapes
 
 
 @pytest.mark.parametrize("argv, field", [
