@@ -167,9 +167,9 @@ def transformer_encoder_layer(
         return scaled_dot_attention(q, k, None, units, mapping, heads)
     qkv = (linear(x, params[f"{prefix}w{c}"], params[f"{prefix}b{c}"]) for c in "qkv")
     att, w = scaled_dot_attention(*qkv, units, mapping, heads)
-    att = linear(att, params[prefix + "wo"], params[prefix + "bo"])
-    att = dropout(att, dropout_rate, training, rng)
+    att = dropout(linear(att, params[prefix + "wo"], params[prefix + "bo"]), dropout_rate, training, rng)
     y = layer_norm(x + att, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    del att  # read by the residual sum only, so not held through the FFN
     h = linear(y, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]).relu()
     h = linear(h, params[prefix + "ffn_w2"], params[prefix + "ffn_b2"])
     h = dropout(h, dropout_rate, training, rng)

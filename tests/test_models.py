@@ -280,13 +280,14 @@ def test_backward_frees_the_training_step_graph(corpus, family):
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose memory `a` views (numpy points every view at it)."""
     return a if a.base is None else a.base
 
 
-def record_attention_grids(monkeypatch, qkv: list, grids: list):
+def record_attention_grids(monkeypatch, qkv: list, grids: list, weights: list):
     """Patch `scaled_dot_attention` to append each call's q, k and v Tensors to
-    `qkv`, and a weak reference to every grid it unpacks or packs, apart from
-    the weights grid it returns, to `grids`."""
+    `qkv`, a weak reference to every grid it unpacks or packs, apart from the
+    weights grid it returns, to `grids`, and one to that weights grid to `weights`."""
     attend, unpack, pack = attention.scaled_dot_attention, attention.Packing.unpack, attention.Packing.pack
     inside = []
 
@@ -309,6 +310,7 @@ def record_attention_grids(monkeypatch, qkv: list, grids: list):
         finally:
             made, inside[:] = inside[1:], []
         grids.extend(weakref.ref(g) for g in made if g is not _owner(w))
+        weights.append(weakref.ref(_owner(w)))
         return out, w
 
     for module in (attention, models):
@@ -330,7 +332,7 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
     qkv, grids = [], []
     freed = {"residual": [], "pre-relu": [], "weights": []}
-    norm, relu, attend = attention.layer_norm, Tensor.relu, attention.scaled_dot_attention
+    norm, relu = attention.layer_norm, Tensor.relu
 
     def recorded_norm(x, *args):
         freed["residual"].append(weakref.ref(x.data))
@@ -340,22 +342,12 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
         freed["pre-relu"].append(weakref.ref(x.data))
         return relu(x)
 
-    record_attention_grids(monkeypatch, qkv, grids)
-    recorded_attention = attention.scaled_dot_attention
-
-    def weights_recorded(*args):
-        out, w = recorded_attention(*args)
-        freed["weights"].append(weakref.ref(_owner(w)))
-        return out, w
-
-    for module in (attention, models):
-        monkeypatch.setattr(module, "scaled_dot_attention", weights_recorded)
+    record_attention_grids(monkeypatch, qkv, grids, freed["weights"])
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
     monkeypatch.setattr(Tensor, "relu", recorded_relu)
     logits = model.forward(batch, training=True)
     loss = bce_with_logits(logits, batch.labels)
     monkeypatch.undo()
-    assert attend is attention.scaled_dot_attention
     tr = family is HierarchicalTransformerClassifier
     assert {k: len(v) for k, v in freed.items()} == {"residual": 2 * tr * levels, "pre-relu": tr * levels,
                                                       "weights": levels}
@@ -389,7 +381,7 @@ def test_each_encoder_layer_frees_its_attention_grids_before_its_first_layer_nor
             pending.clear()
         return norm(x, *args)
 
-    record_attention_grids(monkeypatch, qkv, pending)
+    record_attention_grids(monkeypatch, qkv, pending, [])
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
     with no_grad():
         model.forward(batch)
