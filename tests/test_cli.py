@@ -616,7 +616,8 @@ def test_salab_threads_pins_blas_before_numpy_loads():
 def test_one_blas_thread_unless_asked_and_the_manifests_record_the_count(data_dir, tmp_path):
     """With no thread variable set, `salab train` writes the same `best.ckpt` as under
     SALAB_THREADS=1; train, eval and heatmap record `blas_threads` in their manifests,
-    2 under SALAB_THREADS=2, and a manifest fed back through --config runs again."""
+    2 under SALAB_THREADS=2, "unknown" where numpy loaded before salab, and a manifest
+    fed back through --config runs again."""
     base = {k: v for k, v in os.environ.items()
             if k not in ("SALAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     base["PYTHONPATH"] = str(Path(salab.__file__).resolve().parents[1])
@@ -639,6 +640,9 @@ def test_one_blas_thread_unless_asked_and_the_manifests_record_the_count(data_di
                               (runs["2"] / "manifest.kv", "2"), (runs["2"] / "eval" / "manifest.kv", "2"),
                               (tmp_path / "maps" / "manifest.kv", "2")):
         assert read_kv(manifest)["blas_threads"] == threads
+    late = subprocess.run([sys.executable, "-c", "import numpy, salab; print(salab.BLAS_THREADS)"],
+                          env=base, capture_output=True, text=True, check=True, timeout=120)
+    assert late.stdout.split() == ["unknown"]  # numpy loaded first: its count was not salab's to set
     again = tmp_path / "again"
     assert main(["train", "--config", str(runs["1"] / "manifest.kv"), "--out", str(again)]) == 0
     ignored = {"out": "", "blas_threads": ""}
