@@ -116,8 +116,9 @@ def scaled_dot_attention(
     p = attention_weights(_node(s, (q, k), lambda ds: merge(ds @ split(kd)),
                                 lambda ds: merge((split(qd).swapaxes(-1, -2) @ ds).swapaxes(-1, -2)),
                                 shared=dscores), mapping)
-    del s
-    pd, pg = p.data, grid(p.data)
+    del s  # the mapping's backward reads its output, not the scores
+    pd = p.data
+    pg = grid(pd)
     if v is None:
         return None, pg
     vd = v.data
