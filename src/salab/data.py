@@ -318,27 +318,37 @@ def pad_and_batch(
 ) -> list[Batch]:
     """Consecutive batches of `batch_size` documents, each padded to its
     own longest document and sentence; `max_words` and `max_sents` only
-    truncate."""
+    truncate.
+
+    A batch is built from its sentence lengths: the [B, T] length grid
+    gives both masks, and the ids go into the word mask's slots in one
+    store; a batch of one sentence is its ids, with no slot to mask.  No
+    token encodes to PAD_ID, so `word_mask` is `token_ids != 0`."""
     if min(max_words, max_sents, batch_size) < 1:
         raise ValueError("max_words, max_sents, batch_size must be >= 1")
-    kept: list[tuple[PatientDocument, list[list[int]]]] = []
+    kept: list[tuple[PatientDocument, list[list[str]]]] = []
     for doc in docs:
-        enc = [[vocab.encode(t) for t in s] for s in kept_sentences(doc, max_words, max_sents)]
-        if not enc:
+        if sentences := kept_sentences(doc, max_words, max_sents):
+            kept.append((doc, sentences))
+        else:
             log.warning("document %s empty after truncation; skipped", doc.id)
-            continue
-        kept.append((doc, enc))
 
+    encode = vocab.token_to_id.get
     batches = []
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
-        n_sents = max(len(enc) for _, enc in chunk)
-        n_words = max(len(sent) for _, enc in chunk for sent in enc)
-        ids = np.zeros((len(chunk), n_sents, n_words), dtype=np.int64)
-        for i, (_, enc) in enumerate(chunk):
-            for t, sent in enumerate(enc):
-                ids[i, t, : len(sent)] = sent
-        word_mask = ids != PAD_ID
+        if len(chunk) == 1 and len(chunk[0][1]) == 1:
+            # one sentence, as a filtered map read-out often holds: no padding slot to mask
+            ids = np.array([[[encode(t, UNK_ID) for t in chunk[0][1][0]]]], dtype=np.int64)
+            word_mask, sentence_mask = ids.astype(bool), np.array([[True]])
+        else:
+            lens = [[len(s) for s in sentences] for _, sentences in chunk]
+            n_sents, n_words = max(map(len, lens)), max(map(max, lens))
+            lens = np.array([n + [0] * (n_sents - len(n)) for n in lens])  # [B, T]
+            word_mask = np.arange(n_words) < lens[..., None]
+            ids = np.zeros(word_mask.shape, dtype=np.int64)
+            ids[word_mask] = [encode(t, UNK_ID) for _, sentences in chunk for s in sentences for t in s]
+            sentence_mask = lens.astype(bool)  # lens > 0, in one cast
         labels = np.array([doc.label for doc, _ in chunk], dtype=np.float64)
-        batches.append(Batch(ids, word_mask, word_mask.any(-1), labels, [d.id for d, _ in chunk]))
+        batches.append(Batch(ids, word_mask, sentence_mask, labels, [d.id for d, _ in chunk]))
     return batches

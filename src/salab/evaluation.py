@@ -8,6 +8,7 @@ uses equal-width bins on [0, 1].
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ class PredictionRecord:
     label: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"score out of [0, 1]: {self.score}")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1: {self.label}")
@@ -199,16 +200,20 @@ def directive_attention_mass(model, docs: list[PatientDocument], vocab: Vocabula
 
 
 def score_documents(model, docs, vocab, batch_size: int = 16) -> list[PredictionRecord]:
-    """Run the model over documents and collect prediction records."""
+    """Run the model over documents and collect prediction records; the
+    pass's logits are converted to scores once, after its last batch."""
     cfg = model.config
-    out = []
-    for batch in pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):
+    batches = pad_and_batch(docs, vocab, cfg.max_words, cfg.max_sents, batch_size)
+    if not batches:
+        return []
+    logits = []
+    for batch in batches:
         with batch_memory_guard(batch.token_ids.shape), no_grad():
-            logits = model.forward(batch, training=False)
-        probs = predict_proba(logits)
-        for doc_id, p, y in zip(batch.doc_ids, probs, batch.labels):
-            out.append(PredictionRecord(doc_id, float(p), int(y)))
-    return out
+            logits.append(model.forward(batch, training=False).data)
+    scores = predict_proba(np.concatenate(logits)).tolist()
+    labels = np.concatenate([b.labels for b in batches]).astype(np.int64).tolist()
+    doc_ids = [doc_id for b in batches for doc_id in b.doc_ids]
+    return [PredictionRecord(*r) for r in zip(doc_ids, scores, labels)]
 
 
 # ---------------------------------------------------------------------------

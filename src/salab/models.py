@@ -241,6 +241,7 @@ class HierarchicalTransformerClassifier(_BaseModel):
         heads, layers = self._levels[level]
         x = add_positional_embeddings(x, self.params[f"{level}_pos"], units)
         for layer in range(layers):
+            weights = None  # only the last layer's grid is returned: free the one before
             x, weights = transformer_encoder_layer(
                 x, self.params, units, training, self._dropout_rng, f"{level}{layer}_",
                 self.config.mapping, heads, self.config.dropout_rate,
@@ -258,7 +259,7 @@ class HierarchicalTransformerClassifier(_BaseModel):
 
 def predict_proba(logits) -> np.ndarray:
     """Sigmoid over raw logits, overflow-safe."""
-    s = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+    s = np.asarray(logits, dtype=np.float64)
     out = np.empty_like(s)
     pos = s >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))

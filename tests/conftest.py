@@ -2,10 +2,19 @@
 
 import csv
 import functools
+import os
 import types
 
-import numpy as np
-import pytest
+# The BLAS thread variables this process started with, read before `import
+# salab` sets them.  salab is imported before numpy, so its one-thread default
+# holds in the test process as it does in the CLI.
+STARTED_WITH = {v: os.environ[v] for v in ("SALAB_THREADS", "OMP_NUM_THREADS",
+                                           "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+                if v in os.environ}
+
+import salab  # noqa: E402,F401
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def _read_heatmap(path) -> tuple[np.ndarray, list[str], list[str]]:
@@ -49,3 +58,9 @@ def _saved_arrays(output) -> list[np.ndarray]:
 def saved_arrays():
     """The arrays a tape holds until backward (see `_saved_arrays`)."""
     return _saved_arrays
+
+
+@pytest.fixture
+def started_blas_variables():
+    """The BLAS thread variables set when the test process started."""
+    return STARTED_WITH

@@ -1,11 +1,14 @@
 """Brute-force reference oracles, kept independent of the code they check.
 
-`test_simplex`, `test_evaluation` and `test_acceptance` import them from here.
+`test_simplex`, `test_evaluation`, `test_acceptance` and `test_data` import
+them from here.
 """
 
 import itertools
 
 import numpy as np
+
+from salab.data import Batch
 
 
 def projection_oracle(z: np.ndarray) -> np.ndarray:
@@ -68,3 +71,31 @@ def auc_pr_oracle(records):
         if r.label == 1:
             total += sum(q.label for q in ranked[: i + 1]) / (i + 1)
     return total / n_pos
+
+
+def pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size):
+    """Batches as `data.pad_and_batch` builds them, one sentence at a time:
+    each document's earliest `max_sents` sentences cut to `max_words` tokens
+    and encoded with `vocab.encode`, empty ones dropped; each id stored row by
+    row, the masks read off the ids.  Returns (batches, ids of the documents
+    skipped as empty after truncation)."""
+    kept, skipped = [], []
+    for doc in docs:
+        enc = [[vocab.encode(t) for t in s[:max_words]] for s in doc.sentences[:max_sents] if s[:max_words]]
+        if enc:
+            kept.append((doc, enc))
+        else:
+            skipped.append(doc.id)
+    batches = []
+    for start in range(0, len(kept), batch_size):
+        chunk = kept[start : start + batch_size]
+        n_sents = max(len(enc) for _, enc in chunk)
+        n_words = max(len(sent) for _, enc in chunk for sent in enc)
+        ids = np.zeros((len(chunk), n_sents, n_words), dtype=np.int64)
+        for i, (_, enc) in enumerate(chunk):
+            for t, sent in enumerate(enc):
+                ids[i, t, : len(sent)] = sent
+        word_mask = ids != 0
+        labels = np.array([doc.label for doc, _ in chunk], dtype=np.float64)
+        batches.append(Batch(ids, word_mask, word_mask.any(-1), labels, [d.id for d, _ in chunk]))
+    return batches, skipped

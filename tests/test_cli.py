@@ -649,6 +649,14 @@ def test_one_blas_thread_unless_asked_and_the_manifests_record_the_count(data_di
     assert read_kv(again / "manifest.kv") | ignored == read_kv(runs["1"] / "manifest.kv") | ignored
 
 
+def test_the_test_process_runs_one_blas_thread_as_the_cli_does(started_blas_variables):
+    """`tests/conftest.py` imports salab before numpy, so a test process started
+    with no thread variable gets the CLI's one-thread default."""
+    if started_blas_variables:
+        pytest.skip(f"the test process started with {', '.join(sorted(started_blas_variables))} set")
+    assert salab.BLAS_THREADS == "1"
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
 def test_scoring_batches_reuse_freed_heap_memory():
     """`import salab` keeps freed memory in glibc's heap, so a scoring pass

@@ -1,12 +1,14 @@
 """Vocabulary, synthetic corpus, dataset file, and batching tests."""
 
 import json
+import logging
 import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import pad_and_batch_oracle
 
 from salab import data as dm
 from salab.evaluation import PredictionRecord, auc_roc
@@ -324,6 +326,54 @@ def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents
         for i, enc in enumerate(chunk):
             for t, sent in enumerate(enc):
                 assert batch.token_ids[i, t, : len(sent)].tolist() == [vocab.encode(w) for w in sent]
+
+
+def assert_same_batches(batches, expected):
+    """Every field of every batch equal, with its dtype, shape and bytes."""
+    assert len(batches) == len(expected)
+    for got, want in zip(batches, expected):
+        for name in ("token_ids", "word_mask", "sentence_mask", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got.doc_ids == want.doc_ids
+
+
+SKIPPED = "document {} empty after truncation; skipped"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.tuples(st.lists(st.lists(st.sampled_from(["a", "b", "c", "<pad>", "<unk>"]), max_size=7),
+                                max_size=6), st.integers(0, 1)), max_size=20),
+    st.integers(1, 8), st.integers(1, 5), st.sampled_from([1, 3, 16, None]),
+)
+def test_pad_and_batch_equals_the_per_sentence_oracle(caplog, docs, max_words, max_sents, batch_size):
+    """The vectorised builder against the per-sentence loop: all five fields
+    and the skip warnings, over empty sentences and documents, over-long
+    sentences, documents past `max_sents`, unknown tokens ("c"), `<pad>`
+    and `<unk>`, at batch sizes 1, 3, 16 and one more than the split."""
+    vocab = dm.build_vocab([["a", "b"]], min_freq=1)
+    docs = [dm.PatientDocument(f"d{i}", s, y) for i, (s, y) in enumerate(docs)]
+    batch_size = batch_size or len(docs) + 1
+    expected, skipped = pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="salab.data"):
+        batches = dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size)
+    assert_same_batches(batches, expected)
+    assert [r.getMessage() for r in caplog.records] == [SKIPPED.format(i) for i in skipped]
+
+
+def test_pad_and_batch_equals_the_oracle_on_a_corpus():
+    """A synthetic corpus with a few empty and over-long documents, at the
+    benchmark's caps, at caps that cut sentences and documents, and one
+    sentence per batch, as a filtered map read-out builds them."""
+    docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(n_documents=150, seed=46))
+    docs[3].sentences, docs[70].sentences = [], [[], []]
+    docs[9].sentences = [["w1"] * 30, ["dnr", "<pad>", "zzz"]] * 6
+    vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=5)
+    for max_words, max_sents, batch_size in ((12, 8, 16), (3, 2, 7), (50, 1000, 1), (12, 1, 1)):
+        expected, _ = pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size)
+        assert_same_batches(dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size), expected)
 
 
 def test_reserved_tokens_in_a_document_read_as_unknown():

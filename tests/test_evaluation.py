@@ -5,9 +5,11 @@ import io
 
 import numpy as np
 import pytest
-from oracles import auc_pr_oracle, auc_roc_oracle
+from oracles import auc_pr_oracle, auc_roc_oracle, pad_and_batch_oracle
 
+from salab import data as dm
 from salab.attention import AttentionRecord
+from salab.autodiff import no_grad
 from salab.evaluation import (
     PredictionRecord,
     auc_pr,
@@ -16,8 +18,17 @@ from salab.evaluation import (
     calibration_curve,
     compute_metrics,
     export_heatmap,
+    score_documents,
 )
 from salab.exceptions import UndefinedMetricError
+from salab.models import (
+    AttentionClassifier,
+    HierarchicalTransformerClassifier,
+    HierModelConfig,
+    LocalModelConfig,
+    predict_proba,
+)
+from salab.simplex import MappingKind
 
 
 def recs(scores, labels):
@@ -201,3 +212,50 @@ def test_export_heatmap_rewrite_leaves_exactly_the_new_bytes(tmp_path, extra):
 def test_export_heatmap_bad_path():
     with pytest.raises(OSError, match="no/such/dir"):
         export_heatmap(_record(), "no/such/dir/h.csv")
+
+
+def _scoring_setup(family, mapping):
+    """A fresh model and a split of 23 documents of mixed lengths, one of
+    them empty after truncation."""
+    docs = dm.generate_synthetic_corpus(dm.SyntheticCorpusConfig(
+        n_documents=23, min_sentences=1, max_sentences=9, min_words=1, max_words=11, seed=46))
+    docs[5].sentences = [[], []]
+    vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=2)
+    cls, cfg = ((AttentionClassifier, LocalModelConfig) if family == "att"
+                else (HierarchicalTransformerClassifier, HierModelConfig))
+    model = cls(cfg(len(vocab), embed_dim=8, hidden=8, mapping=MappingKind.parse(mapping),
+                    max_words=7, max_sents=6), seed=5)
+    return model, docs, vocab
+
+
+def test_score_documents_of_no_documents_is_empty():
+    model, docs, vocab = _scoring_setup("att", "softmax")
+    assert score_documents(model, [], vocab) == []
+    assert score_documents(model, [docs[5]], vocab) == []  # empty after truncation
+
+
+@pytest.mark.parametrize("family, mapping", [("att", "entmax:1.3"), ("tr", "sparsemax")])
+@pytest.mark.parametrize("batch_size", [1, 5, 16])
+def test_score_documents_equals_the_per_batch_loop_bit_for_bit(family, mapping, batch_size):
+    """One conversion of the whole pass's logits gives the records that
+    converting each batch's logits did: same ids, score bits and int labels."""
+    model, docs, vocab = _scoring_setup(family, mapping)
+    cfg = model.config
+    expected = []
+    for batch in pad_and_batch_oracle(docs, vocab, cfg.max_words, cfg.max_sents, batch_size)[0]:
+        with no_grad():
+            probs = predict_proba(model.forward(batch).data)
+        expected += [PredictionRecord(i, float(p), int(y)) for i, p, y in zip(batch.doc_ids, probs, batch.labels)]
+    records = score_documents(model, docs, vocab, batch_size)
+
+    def bits(rs):
+        return [(r.doc_id, r.score.hex(), type(r.score), r.label, type(r.label)) for r in rs]
+
+    assert len(records) == len(docs) - 1
+    assert bits(records) == bits(expected)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5, 1.5])
+def test_prediction_record_refuses_a_score_off_the_unit_interval(score):
+    with pytest.raises(ValueError, match="score out of"):
+        PredictionRecord("d", score, 1)

@@ -367,27 +367,30 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
 def test_each_encoder_layer_frees_its_attention_grids_before_its_first_layer_norm(corpus, monkeypatch):
     """Every grid a layer's attention call unpacks or packs, but the weights it
     returns, is freed when the call returns, so none is held while the rest of
-    the layer allocates."""
+    the layer allocates; and at two layers a level, the first layer's weights
+    are freed before the second layer runs, so one weights grid is alive."""
     docs, vocab = corpus
     config = tr_cfg(vocab, dropout_rate=0.2, word_heads=2, sent_heads=2, word_layers=2, sent_layers=2)
     model = HierarchicalTransformerClassifier(config, seed=8)
     batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
     norm = attention.layer_norm
-    qkv, pending, alive = [], [], []
+    qkv, pending, weights, alive = [], [], [], []
 
     def recorded_norm(x, *args):
         if pending:  # the first layer norm since the last attention call
-            alive.append((len(pending), sum(ref() is not None for ref in pending)))
+            alive.append((len(pending), sum(ref() is not None for ref in pending),
+                          sum(ref() is not None for ref in weights)))
             pending.clear()
         return norm(x, *args)
 
-    record_attention_grids(monkeypatch, qkv, pending, [])
+    record_attention_grids(monkeypatch, qkv, pending, weights)
     monkeypatch.setattr(attention, "layer_norm", recorded_norm)
     with no_grad():
         model.forward(batch)
     model.forward(batch, training=True)
-    assert [n for n, _ in alive] == [5] * 8  # q, k, v unpacked, scores and mix packed; word0, word1, sent0, sent1; tape-free, then training
-    assert [live for _, live in alive] == [0] * 8
+    assert [n for n, _, _ in alive] == [5] * 8  # q, k, v unpacked, scores and mix packed; word0, word1, sent0, sent1; tape-free, then training
+    assert [live for _, live, _ in alive] == [0] * 8
+    assert [grids for _, _, grids in alive] == [1] * 8  # the layer's own weights only
 
 
 def _bytes_per_token_setup(family, mapping, max_words, max_sents):
