@@ -6,11 +6,13 @@
 The set: `gen-data --n-docs 200 --seed 7`, then for att and tr under softmax,
 sparsemax, entmax15 and entmax:1.3: `train` (seed 7, 2 epochs, hidden 16,
 embed 8, 12 words, 8 sentences, min-freq 1, lr 1e-3), `eval`, and `heatmap`
-with the default filter and with `--filter "" --limit 20`; one BLAS thread,
-inside OUT, on relative paths.  OUT/SHA256SUMS lists every file but the
-`manifest.kv` files, which record paths.  With --against, the set also runs
-on `git archive REF` in a temporary directory; each file whose hash differs,
-or that one side lacks, is printed, and the exit code is 1.
+with the default filter and with `--filter "" --limit 20`; the same four steps
+for tr sparsemax at `--heads 2 --layers 2`; and `gradcheck --trials 50`, its
+stdout saved as `gradcheck.txt`; one BLAS thread, inside OUT, on relative
+paths.  OUT/SHA256SUMS lists every file but the `manifest.kv` files, which
+record paths.  With --against, the set also runs on `git archive REF` in a
+temporary directory; each file whose hash differs, or that one side lacks, is
+printed, and the exit code is 1.
 """
 
 import argparse
@@ -36,18 +38,21 @@ def run_set(src: Path, out: Path) -> dict[str, str]:
                               capture_output=True, text=True)
         if proc.returncode:
             sys.exit(f"salab {' '.join(argv)} exited with {proc.returncode} ({src}):\n{proc.stderr}")
+        return proc.stdout
 
     out.mkdir(parents=True)
     salab("gen-data", "--out", "data", "--n-docs", "200", "--seed", "7")
-    for model in ("att", "tr"):
-        for mapping in ("softmax", "sparsemax", "entmax15", "entmax:1.3"):
-            name = f"{model}-{mapping}"
-            run = f"runs/{name}"
-            salab("train", "--data", "data", "--out", run, "--model", model, "--mapping", mapping, *TRAIN)
-            salab("eval", "--data", "data", "--model-dir", run)
-            salab("heatmap", "--data", "data", "--model-dir", run, "--out", f"heatmaps/{name}")
-            salab("heatmap", "--data", "data", "--model-dir", run, "--out", f"heatmaps-all/{name}",
-                  "--filter", "", "--limit", "20")
+    runs = [(f"{model}-{mapping}", model, mapping, ()) for model in ("att", "tr")
+            for mapping in ("softmax", "sparsemax", "entmax15", "entmax:1.3")]
+    runs.append(("tr-sparsemax-h2-l2", "tr", "sparsemax", ("--heads", "2", "--layers", "2")))
+    for name, model, mapping, extra in runs:
+        run = f"runs/{name}"
+        salab("train", "--data", "data", "--out", run, "--model", model, "--mapping", mapping, *TRAIN, *extra)
+        salab("eval", "--data", "data", "--model-dir", run)
+        salab("heatmap", "--data", "data", "--model-dir", run, "--out", f"heatmaps/{name}")
+        salab("heatmap", "--data", "data", "--model-dir", run, "--out", f"heatmaps-all/{name}",
+              "--filter", "", "--limit", "20")
+    (out / "gradcheck.txt").write_text(salab("gradcheck", "--trials", "50"))
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.kv"}
 

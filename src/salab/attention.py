@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _node, attention_weights, dropout, layer_norm, linear
+from . import simplex
+from .autodiff import Tensor, _node, dropout, layer_norm, linear
 from .exceptions import EmptyPoolError, ShapeError
 from .simplex import MappingKind
 
@@ -76,16 +77,16 @@ def scaled_dot_attention(
 ) -> tuple[Tensor | None, np.ndarray]:
     """Self-attention within each group of `units`; returns (output, weights).
 
-    q, k and v are the [R, d] rows of the real units.  Three tape nodes: the
-    masked scaled scores of the real query rows, [R, heads, L], the mapping
-    over them and the value mix; the unpack into [..., heads, L, d/heads]
-    and the pack back out happen inside the first and the last.  Weights
-    are [..., heads, L, L] in q's dtype; padding keys score MASK_FILL, which
-    every mapping maps to exactly 0, and padding-query rows are exactly 0.
-    The tape saves q, k, v and the probabilities as rows, and each backward
-    unpacks what it reads; every grid but the weights dies once read.
-    With v None (a map read-out) the call stops at the mapping: no value
-    mix, and the output is None.
+    q, k and v are the [R, d] rows of the real units.  Two tape nodes: the
+    mapping of the masked scaled scores of the real query rows, [R, heads, L],
+    and the value mix; the unpack into [..., heads, L, d/heads] and the pack
+    back out happen inside each.  Weights are [..., heads, L, L] in q's dtype;
+    padding keys score MASK_FILL, which every mapping maps to exactly 0, and
+    padding-query rows are exactly 0.  The tape saves q, k, v and the float64
+    probabilities as rows (the mapping's backward reads its output alone, and
+    the value mix casts it), and each backward unpacks what it reads; every
+    grid but the weights dies once read.  With v None (a map read-out) the
+    call returns the weights before it records a node; the output is None.
     """
     vshape = None if v is None else v.shape
     if q.shape != k.shape or vshape not in (None, k.shape) or heads < 1 or q.shape[-1] % heads:
@@ -108,22 +109,23 @@ def scaled_dot_attention(
         return rows(a).reshape(shape)
 
     def dscores(g):  # 0 at padding keys already: the mapping's backward gives 0 where p is 0
-        return grid(g) * scale
+        return grid(simplex.mapping_backward_nd(p64, g, mapping).astype(dtype)) * scale
 
-    scale = q.dtype.type(1 / math.sqrt(shape[-1] // heads))
+    dtype = q.dtype
+    scale = dtype.type(1 / math.sqrt(shape[-1] // heads))
     s = rows(np.where(units.mask[..., None, None, :],
                       (split(qd) @ split(kd).swapaxes(-1, -2)) * scale, MASK_FILL))
-    p = attention_weights(_node(s, (q, k), lambda ds: merge(ds @ split(kd)),
-                                lambda ds: merge((split(qd).swapaxes(-1, -2) @ ds).swapaxes(-1, -2)),
-                                shared=dscores), mapping)
+    p64, _ = simplex.apply_mapping_nd(s, mapping)
     del s  # the mapping's backward reads its output, not the scores
-    pd = p.data
+    pd = p64.astype(dtype)
     pg = grid(pd)
     if v is None:
         return None, pg
+    p = _node(pd, (q, k), lambda ds: merge(ds @ split(kd)),
+              lambda ds: merge((split(qd).swapaxes(-1, -2) @ ds).swapaxes(-1, -2)), shared=dscores)
     vd = v.data
     out = _node(merge(pg @ split(vd)), (p, v), lambda gh: rows(gh @ split(vd).swapaxes(-1, -2)),
-                lambda gh: merge(grid(pd).swapaxes(-1, -2) @ gh), shared=split)
+                lambda gh: merge(grid(p64.astype(dtype)).swapaxes(-1, -2) @ gh), shared=split)
     return out, pg
 
 

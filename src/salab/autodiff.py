@@ -29,9 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from . import simplex
 from .exceptions import EmptyPoolError, GraphConsumedError, NoTapeError, PoisonedGradientError, ShapeError
-from .simplex import MappingKind
 
 _recording = True  # False inside `no_grad()`; read by `_node` only
 
@@ -342,20 +340,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _node(loss, (logits,), backward)
 
 
-def attention_weights(scores: Tensor, kind: MappingKind) -> Tensor:
-    """Apply a simplex mapping along the last axis, inside the tape.
-
-    Forward and backward both run in float64 and cast back to the
-    score dtype.
-    """
-    p64, _ = simplex.apply_mapping_nd(scores.data, kind)
-    dtype = scores.dtype
-    return _node(
-        p64.astype(dtype), (scores,),
-        lambda g: simplex.mapping_backward_nd(p64, g, kind).astype(dtype),
-    )
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -410,6 +394,25 @@ class Adam:
 # ---------------------------------------------------------------------------
 # gradient checking
 
+def central_difference_error(value, x: np.ndarray, analytic: np.ndarray, eps: float) -> float:
+    """Max relative error |a - num| / (1 + |a| + |num|) of `analytic`, the
+    gradient of the float `value()` with respect to x, against central
+    differences of step eps; x is perturbed in place one entry at a time."""
+    flat = x.reshape(-1)
+    num = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = value()
+        flat[i] = orig - eps
+        lo = value()
+        flat[i] = orig
+        num[i] = (hi - lo) / (2.0 * eps)
+    a = analytic.reshape(-1)
+    err = np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num))
+    return float(err.max()) if err.size else 0.0
+
+
 def grad_check(f, tensors: dict[str, Tensor], eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -424,17 +427,5 @@ def grad_check(f, tensors: dict[str, Tensor], eps: float = 1e-5) -> float:
     worst = 0.0
     with no_grad():  # the central differences need values only
         for name, p in tensors.items():
-            flat = p.data.reshape(-1)
-            num = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = f().item()
-                flat[i] = orig - eps
-                lo = f().item()
-                flat[i] = orig
-                num[i] = (hi - lo) / (2.0 * eps)
-            a = analytic[name].reshape(-1)
-            err = np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num))
-            worst = max(worst, float(err.max()) if err.size else 0.0)
+            worst = max(worst, central_difference_error(lambda: f().item(), p.data, analytic[name], eps))
     return worst

@@ -51,9 +51,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def save(self, path) -> None:
         Path(path).write_text(
             "\n".join(self.id_to_token[2:]) + "\n", encoding="utf-8"

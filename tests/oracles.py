@@ -1,14 +1,17 @@
 """Brute-force reference oracles, kept independent of the code they check.
 
-`test_simplex`, `test_evaluation`, `test_acceptance` and `test_data` import
-them from here.
+`test_simplex`, `test_evaluation`, `test_acceptance`, `test_data`,
+`test_attention` and `test_autodiff` import them from here.
 """
 
 import itertools
 
 import numpy as np
 
-from salab.data import Batch
+from salab import simplex
+from salab.autodiff import Tensor, _node
+from salab.data import UNK_ID, Batch
+from salab.simplex import MappingKind
 
 
 def projection_oracle(z: np.ndarray) -> np.ndarray:
@@ -48,6 +51,16 @@ def entmax15_root_oracle(z: np.ndarray) -> np.ndarray:
     return np.maximum(z - 0.5 * (lo + hi), 0.0) ** 2
 
 
+def mapping_node(scores: Tensor, kind: MappingKind) -> Tensor:
+    """A simplex mapping along the last axis as a tape node of its own, as a
+    chain of ops would record it: forward and backward in float64, each
+    cast back to the scores' dtype."""
+    p64, _ = simplex.apply_mapping_nd(scores.data, kind)
+    dtype = scores.dtype
+    return _node(p64.astype(dtype), (scores,),
+                 lambda g: simplex.mapping_backward_nd(p64, g, kind).astype(dtype))
+
+
 def auc_roc_oracle(records):
     """The share of (positive, negative) pairs ranked right, ties counting half."""
     total = correct = 0.0
@@ -76,12 +89,13 @@ def auc_pr_oracle(records):
 def pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size):
     """Batches as `data.pad_and_batch` builds them, one sentence at a time:
     each document's earliest `max_sents` sentences cut to `max_words` tokens
-    and encoded with `vocab.encode`, empty ones dropped; each id stored row by
-    row, the masks read off the ids.  Returns (batches, ids of the documents
+    and looked up in `vocab.token_to_id` (UNK_ID if absent), empty ones
+    dropped; each id stored row by row, the masks read off the ids.  Returns (batches, ids of the documents
     skipped as empty after truncation)."""
     kept, skipped = [], []
     for doc in docs:
-        enc = [[vocab.encode(t) for t in s[:max_words]] for s in doc.sentences[:max_sents] if s[:max_words]]
+        enc = [[vocab.token_to_id.get(t, UNK_ID) for t in s[:max_words]]
+               for s in doc.sentences[:max_sents] if s[:max_words]]
         if enc:
             kept.append((doc, enc))
         else:

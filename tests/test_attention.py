@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import mapping_node
 
 from salab.attention import (
     MASK_FILL,
@@ -13,7 +14,7 @@ from salab.attention import (
     scaled_dot_attention,
     transformer_encoder_layer,
 )
-from salab.autodiff import Tensor, attention_weights, bce_with_logits, grad_check, linear
+from salab.autodiff import Tensor, bce_with_logits, grad_check, linear
 from salab.exceptions import EmptyPoolError, ShapeError
 from salab.simplex import MappingKind
 
@@ -259,7 +260,7 @@ def op_chain_attention(q, k, v, mask, mapping, heads):
     if mask is not None:
         keep = mask[..., None, :] if heads is None else mask[..., None, None, :]
         scores = scores.masked_fill(keep, MASK_FILL)
-    weights = attention_weights(scores, mapping)
+    weights = mapping_node(scores, mapping)
     out = weights @ v
     if heads is not None:
         out = out.swapaxes(-2, -3)
@@ -400,7 +401,7 @@ def test_multi_head_gradcheck_masked_entmax13():
 
 
 @pytest.mark.parametrize("heads", [1, 2])
-def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
+def test_one_attention_call_records_two_tape_nodes(heads, monkeypatch):
     rng = np.random.default_rng(15)
     q, k, v = (rand_t(rng, 4, 4) for _ in range(3))
     units = Packing(np.array([[True, True, False], [True, True, False]]))
@@ -414,14 +415,14 @@ def test_one_attention_call_records_three_tape_nodes(heads, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counted_init)
     scaled_dot_attention(q, k, v, units, MappingKind.parse("softmax"), heads)
     monkeypatch.undo()
-    assert len(made) == 3
+    assert len(made) == 2
     assert all(t._parents for t in made)
 
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
-    """v None: the same weights, no output, and two tape nodes (the scores and
-    the mapping), never the value mix."""
+    """v None: the same weights, no output, and no Tensor: the call returns
+    the mapping's weights before it records a node."""
     rng = np.random.default_rng(16)
     q, k, v = (rand_t(rng, 4, 4) for _ in range(3))
     units = Packing(np.array([[True, True, False], [True, True, False]]))
@@ -436,7 +437,7 @@ def test_a_call_without_values_stops_at_the_mapping(heads, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counted_init)
     out, w = scaled_dot_attention(q, k, None, units, MappingKind.parse("sparsemax"), heads)
     monkeypatch.undo()
-    assert out is None and len(made) == 2
+    assert out is None and len(made) == 0
     np.testing.assert_array_equal(w, full)
 
 

@@ -20,8 +20,8 @@ def test_build_vocab_threshold_boundaries():
     streams = [["cmo"] * 5 + ["rare"] * 4]
     vocab = dm.build_vocab(streams, min_freq=5)
     assert "cmo" in vocab.token_to_id
-    assert vocab.encode("rare") == dm.UNK_ID
-    assert vocab.encode("cmo") >= 2
+    assert "rare" not in vocab.token_to_id
+    assert vocab.token_to_id["cmo"] >= 2
 
 
 def test_build_vocab_deterministic_and_empty():
@@ -279,7 +279,7 @@ def test_pad_and_batch_examples():
     # padded to the batch's own longest document and sentence, not to the caps
     assert batch.token_ids.shape == batch.word_mask.shape == (1, 1, 3)
     ids = batch.token_ids[0, 0]
-    assert list(ids) == [vocab.encode(t) for t in ("t1", "t2", "t3")]
+    assert list(ids) == [vocab.token_to_id[t] for t in ("t1", "t2", "t3")]
     assert list(batch.word_mask[0, 0]) == [True, True, True]
     assert list(batch.sentence_mask[0]) == [True]
 
@@ -325,7 +325,7 @@ def test_pad_and_batch_pads_to_chunk_maxima(sentence_lists, max_words, max_sents
         assert batch.word_mask.sum() == sum(len(sent) for enc in chunk for sent in enc)
         for i, enc in enumerate(chunk):
             for t, sent in enumerate(enc):
-                assert batch.token_ids[i, t, : len(sent)].tolist() == [vocab.encode(w) for w in sent]
+                assert batch.token_ids[i, t, : len(sent)].tolist() == [vocab.token_to_id.get(w, dm.UNK_ID) for w in sent]
 
 
 def assert_same_batches(batches, expected):
@@ -380,7 +380,7 @@ def test_reserved_tokens_in_a_document_read_as_unknown():
     vocab = dm.build_vocab([["a", "b"]], min_freq=1)
     doc = dm.PatientDocument("d0", [["<pad>", "a", "<unk>"], ["<pad>"]], 1)
     batch = dm.pad_and_batch([doc], vocab, max_words=5, max_sents=5, batch_size=1)[0]
-    assert vocab.encode("<pad>") == vocab.encode("<unk>") == dm.UNK_ID
+    assert "<pad>" not in vocab.token_to_id and vocab.token_to_id["<unk>"] == dm.UNK_ID
     assert batch.token_ids.tolist() == [[[1, 2, 1], [1, 0, 0]]]
     assert np.array_equal(batch.word_mask, batch.token_ids != dm.PAD_ID)
     assert batch.sentence_mask.tolist() == [[True, True]]

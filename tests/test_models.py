@@ -3,6 +3,7 @@
 import gc
 import logging
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -192,10 +193,10 @@ def test_no_grad_forward_is_bit_identical_to_tape_mode(corpus, family, mapping):
 
 # (family, path) -> the Tensors the path makes; a map read-out stops at its last mapping
 FORWARD_ONLY_TENSORS = {
-    ("att", "forward under no_grad"): 11, ("att", "score_documents"): 33,
-    ("att", "extract_attention_maps"): 6,
-    ("tr", "forward under no_grad"): 36, ("tr", "score_documents"): 108,
-    ("tr", "extract_attention_maps"): 23,
+    ("att", "forward under no_grad"): 10, ("att", "score_documents"): 30,
+    ("att", "extract_attention_maps"): 4,
+    ("tr", "forward under no_grad"): 34, ("tr", "score_documents"): 102,
+    ("tr", "extract_attention_maps"): 20,
 }
 
 
@@ -228,7 +229,7 @@ def test_forward_only_paths_keep_no_tape(corpus, family, path, monkeypatch):
 
 
 @pytest.mark.parametrize("family,nodes,dropouts",
-                         [(AttentionClassifier, 14, 2), (HierarchicalTransformerClassifier, 42, 5)])
+                         [(AttentionClassifier, 13, 2), (HierarchicalTransformerClassifier, 40, 5)])
 def test_training_step_tape_shape(corpus, family, nodes, dropouts, monkeypatch):
     """A training step writes `nodes` tape entries, one per dropout call among
     them and one for the loss, and makes no other Tensor (dropout builds no
@@ -362,6 +363,48 @@ def test_forward_frees_what_no_backward_reads(corpus, family, levels, monkeypatc
     loss.backward()
     assert all(p.grad is not None for p in model.params.values())
     assert all(ref() is None for ref in rows)
+
+
+def own_arrays(entry, saved_arrays) -> list[np.ndarray]:
+    """The arrays that one tape entry's gradient functions hold, not its parents'."""
+    _, grad_fns, shared = entry._backward.args  # partial(_backprop, parents, grad_fns, shared)
+    return saved_arrays(types.SimpleNamespace(_entry=(grad_fns, shared)))
+
+
+@pytest.mark.parametrize("family, kw", [(AttentionClassifier, {}),
+                                        (HierarchicalTransformerClassifier, {"word_heads": 2, "word_layers": 2})])
+def test_the_tape_saves_one_float64_probability_array_per_attention_call(corpus, family, kw, monkeypatch,
+                                                                         saved_arrays):
+    """After a training forward the tape holds exactly one [R, heads, L]
+    probability array per attention call, in float64: the mapping node's
+    backward and the value mix both save that one object, and no float32
+    copy of it is saved."""
+    docs, vocab = corpus
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.parse("entmax15"), dropout_rate=0.2, **kw), seed=8)
+    batch = dm.pad_and_batch(docs[:8], vocab, 6, 4, 8)[0]
+    attend, calls = attention.scaled_dot_attention, []
+
+    def recorded_attention(q, k, v, units, mapping, heads=1):
+        out, w = attend(q, k, v, units, mapping, heads)
+        calls.append((out, (q.shape[0], heads, w.shape[-1])))
+        return out, w
+
+    for module in (attention, models):
+        monkeypatch.setattr(module, "scaled_dot_attention", recorded_attention)
+    loss = bce_with_logits(model.forward(batch, training=True), batch.labels)
+    monkeypatch.undo()
+    assert len(calls) == (1 if family is AttentionClassifier else 3)
+    shapes = sorted(shape for _, shape in calls)
+    probs = [a for a in saved_arrays(loss) if a.shape in shapes]
+    assert sorted(a.shape for a in probs) == shapes
+    assert all(a.dtype == np.float64 for a in probs)
+    for out, shape in calls:
+        mix = out._entry
+        in_mix, in_scores = ([a for a in own_arrays(e, saved_arrays) if a.shape == shape]
+                             for e in (mix, mix._parents[0]))
+        assert len(in_mix) == len(in_scores) == 1 and in_mix[0] is in_scores[0]
+        assert any(in_mix[0] is a for a in probs)
 
 
 def test_each_encoder_layer_frees_its_attention_grids_before_its_first_layer_norm(corpus, monkeypatch):
@@ -707,7 +750,8 @@ def test_a_tr_readout_stops_at_its_last_mapping(corpus, layers, filter_tokens, m
 
 
 def test_an_att_readout_builds_no_values(corpus, monkeypatch):
-    """`att`'s read-out projects q and k only and records no value-mix node."""
+    """`att`'s read-out projects q and k only and records no node: its one
+    attention call returns the weights before the scores node."""
     docs, vocab = corpus
     model = AttentionClassifier(att_cfg(vocab, MappingKind.parse("sparsemax")), seed=7)
     names = {id(t): name for name, t in model.params.items()}
@@ -726,7 +770,7 @@ def test_an_att_readout_builds_no_values(corpus, monkeypatch):
     monkeypatch.setattr(attention, "_node", recorded_node)
     recs = extract_attention_maps(model, docs[0], vocab)
     assert used == ["proj_w", "wq", "wk"]
-    assert len(nodes) == 1  # the scores; the value mix would be a second
+    assert not nodes
     with no_grad():
         want = maps(model, dm.pad_and_batch([docs[0]], vocab, 6, 4, 1)[0])
     for rec in recs:
