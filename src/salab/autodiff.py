@@ -390,42 +390,3 @@ class Adam:
             if p.grad is not None:
                 p.data -= g[part].reshape(p.shape)
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def central_difference_error(value, x: np.ndarray, analytic: np.ndarray, eps: float) -> float:
-    """Max relative error |a - num| / (1 + |a| + |num|) of `analytic`, the
-    gradient of the float `value()` with respect to x, against central
-    differences of step eps; x is perturbed in place one entry at a time."""
-    flat = x.reshape(-1)
-    num = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = value()
-        flat[i] = orig - eps
-        lo = value()
-        flat[i] = orig
-        num[i] = (hi - lo) / (2.0 * eps)
-    a = analytic.reshape(-1)
-    err = np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num))
-    return float(err.max()) if err.size else 0.0
-
-
-def grad_check(f, tensors: dict[str, Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `f` is a zero-argument callable returning a scalar Tensor built from
-    the given tensors (which should be float64 for a sharp comparison).
-    """
-    for p in tensors.values():
-        p.zero_grad()
-    f().backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in tensors.items()}
-    worst = 0.0
-    with no_grad():  # the central differences need values only
-        for name, p in tensors.items():
-            worst = max(worst, central_difference_error(lambda: f().item(), p.data, analytic[name], eps))
-    return worst

@@ -5,9 +5,48 @@ from __future__ import annotations
 import numpy as np
 
 from . import simplex
-from .autodiff import bce_with_logits, central_difference_error, grad_check
+from .autodiff import Tensor, bce_with_logits, no_grad
 from .rng import derive_rng
 from .simplex import MappingKind
+
+
+def worst(errors) -> float:
+    """The one reduction of every check: the largest error, NaN if any
+    error is NaN (so that a check fails on it), 0.0 if there are none."""
+    return float(np.max(errors, initial=0.0))
+
+
+def central_difference_error(value, x: np.ndarray, analytic: np.ndarray, eps: float) -> float:
+    """Max relative error |a - num| / (1 + |a| + |num|) of `analytic`, the
+    gradient of the float `value()` with respect to x, against central
+    differences of step eps; x is perturbed in place one entry at a time."""
+    flat = x.reshape(-1)
+    num = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = value()
+        flat[i] = orig - eps
+        lo = value()
+        flat[i] = orig
+        num[i] = (hi - lo) / (2.0 * eps)
+    a = analytic.reshape(-1)
+    return worst(np.abs(a - num) / (1.0 + np.abs(a) + np.abs(num)))
+
+
+def grad_check(f, tensors: dict[str, Tensor], eps: float = 1e-5) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    `f` is a zero-argument callable returning a scalar Tensor built from
+    the given tensors (which should be float64 for a sharp comparison).
+    """
+    for p in tensors.values():
+        p.zero_grad()
+    f().backward()
+    with no_grad():  # the central differences need values only, and leave each .grad as it is
+        return worst([central_difference_error(lambda: f().item(), p.data,
+                                               np.zeros_like(p.data) if p.grad is None else p.grad, eps)
+                      for p in tensors.values()])
 
 
 def boundary_margin(z: np.ndarray, kind: MappingKind) -> float:
@@ -26,7 +65,7 @@ def mapping_max_grad_error(kind: MappingKind, trials: int, seed: int) -> float:
     forward map is non-differentiable exactly there.
     """
     rng = derive_rng(seed, "gradcheck", str(kind))
-    worst = 0.0
+    errors = []
     for _ in range(trials):
         n = int(rng.integers(2, 9))
         z = rng.normal(0.0, 2.0, n)
@@ -34,10 +73,9 @@ def mapping_max_grad_error(kind: MappingKind, trials: int, seed: int) -> float:
             z = rng.normal(0.0, 2.0, n)
         u = rng.normal(0.0, 1.0, n)
         a = simplex.mapping_backward_nd(simplex.apply_mapping_nd(z, kind)[0], u, kind)
-        err = central_difference_error(lambda: float((simplex.apply_mapping_nd(z, kind)[0] * u).sum()),
-                                       z, a, 1e-6)
-        worst = max(worst, err)
-    return worst
+        errors.append(central_difference_error(lambda: float((simplex.apply_mapping_nd(z, kind)[0] * u).sum()),
+                                               z, a, 1e-6))
+    return worst(errors)
 
 
 def model_grad_error(model, batch) -> float:

@@ -14,9 +14,10 @@ from salab.attention import (
     scaled_dot_attention,
     transformer_encoder_layer,
 )
-from salab.autodiff import Tensor, bce_with_logits, grad_check, linear
+from salab.autodiff import Tensor, bce_with_logits, linear
 from salab.exceptions import EmptyPoolError, ShapeError
 from salab.simplex import MappingKind
+from salab.validation import grad_check
 
 
 def rand_t(rng, *shape):

@@ -14,7 +14,6 @@ from salab.autodiff import (
     bce_with_logits,
     dropout,
     embedding_lookup,
-    grad_check,
     layer_norm,
     linear,
     no_grad,
@@ -35,6 +34,7 @@ from salab.models import (
     LocalModelConfig,
 )
 from salab.simplex import MappingKind
+from salab.validation import grad_check
 
 
 def t64(x, grad=True):

@@ -693,6 +693,29 @@ def test_gradcheck_command_passes():
     assert main(["gradcheck", "--trials", "40"]) == 0
 
 
+def test_gradcheck_command_fails_a_nan_backward(monkeypatch, capsys):
+    """A NaN error is no pass: every check through `mapping_backward_nd` prints FAIL, and the exit is 1.
+
+    Each family's model check runs once, and its error stands for the family's
+    other mappings and retries: all 32 checks would read the same NaN at about
+    ten times the cost.
+    """
+    monkeypatch.setattr(salab.simplex, "mapping_backward_nd", lambda p, g, kind: np.full_like(g, np.nan))
+    family_errors, real = {}, salab.cli.model_grad_error
+
+    def once_per_family(model, batch):
+        if type(model) not in family_errors:
+            family_errors[type(model)] = real(model, batch)
+        return family_errors[type(model)]
+
+    monkeypatch.setattr(salab.cli, "model_grad_error", once_per_family)
+    capsys.readouterr()
+    assert main(["gradcheck", "--trials", "3"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 14
+    assert all(row.endswith("max_rel_err=nan FAIL") for row in rows)
+
+
 def test_multi_seed_summary(data_dir, tmp_path, monkeypatch):
     """`--seeds 2` reads the data once, and `seed1/` holds what `--seed 1` alone writes."""
     reads = []
@@ -716,6 +739,24 @@ def test_multi_seed_summary(data_dir, tmp_path, monkeypatch):
 def error_lines(err: str) -> list[str]:
     assert "Traceback" not in err
     return [ln for ln in err.splitlines() if ln.startswith("error:")]
+
+
+@pytest.mark.parametrize("command, split", [("eval", "test"), ("train", "validation")])
+def test_a_split_of_one_class_exits_4_and_creates_no_out(data_dir, att_run, tmp_path, capsys, command, split):
+    """AUC-ROC needs both classes: `eval` on a test split, or `train` on a
+    validation split, that holds positives only exits 4 with one `error:` line."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train", "validation", "test"):
+        (data / f"{name}.jsonl").write_bytes((data_dir / f"{name}.jsonl").read_bytes())
+    write_jsonl(data / f"{split}.jsonl", [d for d in read_jsonl(data_dir / f"{split}.jsonl") if d.label == 1])
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--data", str(data), "--model-dir", str(att_run), "--out", str(out)],
+            "train": ["train", "--data", str(data), "--out", str(out), *TRAIN_FLAGS, "--epochs", "1"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert error_lines(capsys.readouterr().err) == ["error: undefined metric: AUC-ROC needs both classes present"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family, mapping", [
