@@ -11,7 +11,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,18 +53,19 @@ def auc_roc(records: list[PredictionRecord]) -> float:
 
 
 def auc_pr(records: list[PredictionRecord]) -> float:
-    """Average precision: precision at each positive's rank, averaged."""
-    n_pos = sum(r.label for r in records)
+    """Average precision: precision at each positive's rank, averaged.
+
+    Ranks by score, then doc id; ids rank as Python strings (an object array:
+    a numpy string array drops trailing NULs).  cumsum adds in rank order, as
+    a loop over the ranking would, so the sum keeps the loop's bits."""
+    labels = np.array([r.label for r in records])
+    n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("AUC-PR needs at least one positive")
-    ranked = sorted(records, key=lambda r: (-r.score, r.doc_id))
-    ap = 0.0
-    hits = 0
-    for rank, rec in enumerate(ranked, start=1):
-        if rec.label == 1:
-            hits += 1
-            ap += hits / rank
-    return ap / n_pos
+    scores = np.array([r.score for r in records])
+    doc_ids = np.array([r.doc_id for r in records], dtype=object)
+    ranks = np.flatnonzero(labels[np.lexsort((doc_ids, -scores))]) + 1
+    return float(np.cumsum(np.arange(1, n_pos + 1) / ranks)[-1] / n_pos)
 
 
 def brier(records: list[PredictionRecord]) -> float:
@@ -111,44 +112,29 @@ def calibration_curve(records: list[PredictionRecord], n_bins: int = 10) -> list
 
 @dataclass
 class MetricsReport:
+    """Its fields are what `metrics.json` holds; `metrics.kv` holds all but
+    the bins, in this order."""
+
     auc_roc: float
     auc_pr: float
     brier: float
-    bins: list[CalibrationBin]
+    calibration: list[CalibrationBin]
     n: int
     prevalence: float
 
     def to_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
-            "brier": self.brier,
-            "n": self.n,
-            "prevalence": self.prevalence,
-            "calibration": [
-                {
-                    "low": b.low,
-                    "high": b.high,
-                    "count": b.count,
-                    "mean_score": None if b.empty else b.mean_score,
-                    "positive_fraction": None if b.empty else b.positive_fraction,
-                }
-                for b in self.bins
-            ],
-        }
+        out = asdict(self)
+        for b in out["calibration"]:
+            if b["count"] == 0:
+                b["mean_score"] = b["positive_fraction"] = None
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_kv(self) -> str:
-        lines = [
-            f"auc_roc={self.auc_roc:.6f}",
-            f"auc_pr={self.auc_pr:.6f}",
-            f"brier={self.brier:.6f}",
-            f"n={self.n}",
-            f"prevalence={self.prevalence:.6f}",
-        ]
-        return "\n".join(lines) + "\n"
+        values = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "calibration")
+        return "".join(f"{k}={v:.6f}\n" if isinstance(v, float) else f"{k}={v}\n" for k, v in values)
 
 
 def compute_metrics(records: list[PredictionRecord], n_bins: int = 10) -> MetricsReport:
@@ -157,7 +143,7 @@ def compute_metrics(records: list[PredictionRecord], n_bins: int = 10) -> Metric
         auc_roc=auc_roc(records),
         auc_pr=auc_pr(records),
         brier=brier(records),
-        bins=calibration_curve(records, n_bins),
+        calibration=calibration_curve(records, n_bins),
         n=len(records),
         prevalence=sum(labels) / len(labels),
     )

@@ -71,7 +71,7 @@ class LocalModelConfig:
     max_sents: int = 1000
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden", "max_words", "max_sents"):
+        for name in ("vocab_size", "embed_dim", "hidden", "max_words", "max_sents"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -106,7 +106,7 @@ class MappingKind:
 
 def softmax_nd(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = np.exp(z - _row_max(z))
     return e / e.sum(axis=-1, keepdims=True)
 
 

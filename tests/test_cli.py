@@ -697,8 +697,8 @@ def test_gradcheck_command_fails_a_nan_backward(monkeypatch, capsys):
     """A NaN error is no pass: every check through `mapping_backward_nd` prints FAIL, and the exit is 1.
 
     Each family's model check runs once, and its error stands for the family's
-    other mappings and retries: all 32 checks would read the same NaN at about
-    ten times the cost.
+    other mappings: the eight model checks would read the same NaN at about
+    four times the cost.
     """
     monkeypatch.setattr(salab.simplex, "mapping_backward_nd", lambda p, g, kind: np.full_like(g, np.nan))
     family_errors, real = {}, salab.cli.model_grad_error
@@ -714,6 +714,18 @@ def test_gradcheck_command_fails_a_nan_backward(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 14
     assert all(row.endswith("max_rel_err=nan FAIL") for row in rows)
+
+
+def test_gradcheck_checks_a_nan_model_once(monkeypatch, capsys):
+    """A model check that reads NaN is not redrawn on a new seed, as a finite miss
+    is: no seed mends a NaN, so the eight model checks make eight calls."""
+    calls = []
+    monkeypatch.setattr(salab.cli, "model_grad_error", lambda model, batch: calls.append(model) or float("nan"))
+    capsys.readouterr()
+    assert main(["gradcheck", "--trials", "1"]) == 1
+    rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("model ")]
+    assert len(calls) == 8
+    assert len(rows) == 8 and all(row.endswith("max_rel_err=nan FAIL") for row in rows)
 
 
 def test_multi_seed_summary(data_dir, tmp_path, monkeypatch):
@@ -1163,6 +1175,38 @@ COMMANDS = {"gen-data": GEN_DEFAULTS, "train": TRAIN_DEFAULTS, "eval": EVAL_DEFA
             "heatmap": HEATMAP_DEFAULTS, "gradcheck": GRADCHECK_DEFAULTS}
 
 
+def _quiet_main(monkeypatch, argv) -> tuple:
+    """`main(argv)`'s code, or the exception that escaped it, and its stderr."""
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    try:
+        code = main(argv)
+    except BaseException as e:  # an escape: any exception out of main
+        code = f"{type(e).__name__}: {e}"
+    return code, err.getvalue()
+
+
+def _grid_work(tmp_path, monkeypatch):
+    """One parser for every call, and a working directory holding only a file to put
+    gen-data's `--out` under."""
+    parser = salab.cli.make_parser()
+    monkeypatch.setattr(salab.cli, "make_parser", lambda: parser)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    blocker = work / "blocker"
+    blocker.write_bytes(b"")
+    return work, blocker
+
+
+def _unreachable(command, defaults, work, blocker) -> dict:
+    """Paths that stop `command` before any work: missing data and model directories,
+    and gen-data's `--out` under a file."""
+    under = {k: work / "missing" for k in ("data", "model_dir") if k in defaults}
+    return under | ({"out": blocker} if command == "gen-data" else {})
+
+
 def test_every_flag_of_every_command_at_every_edge_value_exits_0_or_2_with_at_most_one_error_line(
         tmp_path, monkeypatch, no_gradchecks):
     """Every command x every flag (--config too) x EDGE_VALUES, one flag at a time.
@@ -1171,34 +1215,47 @@ def test_every_flag_of_every_command_at_every_edge_value_exits_0_or_2_with_at_mo
     returns 0 or 2 and creates nothing, and a setting holding a lone surrogate, which
     no manifest could record, is refused by name.  One parser serves every call, and the
     streams take any text, as the interpreter's stderr does (backslashreplace)."""
-    parser = salab.cli.make_parser()
-    monkeypatch.setattr(salab.cli, "make_parser", lambda: parser)
-    work = tmp_path / "work"
-    work.mkdir()
-    monkeypatch.chdir(work)
-    blocker = work / "blocker"
-    blocker.write_bytes(b"")
+    work, blocker = _grid_work(tmp_path, monkeypatch)
     escapes = []
     for command, defaults in COMMANDS.items():
-        under = {k: work / "missing" for k in ("data", "model_dir") if k in defaults}
-        under |= {"out": blocker} if command == "gen-data" else {}
+        under = _unreachable(command, defaults, work, blocker)
         for key in ("config", *defaults):
             for value in EDGE_VALUES:
                 flags = {k: str(v) for k, v in under.items()} | {key: f"{under[key]}/{value}" if key in under
                                                                  else value}
                 argv = [command, *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())]
-                err = io.StringIO()
-                monkeypatch.setattr(sys, "stderr", err)
-                monkeypatch.setattr(sys, "stdout", io.StringIO())
-                try:
-                    code = main(argv)
-                except BaseException as e:  # an escape: any exception out of main
-                    code = f"{type(e).__name__}: {e}"
-                errors = error_lines(err.getvalue())
+                code, err = _quiet_main(monkeypatch, argv)
+                errors = error_lines(err)
                 if code not in (0, 2) or len(errors) != (code != 0) or list(work.iterdir()) != [blocker] \
                         or (key != "config" and value in SURROGATES
                             and not (errors and f"{key} is not UTF-8 text" in errors[0])):
-                    escapes.append((argv, code, err.getvalue(), sorted(work.iterdir())))
+                    escapes.append((argv, code, err, sorted(work.iterdir())))
+    monkeypatch.undo()
+    assert not escapes
+
+
+def test_every_setting_of_every_command_at_every_edge_value_in_a_config_file_exits_0_or_2(
+        tmp_path, monkeypatch, no_gradchecks):
+    """The flag grid's cases as `key=value` lines of a `--config` file: every command x
+    every setting x EDGE_VALUES, one line per file.  A value UTF-8 cannot encode is
+    written as its raw (surrogatepass) bytes, which the file reader refuses by name.  Every case
+    returns 0 or 2 with at most one `error:` line and creates nothing."""
+    work, blocker = _grid_work(tmp_path, monkeypatch)
+    config = tmp_path / "settings.kv"
+    escapes = []
+    for command, defaults in COMMANDS.items():
+        under = _unreachable(command, defaults, work, blocker)
+        for key in defaults:
+            flags = [f"--{k.replace('_', '-')}={v}" for k, v in under.items() if k != key]
+            for value in EDGE_VALUES:
+                line = f"{key}={under[key]}/{value}" if key in under else f"{key}={value}"
+                config.write_bytes(line.encode("utf-8", "surrogatepass") + b"\n")
+                argv = [command, f"--config={config}", *flags]
+                code, err = _quiet_main(monkeypatch, argv)
+                errors = error_lines(err)
+                if code not in (0, 2) or len(errors) != (code != 0) or list(work.iterdir()) != [blocker] \
+                        or (value in SURROGATES and not (errors and "not UTF-8" in errors[0])):
+                    escapes.append((line, argv, code, err, sorted(work.iterdir())))
     monkeypatch.undo()
     assert not escapes
 

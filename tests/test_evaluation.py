@@ -11,6 +11,8 @@ from salab import data as dm
 from salab.attention import AttentionRecord
 from salab.autodiff import no_grad
 from salab.evaluation import (
+    CalibrationBin,
+    MetricsReport,
     PredictionRecord,
     auc_pr,
     auc_roc,
@@ -110,6 +112,20 @@ def test_metrics_match_oracles_on_random_instances():
         assert auc_pr(r) == pytest.approx(auc_pr_oracle(r), abs=1e-12)
 
 
+def test_auc_pr_keeps_the_oracles_bits_over_ties_and_repeated_ids():
+    """Equal to the oracle's loop bit for bit, not within a tolerance: ties, all-equal
+    scores and repeated doc ids, some ending in NUL (which a numpy string drops)."""
+    rng = np.random.default_rng(50)
+    for t in range(1500):
+        n = int(rng.integers(2, 40))
+        y = rng.integers(0, 2, n)
+        y[0] = 1
+        s = (rng.random(n), np.round(rng.random(n), 1), np.full(n, rng.choice([0.0, 0.5, 1.0])))[t % 3]
+        ids = [f"d{i}" + "\0" * int(rng.integers(0, 2)) for i in rng.integers(0, max(1, n // 3), n)]
+        r = [PredictionRecord(i, float(score), int(label)) for i, score, label in zip(ids, s, y)]
+        assert auc_pr(r).hex() == auc_pr_oracle(r).hex()
+
+
 def test_calibration_single_bin():
     r = recs([0.7] * 10, [1] * 7 + [0] * 3)
     bins = calibration_curve(r, 10)
@@ -136,6 +152,41 @@ def test_compute_metrics_report_fields():
     assert 0 <= report.brier <= 1 and report.auc_roc == 1.0
     assert "auc_roc=1.000000" in report.to_kv()
     assert '"auc_pr"' in report.to_json()
+
+
+def test_report_files_keep_their_bytes():
+    """`metrics.kv` holds every field but the bins, in order; `metrics.json` holds them
+    all, sorted, with an empty bin's statistics as null."""
+    report = MetricsReport(
+        auc_roc=0.75, auc_pr=2 / 3, brier=0.1875,
+        calibration=[CalibrationBin(0.0, 0.5, 2, 0.25, 0.5),
+                     CalibrationBin(0.5, 1.0, 0, float("nan"), float("nan"))],
+        n=2, prevalence=0.5,
+    )
+    assert report.to_kv() == "auc_roc=0.750000\nauc_pr=0.666667\nbrier=0.187500\nn=2\nprevalence=0.500000\n"
+    assert report.to_json() == """{
+  "auc_pr": 0.6666666666666666,
+  "auc_roc": 0.75,
+  "brier": 0.1875,
+  "calibration": [
+    {
+      "count": 2,
+      "high": 0.5,
+      "low": 0.0,
+      "mean_score": 0.25,
+      "positive_fraction": 0.5
+    },
+    {
+      "count": 0,
+      "high": 1.0,
+      "low": 0.5,
+      "mean_score": null,
+      "positive_fraction": null
+    }
+  ],
+  "n": 2,
+  "prevalence": 0.5
+}"""
 
 
 # ---------------------------------------------------------------------------

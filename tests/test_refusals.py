@@ -39,9 +39,11 @@ def attention_on_fewer_units():
     (lambda: directive_attention_mass(tiny_model(), DOCS, VOCAB, {"dnr"}), UndefinedMetricError,
      "no sentences containing directive tokens"),
     (lambda: train_model(tiny_model(), DOCS, DOCS, VOCAB, epochs=0), ValueError, "epochs must be >= 1, got 0"),
+    (lambda: LocalModelConfig(0), ValueError, "vocab_size must be >= 1, got 0"),
+    (lambda: LocalModelConfig(-1), ValueError, "vocab_size must be >= 1, got -1"),
 ], ids=["backward-of-a-vector", "matmul-mismatch", "bce-label-shape", "attention-rows", "min-freq",
         "split-proportions", "batch-sizes", "record-label", "brier-of-none", "one-bin", "no-directive-sentence",
-        "no-epochs"])
+        "no-epochs", "empty-vocabulary", "negative-vocabulary"])
 def test_a_refused_input_raises_its_type(call, error, message):
     with pytest.raises(error, match=message):
         call()
