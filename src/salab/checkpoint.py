@@ -10,6 +10,7 @@ Saves are atomic: a failed or interrupted save leaves the earlier file whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -43,8 +44,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read every parameter; a foreign or truncated file, or one naming a
-    parameter twice, raises CheckpointError."""
+    """Read every parameter; a foreign or truncated file, one naming a
+    parameter twice, or one holding a NaN or an infinite weight raises
+    CheckpointError naming the file and the parameter."""
     path = Path(path)
     data = path.read_bytes()
     if not data.startswith(MAGIC):
@@ -71,5 +73,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if name in params:
             raise CheckpointError(f"{path}: parameter {name!r} at byte {start} repeats an earlier record")
         off += 4 * count
+        # a float64 sum of float32 entries cannot overflow: it is finite exactly when they all are
+        if not math.isfinite(arr.sum(dtype=np.float64)):
+            raise CheckpointError(f"{path}: parameter {name!r} holds a NaN or infinite weight")
         params[name] = arr.astype(np.float32)  # a copy, not a view of `data`
     return params

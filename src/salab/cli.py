@@ -61,7 +61,8 @@ MODEL_FIELDS = {
 _MODEL = HierModelConfig(vocab_size=2)
 TRAIN_DEFAULTS = {
     "data": "data", "out": "run", "model": "att", "mapping": str(_MODEL.mapping),
-    "epochs": 30, "lr": 1e-4, "batch": 16, "seed": 0, "seeds": 1, "min_freq": 5,
+    "epochs": 30, "lr": 1e-4, "batch": 16, "batch_tokens": datamod.BATCH_TOKENS,
+    "seed": 0, "seeds": 1, "min_freq": 5,
     **{k: getattr(_MODEL, fields[0]) for k, fields in MODEL_FIELDS.items()},
 }
 
@@ -270,6 +271,7 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
     result = train_model(
         model, train_docs, val_docs, vocab,
         epochs=cfg["epochs"], lr=cfg["lr"], batch_size=cfg["batch"], seed=seed,
+        batch_tokens=cfg["batch_tokens"],
     )
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "last.ckpt")
@@ -283,7 +285,7 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
                 f"{s.epoch},{s.train_loss:.6f},{s.val.auc_roc:.6f},"
                 f"{s.val.auc_pr:.6f},{s.val.brier:.6f}\n"
             )
-    test_report = compute_metrics(score_documents(model, test_docs, vocab, cfg["batch"]))
+    test_report = compute_metrics(score_documents(model, test_docs, vocab, cfg["batch"], cfg["batch_tokens"]))
     (out / "metrics.kv").write_text(test_report.to_kv(), encoding="utf-8")
     (out / "metrics.json").write_text(test_report.to_json() + "\n", encoding="utf-8")
     print(
@@ -296,7 +298,8 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
 
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
-    _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
+    _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "batch_tokens": 1, "min_freq": 1, "seed": 0},
+                    ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
@@ -309,9 +312,7 @@ def cmd_train(args) -> int:
               for s in ("train", "validation", "test")]
     vocab = datamod.build_vocab((sent for doc in splits[0] for sent in doc.sentences),
                                 min_freq=cfg["min_freq"])
-    # a diverging run is reported once, as a poisoned gradient, not by numpy on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = [_train_once(cfg, seed, d, splits, vocab) for seed, d in zip(seeds, dirs)]
+    reports = [_train_once(cfg, seed, d, splits, vocab) for seed, d in zip(seeds, dirs)]
     if len(reports) > 1:
         summary = {}
         for name in ("auc_roc", "auc_pr", "brier"):
@@ -455,7 +456,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = make_parser().parse_args(argv)
-        code = args.fn(args)
+        # a diverging run or a model that overflows is reported once, by its error, not by numpy on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.fn(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e}", file=sys.stderr)
         code = 2

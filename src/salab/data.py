@@ -13,6 +13,7 @@ import json
 import logging
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -306,16 +307,28 @@ def kept_sentences(doc: PatientDocument, max_words: int, max_sents: int) -> list
     return [cut for sent in doc.sentences[:max_sents] if (cut := sent[:max_words])]
 
 
-def pad_and_batch(
-    docs: list[PatientDocument],
+# the padded word slots a batch may hold by default: more than any synthetic corpus in use fills
+BATCH_TOKENS = 65_536
+
+
+def iter_batches(
+    docs: Iterable[PatientDocument],
     vocab: Vocabulary,
     max_words: int,
     max_sents: int,
     batch_size: int,
-) -> list[Batch]:
-    """Consecutive batches of `batch_size` documents, each padded to its
-    own longest document and sentence; `max_words` and `max_sents` only
-    truncate.
+    batch_tokens: int | None = None,
+) -> Iterator[Batch]:
+    """Consecutive batches of at most `batch_size` documents, each padded to
+    its own longest document and sentence; `max_words` and `max_sents` only
+    truncate.  `docs` is read as the batches are taken: a batch is built
+    once the next document does not fit it, or `docs` ends.
+
+    With a `batch_tokens` budget a batch also closes before the next
+    document would push its padded word slots, N * W (its N kept sentences
+    by its longest kept sentence), past the budget; a document over the
+    budget goes alone.  A document empty after truncation is skipped with a
+    warning.
 
     A batch is built from its sentence lengths: the [B, T] length grid
     gives both masks, and the ids go into the word mask's slots in one
@@ -323,29 +336,51 @@ def pad_and_batch(
     token encodes to PAD_ID, so `word_mask` is `token_ids != 0`."""
     if min(max_words, max_sents, batch_size) < 1:
         raise ValueError("max_words, max_sents, batch_size must be >= 1")
-    kept: list[tuple[PatientDocument, list[list[str]]]] = []
-    for doc in docs:
-        if sentences := kept_sentences(doc, max_words, max_sents):
-            kept.append((doc, sentences))
-        else:
-            log.warning("document %s empty after truncation; skipped", doc.id)
-
+    if batch_tokens is not None and batch_tokens < 1:
+        raise ValueError(f"batch_tokens must be >= 1, got {batch_tokens}")
     encode = vocab.token_to_id.get
-    batches = []
-    for start in range(0, len(kept), batch_size):
-        chunk = kept[start : start + batch_size]
-        if len(chunk) == 1 and len(chunk[0][1]) == 1:
-            # one sentence, as a filtered map read-out often holds: no padding slot to mask
-            ids = np.array([[[encode(t, UNK_ID) for t in chunk[0][1][0]]]], dtype=np.int64)
-            word_mask, sentence_mask = ids.astype(bool), np.array([[True]])
-        else:
-            lens = [[len(s) for s in sentences] for _, sentences in chunk]
-            n_sents, n_words = max(map(len, lens)), max(map(max, lens))
-            lens = np.array([n + [0] * (n_sents - len(n)) for n in lens])  # [B, T]
-            word_mask = np.arange(n_words) < lens[..., None]
-            ids = np.zeros(word_mask.shape, dtype=np.int64)
-            ids[word_mask] = [encode(t, UNK_ID) for _, sentences in chunk for s in sentences for t in s]
-            sentence_mask = lens.astype(bool)  # lens > 0, in one cast
-        labels = np.array([doc.label for doc, _ in chunk], dtype=np.float64)
-        batches.append(Batch(ids, word_mask, sentence_mask, labels, [d.id for d, _ in chunk]))
-    return batches
+    chunk: list[tuple[PatientDocument, list[list[str]]]] = []
+    n_sents = n_words = 0  # the open batch's kept sentences and its longest one
+    for doc in docs:
+        sentences = kept_sentences(doc, max_words, max_sents)
+        if not sentences:
+            log.warning("document %s empty after truncation; skipped", doc.id)
+            continue
+        longest = max(map(len, sentences))
+        if chunk and (len(chunk) == batch_size or batch_tokens is not None
+                      and (n_sents + len(sentences)) * max(n_words, longest) > batch_tokens):
+            yield _batch(chunk, encode)
+            chunk, n_sents, n_words = [], 0, 0
+        chunk.append((doc, sentences))
+        n_sents, n_words = n_sents + len(sentences), max(n_words, longest)
+    if chunk:
+        yield _batch(chunk, encode)
+
+
+def _batch(chunk: list[tuple[PatientDocument, list[list[str]]]], encode) -> Batch:
+    """The padded batch of (document, kept sentences) pairs."""
+    if len(chunk) == 1 and len(chunk[0][1]) == 1:
+        # one sentence, as a filtered map read-out often holds: no padding slot to mask
+        ids = np.array([[[encode(t, UNK_ID) for t in chunk[0][1][0]]]], dtype=np.int64)
+        word_mask, sentence_mask = ids.astype(bool), np.array([[True]])
+    else:
+        lens = [[len(s) for s in sentences] for _, sentences in chunk]
+        n_sents, n_words = max(map(len, lens)), max(map(max, lens))
+        lens = np.array([n + [0] * (n_sents - len(n)) for n in lens])  # [B, T]
+        word_mask = np.arange(n_words) < lens[..., None]
+        ids = np.zeros(word_mask.shape, dtype=np.int64)
+        ids[word_mask] = [encode(t, UNK_ID) for _, sentences in chunk for s in sentences for t in s]
+        sentence_mask = lens.astype(bool)  # lens > 0, in one cast
+    labels = np.array([doc.label for doc, _ in chunk], dtype=np.float64)
+    return Batch(ids, word_mask, sentence_mask, labels, [d.id for d, _ in chunk])
+
+
+def pad_and_batch(
+    docs: list[PatientDocument],
+    vocab: Vocabulary,
+    max_words: int,
+    max_sents: int,
+    batch_size: int,
+) -> list[Batch]:
+    """Every batch of `iter_batches` with no token budget, as one list."""
+    return list(iter_batches(docs, vocab, max_words, max_sents, batch_size))

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .autodiff import (
     no_grad,
     segment_mean,
 )
-from .data import Batch, PatientDocument, kept_sentences, pad_and_batch
+from .data import BATCH_TOKENS, Batch, PatientDocument, iter_batches, kept_sentences
 from .exceptions import CheckpointError, EmptyDocumentError, ShapeError, batch_memory_guard
 from .rng import derive_rng
 from .simplex import MappingKind
@@ -271,12 +273,12 @@ def predict_proba(logits) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention-map extraction
 
-# picked documents per `word_level` call of `iter_attention_maps`
+# the most picked documents per `word_level` call of `iter_attention_maps`
 MAPS_CHUNK = 16
 
 
 def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = None,
-                        limit: int | None = None):
+                        limit: int | None = None, batch_tokens: int | None = BATCH_TOKENS):
     """`(doc, records)` in document order, for at most `limit` documents: a
     word-level record per picked sentence, plus a sentence-level record for
     an unfiltered `tr` document.
@@ -284,28 +286,30 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
     Every kept sentence is picked, or with a filter only those holding a
     filter token.  A document with nothing picked is skipped without running
     the model; an unfiltered one (empty after truncation) with a warning.
-    Picking stops at the `limit`-th document with a pick.  The model then
-    runs once per chunk of MAPS_CHUNK picked documents, and only as far as
-    the records need: the word level of the picked sentences through its
-    last mapping, or for unfiltered `tr` the full word level and the
-    sentence level through its last mapping.
+    Picking stops at the `limit`-th document with a pick.  The picked
+    documents are read as the model goes, in chunks of at most MAPS_CHUNK
+    that `data.iter_batches` closes at `batch_tokens`, and the model runs
+    once per chunk and only as far as the records need: the word level of
+    the picked sentences through its last mapping, or for unfiltered `tr`
+    the full word level and the sentence level through its last mapping.
     """
     cfg = model.config
     full = model.family == "tr" and not filter_tokens
-    picks = []
-    for doc in docs:
-        if len(picks) == limit:
-            break
-        sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
-        picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
-        if picked:
-            picks.append((doc, sentences, picked))
-        elif not filter_tokens:
-            log.warning("document %s empty after truncation; skipped", doc.id)
-    for start in range(0, len(picks), MAPS_CHUNK):
-        chunk = picks[start:start + MAPS_CHUNK]
-        picked_docs = [PatientDocument(d.id, [kept[t] for t in p], d.label) for d, kept, p in chunk]
-        batch = pad_and_batch(picked_docs, vocab, cfg.max_words, cfg.max_sents, len(chunk))[0]
+    picks = deque()  # (doc, kept sentences, picked indices) of the documents the batcher has read
+
+    def picked_docs():
+        for doc in docs:
+            sentences = kept_sentences(doc, cfg.max_words, cfg.max_sents)
+            picked = [t for t, sent in enumerate(sentences) if not filter_tokens or set(sent) & filter_tokens]
+            if picked:
+                picks.append((doc, sentences, picked))
+                yield PatientDocument(doc.id, [sentences[t] for t in picked], doc.label)
+            elif not filter_tokens:
+                log.warning("document %s empty after truncation; skipped", doc.id)
+
+    for batch in iter_batches(islice(picked_docs(), limit), vocab, cfg.max_words, cfg.max_sents,
+                              MAPS_CHUNK, batch_tokens):
+        chunk = [picks.popleft() for _ in batch.doc_ids]
         with batch_memory_guard(batch.token_ids.shape), no_grad():
             x, words, sents, word = model.word_level(batch, maps_only=not full)
             if full:

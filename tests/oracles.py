@@ -86,12 +86,15 @@ def auc_pr_oracle(records):
     return total / n_pos
 
 
-def pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size):
+def pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size, batch_tokens=None):
     """Batches as `data.pad_and_batch` builds them, one sentence at a time:
     each document's earliest `max_sents` sentences cut to `max_words` tokens
     and looked up in `vocab.token_to_id` (UNK_ID if absent), empty ones
-    dropped; each id stored row by row, the masks read off the ids.  Returns (batches, ids of the documents
-    skipped as empty after truncation)."""
+    dropped; each id stored row by row, the masks read off the ids.  A batch
+    takes the next document unless it holds `batch_size` already or, with a
+    `batch_tokens` budget, its sentences with the document's, times the
+    longest of them, would exceed the budget.  Returns (batches, ids of the
+    documents skipped as empty after truncation)."""
     kept, skipped = [], []
     for doc in docs:
         enc = [[vocab.token_to_id.get(t, UNK_ID) for t in s[:max_words]]
@@ -100,9 +103,16 @@ def pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size):
             kept.append((doc, enc))
         else:
             skipped.append(doc.id)
+    chunks = []
+    for item in kept:
+        grown = chunks[-1] + [item] if chunks else [item]
+        slots = sum(len(enc) for _, enc in grown) * max(len(sent) for _, enc in grown for sent in enc)
+        if len(grown) == 1 or len(grown) <= batch_size and (batch_tokens is None or slots <= batch_tokens):
+            chunks[-1:] = [grown]
+        else:
+            chunks.append([item])
     batches = []
-    for start in range(0, len(kept), batch_size):
-        chunk = kept[start : start + batch_size]
+    for chunk in chunks:
         n_sents = max(len(enc) for _, enc in chunk)
         n_words = max(len(sent) for _, enc in chunk for sent in enc)
         ids = np.zeros((len(chunk), n_sents, n_words), dtype=np.int64)

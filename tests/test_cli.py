@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1035,6 +1036,51 @@ def test_eval_and_heatmap_reject_a_model_dir_with_one_broken_file(tmp_path, caps
     name, breaks = BROKEN_MODEL_DIRS[fault]
     breaks(run)
     assert_model_dir_exits_2(run, tmp_path, capsys, str(run / name))
+
+
+def _quiet_model_dir_command(run, tmp_path, capsys, command) -> tuple[int, list[str]]:
+    """`command` on a one-document test split: its exit code and its stderr lines,
+    with any warning numpy issues failing the test."""
+    data = tmp_path / "test.jsonl"
+    write_jsonl(data, [PatientDocument("d0", [["a", "b"], ["b"]], 1)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--data", str(data), "--model-dir", str(run), "--out",
+                     str(tmp_path / f"{command}-out"), *(["--filter", ""] if command == "heatmap" else [])])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["word0_wq", "pred_b"])
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+def test_a_non_finite_weight_is_refused_naming_the_file_and_the_parameter(tmp_path, capsys, command, name,
+                                                                          value):
+    """A NaN or infinite entry in best.ckpt exits 2 with one error line, naming
+    the file and the parameter, before any model is built."""
+    run = _model_dir(tmp_path / "run", "tr")
+    state = load_checkpoint(run / "best.ckpt")
+    state[name].flat[0] = value
+    save_checkpoint(run / "best.ckpt", state)
+    code, lines = _quiet_model_dir_command(run, tmp_path, capsys, command)
+    assert code == 2
+    assert lines == [f"error: bad configuration or input: {run / 'best.ckpt'}: "
+                     f"parameter {name!r} holds a NaN or infinite weight"]
+    assert not (tmp_path / f"{command}-out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+def test_a_model_that_overflows_mid_forward_prints_its_error_line_alone(tmp_path, capsys, command):
+    """Finite weights whose forward overflows to inf and NaN: eval and heatmap
+    run under train's np.errstate, so stderr holds the one error line and
+    numpy warns of nothing."""
+    run = _model_dir(tmp_path / "run", "att")
+    state = load_checkpoint(run / "best.ckpt")
+    state["emb"][...] = state["proj_w"][...] = 3e38
+    save_checkpoint(run / "best.ckpt", state)
+    code, lines = _quiet_model_dir_command(run, tmp_path, capsys, command)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: bad configuration or input: ")
 
 
 @pytest.mark.parametrize("line, reason", [(b"bins=\xff", "not UTF-8"), (b"bins", "not key=value")])

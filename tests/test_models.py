@@ -24,6 +24,7 @@ from salab.models import (
     iter_attention_maps,
     predict_proba,
 )
+from salab.rng import derive_rng
 from salab.simplex import MappingKind
 from salab.training import train_model
 from salab.validation import model_grad_error
@@ -292,8 +293,8 @@ def record_attention_grids(monkeypatch, qkv: list, grids: list, weights: list):
     attend, unpack, pack = attention.scaled_dot_attention, attention.Packing.unpack, attention.Packing.pack
     inside = []
 
-    def recorded_unpack(units, rows):
-        grid = unpack(units, rows)
+    def recorded_unpack(units, rows, *dtype):
+        grid = unpack(units, rows, *dtype)
         if inside:
             inside.append(_owner(grid))
         return grid
@@ -483,6 +484,42 @@ def test_peak_bytes_per_token_of_a_tape_free_forward(family, mapping, max_words,
     with no_grad():
         _, _, peak = _traced(lambda: model.forward(batch))
     assert peak / batch.word_mask.sum() <= kib * 1024
+
+
+def _slots(batch) -> int:
+    """A batch's padded word slots: its kept sentences times its longest sentence."""
+    return int(batch.sentence_mask.sum()) * batch.token_ids.shape[2]
+
+
+def test_training_and_scoring_under_a_binding_budget_see_every_document_once_in_order(corpus, monkeypatch):
+    """At a budget of 30 slots (a batch of 4 of these documents holds up to 96),
+    each epoch's steps read the shuffled training documents and validation
+    and scoring read theirs, each once and in order, in batches within the
+    budget; scoring gives the unbudgeted records' ids and labels."""
+    docs, vocab = corpus
+    model = AttentionClassifier(att_cfg(vocab), seed=1)
+    forward, seen = model.forward, []
+
+    def recorded_forward(batch, training=False):
+        seen.append((training, batch.doc_ids, _slots(batch)))
+        return forward(batch, training)
+
+    monkeypatch.setattr(model, "forward", recorded_forward)
+    train_docs, val_docs = docs[:8], docs[8:]
+    train_model(model, train_docs, val_docs, vocab, epochs=2, batch_size=4, seed=3, batch_tokens=30)
+    expected = []
+    for epoch in (1, 2):
+        order = derive_rng(3, "shuffle", epoch).permutation(len(train_docs))
+        expected += [(True, train_docs[i].id) for i in order] + [(False, d.id) for d in val_docs]
+    assert [(training, i) for training, ids, _ in seen for i in ids] == expected
+    assert max(slots for _, _, slots in seen) <= 30
+    assert len(seen) > 2 * (2 + 1)  # more batches than 4 documents each would make
+    seen.clear()
+    records = score_documents(model, docs, vocab, batch_size=4, batch_tokens=30)
+    assert [r.doc_id for r in records] == [i for _, ids, _ in seen for i in ids] == [d.id for d in docs]
+    free = score_documents(model, docs, vocab, batch_size=4, batch_tokens=None)
+    assert [(r.doc_id, r.label) for r in records] == [(r.doc_id, r.label) for r in free]
+    assert [r.score for r in records] == pytest.approx([r.score for r in free], abs=1e-6)
 
 
 @pytest.mark.parametrize("path", ["train_model", "score_documents", "iter_attention_maps"])
@@ -866,6 +903,34 @@ def test_iter_attention_maps_limit_maps_only_the_documents_it_yields(split_docs,
             (r.labels, r.scope, r.sentence_index) for r in want]
         for rec, ref in zip(recs, want):
             np.testing.assert_array_equal(rec.weights, ref.weights)
+
+
+@pytest.mark.parametrize("family", [AttentionClassifier, HierarchicalTransformerClassifier])
+@pytest.mark.parametrize("filter_tokens", [None, {"dnr", "dni", "cmo"}])
+def test_iter_attention_maps_under_a_binding_budget_map_every_document_once_in_order(split_docs, family,
+                                                                                     filter_tokens, monkeypatch):
+    """At a budget of 40 slots the read-out runs the word level on more,
+    smaller chunks, each within the budget, and yields the unbudgeted
+    documents in order with the same records: `tr` bit for bit, `att` within
+    1e-6 with the same exact zeros."""
+    docs, vocab = split_docs
+    cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
+    model = family(cfg_fn(vocab, MappingKind.parse("sparsemax"), hidden=16), seed=17)
+    every = list(iter_attention_maps(model, docs, vocab, filter_tokens))
+    word_level, batches = model.word_level, []
+    monkeypatch.setattr(model, "word_level", lambda batch, **kw: batches.append(batch) or word_level(batch, **kw))
+    got = list(iter_attention_maps(model, docs, vocab, filter_tokens, batch_tokens=40))
+    assert [i for b in batches for i in b.doc_ids] == [doc.id for doc, _ in got] == [doc.id for doc, _ in every]
+    assert len(batches) > -(-len(every) // MAPS_CHUNK) and max(map(_slots, batches)) <= 40
+    for (_, recs), (_, want) in zip(got, every):
+        assert [(r.labels, r.scope, r.sentence_index) for r in recs] == [
+            (r.labels, r.scope, r.sentence_index) for r in want]
+        for rec, ref in zip(recs, want):
+            if family is HierarchicalTransformerClassifier:
+                np.testing.assert_array_equal(rec.weights, ref.weights)
+            else:
+                np.testing.assert_allclose(rec.weights, ref.weights, rtol=0, atol=1e-6)
+                np.testing.assert_array_equal(rec.weights == 0.0, ref.weights == 0.0)
 
 
 @pytest.mark.parametrize("mapping", ["entmax:1.5", "entmax:2", "entmax:1.7", "entmax:3"])
