@@ -52,8 +52,7 @@ class Packing:
     """The real units of a grid of slots, mask [..., L], in row-major order.
 
     `pack` takes the R real slots of a [..., L, ...] grid out as [R, ...]
-    rows; `unpack` puts rows back into a zero grid, of their dtype or of
-    `dtype` (a casting store).
+    rows; `unpack` puts rows back into a zero grid.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -66,8 +65,8 @@ class Packing:
     def pack(self, grid: np.ndarray) -> np.ndarray:
         return grid.reshape(self.mask.size, *grid.shape[self.mask.ndim:])[self.index]
 
-    def unpack(self, rows: np.ndarray, dtype=None) -> np.ndarray:
-        out = np.zeros((self.mask.size, *rows.shape[1:]), dtype=dtype or rows.dtype)
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.mask.size, *rows.shape[1:]), dtype=rows.dtype)
         out[self.index] = rows
         return out.reshape(*self.mask.shape, *rows.shape[1:])
 
@@ -85,10 +84,9 @@ def scaled_dot_attention(
     padding keys score MASK_FILL, which every mapping maps to exactly 0, and
     padding-query rows are exactly 0.  The tape saves q, k, v and the float64
     probabilities as rows (the mapping's backward reads its output alone, and
-    the value mix unpacks it straight into q's dtype), and each backward
-    unpacks what it reads; every grid but the weights dies once read.  With
-    v None (a map read-out) the call returns the weights before it records
-    a node; the output is None.
+    the value mix casts it), and each backward unpacks what it reads; every
+    grid but the weights dies once read.  With v None (a map read-out) the
+    call returns the weights before it records a node; the output is None.
     """
     vshape = None if v is None else v.shape
     if q.shape != k.shape or vshape not in (None, k.shape) or heads < 1 or q.shape[-1] % heads:
@@ -98,8 +96,8 @@ def scaled_dot_attention(
     shape = q.shape
     qd, kd = q.data, k.data
 
-    def grid(a, dtype=None):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
-        return units.unpack(a, dtype).swapaxes(-2, -3)
+    def grid(a):  # [R, heads, x] -> [..., heads, L, x], zero at padding units
+        return units.unpack(a).swapaxes(-2, -3)
 
     def rows(a):  # [..., heads, L, x] -> [R, heads, x]
         return units.pack(a.swapaxes(-2, -3))
@@ -127,7 +125,7 @@ def scaled_dot_attention(
               lambda ds: merge((split(qd).swapaxes(-1, -2) @ ds).swapaxes(-1, -2)), shared=dscores)
     vd = v.data
     out = _node(merge(pg @ split(vd)), (p, v), lambda gh: rows(gh @ split(vd).swapaxes(-1, -2)),
-                lambda gh: merge(grid(p64, dtype).swapaxes(-1, -2) @ gh), shared=split)
+                lambda gh: merge(grid(p64.astype(dtype)).swapaxes(-1, -2) @ gh), shared=split)
     return out, pg
 
 

@@ -30,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from .exceptions import EmptyPoolError, GraphConsumedError, NoTapeError, PoisonedGradientError, ShapeError
-from .rng import random_at_least
 
 _recording = True  # False inside `no_grad()`; read by `_node` only
 
@@ -314,8 +313,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    # rng.random(x.shape, dtype=np.float32) >= rate, from the stream's raw words
-    keep, scale, dtype = random_at_least(rng, x.shape, rate), 1.0 / (1.0 - rate), x.dtype
+    keep, scale, dtype = rng.random(x.shape, dtype=np.float32) >= rate, 1.0 / (1.0 - rate), x.dtype
     bits, shape = np.packbits(keep), x.shape  # the tape keeps the mask at one bit per element
 
     def backward(g):

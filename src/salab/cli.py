@@ -61,8 +61,7 @@ MODEL_FIELDS = {
 _MODEL = HierModelConfig(vocab_size=2)
 TRAIN_DEFAULTS = {
     "data": "data", "out": "run", "model": "att", "mapping": str(_MODEL.mapping),
-    "epochs": 30, "lr": 1e-4, "batch": 16, "batch_tokens": datamod.BATCH_TOKENS,
-    "seed": 0, "seeds": 1, "min_freq": 5,
+    "epochs": 30, "lr": 1e-4, "batch": 16, "seed": 0, "seeds": 1, "min_freq": 5,
     **{k: getattr(_MODEL, fields[0]) for k, fields in MODEL_FIELDS.items()},
 }
 
@@ -271,7 +270,6 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
     result = train_model(
         model, train_docs, val_docs, vocab,
         epochs=cfg["epochs"], lr=cfg["lr"], batch_size=cfg["batch"], seed=seed,
-        batch_tokens=cfg["batch_tokens"],
     )
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "last.ckpt")
@@ -285,7 +283,7 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
                 f"{s.epoch},{s.train_loss:.6f},{s.val.auc_roc:.6f},"
                 f"{s.val.auc_pr:.6f},{s.val.brier:.6f}\n"
             )
-    test_report = compute_metrics(score_documents(model, test_docs, vocab, cfg["batch"], cfg["batch_tokens"]))
+    test_report = compute_metrics(score_documents(model, test_docs, vocab, cfg["batch"]))
     (out / "metrics.kv").write_text(test_report.to_kv(), encoding="utf-8")
     (out / "metrics.json").write_text(test_report.to_json() + "\n", encoding="utf-8")
     print(
@@ -298,8 +296,7 @@ def _train_once(cfg: dict, seed: int, out: Path, splits: list, vocab):
 
 def cmd_train(args) -> int:
     cfg = resolve(TRAIN_DEFAULTS, args)
-    _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "batch_tokens": 1, "min_freq": 1, "seed": 0},
-                    ("lr",))
+    _check_settings(cfg, {"seeds": 1, "epochs": 1, "batch": 1, "min_freq": 1, "seed": 0}, ("lr",))
     model_config(cfg, vocab_size=2)  # the vocabulary is built only after data is read
     out = Path(cfg["out"])
     seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])

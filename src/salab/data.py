@@ -307,7 +307,8 @@ def kept_sentences(doc: PatientDocument, max_words: int, max_sents: int) -> list
     return [cut for sent in doc.sentences[:max_sents] if (cut := sent[:max_words])]
 
 
-# the padded word slots a batch may hold by default: more than any synthetic corpus in use fills
+# the most padded word slots a batch holds, read by each `iter_batches` call:
+# more than any synthetic corpus in use fills, so it binds only on long notes
 BATCH_TOKENS = 65_536
 
 
@@ -317,18 +318,16 @@ def iter_batches(
     max_words: int,
     max_sents: int,
     batch_size: int,
-    batch_tokens: int | None = None,
 ) -> Iterator[Batch]:
     """Consecutive batches of at most `batch_size` documents, each padded to
     its own longest document and sentence; `max_words` and `max_sents` only
     truncate.  `docs` is read as the batches are taken: a batch is built
     once the next document does not fit it, or `docs` ends.
 
-    With a `batch_tokens` budget a batch also closes before the next
-    document would push its padded word slots, N * W (its N kept sentences
-    by its longest kept sentence), past the budget; a document over the
-    budget goes alone.  A document empty after truncation is skipped with a
-    warning.
+    A batch also closes before the next document would push its padded word
+    slots, N * W (its N kept sentences by its longest kept sentence), past
+    BATCH_TOKENS; a document over the budget goes alone.  A document empty
+    after truncation is skipped with a warning.
 
     A batch is built from its sentence lengths: the [B, T] length grid
     gives both masks, and the ids go into the word mask's slots in one
@@ -336,8 +335,6 @@ def iter_batches(
     token encodes to PAD_ID, so `word_mask` is `token_ids != 0`."""
     if min(max_words, max_sents, batch_size) < 1:
         raise ValueError("max_words, max_sents, batch_size must be >= 1")
-    if batch_tokens is not None and batch_tokens < 1:
-        raise ValueError(f"batch_tokens must be >= 1, got {batch_tokens}")
     encode = vocab.token_to_id.get
     chunk: list[tuple[PatientDocument, list[list[str]]]] = []
     n_sents = n_words = 0  # the open batch's kept sentences and its longest one
@@ -347,8 +344,8 @@ def iter_batches(
             log.warning("document %s empty after truncation; skipped", doc.id)
             continue
         longest = max(map(len, sentences))
-        if chunk and (len(chunk) == batch_size or batch_tokens is not None
-                      and (n_sents + len(sentences)) * max(n_words, longest) > batch_tokens):
+        if chunk and (len(chunk) == batch_size
+                      or (n_sents + len(sentences)) * max(n_words, longest) > BATCH_TOKENS):
             yield _batch(chunk, encode)
             chunk, n_sents, n_words = [], 0, 0
         chunk.append((doc, sentences))
@@ -382,5 +379,5 @@ def pad_and_batch(
     max_sents: int,
     batch_size: int,
 ) -> list[Batch]:
-    """Every batch of `iter_batches` with no token budget, as one list."""
+    """Every batch of `iter_batches`, as one list."""
     return list(iter_batches(docs, vocab, max_words, max_sents, batch_size))

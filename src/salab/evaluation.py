@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttentionRecord
 from .autodiff import no_grad
-from .data import BATCH_TOKENS, PatientDocument, Vocabulary, iter_batches
+from .data import PatientDocument, Vocabulary, iter_batches
 from .exceptions import UndefinedMetricError, batch_memory_guard
 from .models import iter_attention_maps, predict_proba
 
@@ -37,19 +37,12 @@ class PredictionRecord:
             raise ValueError(f"label must be 0 or 1: {self.label}")
 
 
-def _columns(records: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The records' scores and labels, as float64 arrays."""
-    return np.array([r.score for r in records]), np.array([r.label for r in records], dtype=np.float64)
-
-
 def auc_roc(records: list[PredictionRecord]) -> float:
     """Probability a random positive outranks a random negative."""
-    return _auc_roc(*_columns(records))
-
-
-def _auc_roc(scores, labels) -> float:
+    scores = np.array([r.score for r in records])
+    labels = np.array([r.label for r in records])
     n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+    n_neg = len(records) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC-ROC needs both classes present")
     # average ranks implement the ties-count-half convention
@@ -65,27 +58,20 @@ def auc_pr(records: list[PredictionRecord]) -> float:
     Ranks by score, then doc id; ids rank as Python strings (an object array:
     a numpy string array drops trailing NULs).  cumsum adds in rank order, as
     a loop over the ranking would, so the sum keeps the loop's bits."""
-    return _auc_pr(*_columns(records), records)
-
-
-def _auc_pr(scores, labels, records) -> float:
+    labels = np.array([r.label for r in records])
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("AUC-PR needs at least one positive")
+    scores = np.array([r.score for r in records])
     doc_ids = np.array([r.doc_id for r in records], dtype=object)
     ranks = np.flatnonzero(labels[np.lexsort((doc_ids, -scores))]) + 1
     return float(np.cumsum(np.arange(1, n_pos + 1) / ranks)[-1] / n_pos)
 
 
 def brier(records: list[PredictionRecord]) -> float:
-    return _brier(*_columns(records))
-
-
-def _brier(scores, labels) -> float:
-    if not len(scores):
+    if not records:
         raise UndefinedMetricError("Brier score needs at least one record")
-    # Python's ** (libm pow), not numpy's square: the two differ in the last bit of some squares
-    return float(np.mean([d ** 2 for d in (scores - labels).tolist()]))
+    return float(np.mean([(r.score - r.label) ** 2 for r in records]))
 
 
 @dataclass
@@ -103,12 +89,10 @@ class CalibrationBin:
 
 def calibration_curve(records: list[PredictionRecord], n_bins: int = 10) -> list[CalibrationBin]:
     """Equal-width reliability bins; empty bins are kept and flagged."""
-    return _calibration_curve(*_columns(records), n_bins)
-
-
-def _calibration_curve(scores, labels, n_bins: int) -> list[CalibrationBin]:
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
+    scores = np.array([r.score for r in records])
+    labels = np.array([r.label for r in records], dtype=float)
     idx = np.minimum((scores * n_bins).astype(int), n_bins - 1)
     bins = []
     for b in range(n_bins):
@@ -154,15 +138,14 @@ class MetricsReport:
 
 
 def compute_metrics(records: list[PredictionRecord], n_bins: int = 10) -> MetricsReport:
-    """Every metric of `records`, from one build of their score and label arrays."""
-    scores, labels = _columns(records)
+    labels = [r.label for r in records]
     return MetricsReport(
-        auc_roc=_auc_roc(scores, labels),
-        auc_pr=_auc_pr(scores, labels, records),
-        brier=_brier(scores, labels),
-        calibration=_calibration_curve(scores, labels, n_bins),
+        auc_roc=auc_roc(records),
+        auc_pr=auc_pr(records),
+        brier=brier(records),
+        calibration=calibration_curve(records, n_bins),
         n=len(records),
-        prevalence=float(labels.sum()) / len(labels),
+        prevalence=sum(labels) / len(labels),
     )
 
 
@@ -202,14 +185,13 @@ def directive_attention_mass(model, docs: list[PatientDocument], vocab: Vocabula
     )
 
 
-def score_documents(model, docs, vocab, batch_size: int = 16,
-                    batch_tokens: int | None = BATCH_TOKENS) -> list[PredictionRecord]:
+def score_documents(model, docs, vocab, batch_size: int = 16) -> list[PredictionRecord]:
     """Run the model over documents, one batch alive at a time (closed as
     `data.iter_batches` closes it), and collect prediction records; the
     pass's logits are converted to scores once, after its last batch."""
     cfg = model.config
     logits, labels, doc_ids = [], [], []
-    for batch in iter_batches(docs, vocab, cfg.max_words, cfg.max_sents, batch_size, batch_tokens):
+    for batch in iter_batches(docs, vocab, cfg.max_words, cfg.max_sents, batch_size):
         with batch_memory_guard(batch.token_ids.shape), no_grad():
             logits.append(model.forward(batch, training=False).data)
         labels.append(batch.labels)

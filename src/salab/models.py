@@ -52,7 +52,7 @@ from .autodiff import (
     no_grad,
     segment_mean,
 )
-from .data import BATCH_TOKENS, Batch, PatientDocument, iter_batches, kept_sentences
+from .data import Batch, PatientDocument, iter_batches, kept_sentences
 from .exceptions import CheckpointError, EmptyDocumentError, ShapeError, batch_memory_guard
 from .rng import derive_rng
 from .simplex import MappingKind
@@ -278,7 +278,7 @@ MAPS_CHUNK = 16
 
 
 def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = None,
-                        limit: int | None = None, batch_tokens: int | None = BATCH_TOKENS):
+                        limit: int | None = None):
     """`(doc, records)` in document order, for at most `limit` documents: a
     word-level record per picked sentence, plus a sentence-level record for
     an unfiltered `tr` document.
@@ -288,7 +288,7 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
     the model; an unfiltered one (empty after truncation) with a warning.
     Picking stops at the `limit`-th document with a pick.  The picked
     documents are read as the model goes, in chunks of at most MAPS_CHUNK
-    that `data.iter_batches` closes at `batch_tokens`, and the model runs
+    that `data.iter_batches` closes at `data.BATCH_TOKENS`, and the model runs
     once per chunk and only as far as the records need: the word level of
     the picked sentences through its last mapping, or for unfiltered `tr`
     the full word level and the sentence level through its last mapping.
@@ -307,8 +307,7 @@ def iter_attention_maps(model, docs, vocab, filter_tokens: set[str] | None = Non
             elif not filter_tokens:
                 log.warning("document %s empty after truncation; skipped", doc.id)
 
-    for batch in iter_batches(islice(picked_docs(), limit), vocab, cfg.max_words, cfg.max_sents,
-                              MAPS_CHUNK, batch_tokens):
+    for batch in iter_batches(islice(picked_docs(), limit), vocab, cfg.max_words, cfg.max_sents, MAPS_CHUNK):
         chunk = [picks.popleft() for _ in batch.doc_ids]
         with batch_memory_guard(batch.token_ids.shape), no_grad():
             x, words, sents, word = model.word_level(batch, maps_only=not full)

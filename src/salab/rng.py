@@ -7,14 +7,12 @@ perturbs existing streams.  `derive_rng` is the definition of a stream.
 `stream_words` returns the raw Philox words of a run of streams, keyed
 in one pass, and `StreamDecoder` turns them into the draws numpy's
 `Generator.random()` and `Generator.integers(lo, hi)` would make, for
-many streams at once; `random_at_least` makes a float32 `random()`
-compared with a rate from one stream's raw words.  No other module knows
-Philox's state layout or numpy's decoding rules.
+many streams at once.  No other module knows Philox's state layout or
+numpy's decoding rules.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from itertools import permutations, product
 
@@ -152,30 +150,3 @@ class StreamDecoder:
         self.half[fresh] = words >> 32
         self.has_half[rows] = ~has
         return out
-
-
-def random_at_least(gen: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """`gen.random(shape, dtype=np.float32) >= rate` for a rate in [0, 1], from raw Philox words.
-
-    A float32 draw is the top 24 bits of a 32-bit half-word x, (x >> 8) * 2**-24, compared in
-    float32, so it is >= rate exactly when x >= ceil(float32(rate) * 2**24) << 8.  Half-words come
-    as in StreamDecoder: the buffered high half first, then each fresh word's low half and high
-    half.  The buffer and its flag are left as numpy's draws would leave them."""
-    bits = gen.bit_generator
-    state = bits.state
-    n = math.prod(shape)
-    first = min(n, state["has_uint32"])  # the buffered half, if it is drawn
-    words = bits.random_raw((n - first + 1) // 2).astype("<u8", copy=False)
-    halves = words.view("<u4")
-    cut = math.ceil(float(np.float32(rate)) * 2**24) << 8
-    out = np.zeros(n, bool)
-    if cut <= _MASK:  # else float32(rate) rounds to 1, and no draw reaches it
-        np.greater_equal(halves[:n - first], np.uint32(cut), out=out[first:])
-        out[:first] = state["uinteger"] >= cut
-    if n:
-        state = bits.state  # random_raw moved the counter and left the buffer alone
-        state["has_uint32"] = (n - first) % 2
-        if len(words):
-            state["uinteger"] = int(words[-1] >> 32)
-        bits.state = state
-    return out.reshape(shape)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, bce_with_logits
-from .data import BATCH_TOKENS, PatientDocument, Vocabulary, iter_batches
+from .data import PatientDocument, Vocabulary, iter_batches
 from .evaluation import MetricsReport, compute_metrics, score_documents
 from .exceptions import batch_memory_guard
 from .rng import derive_rng
@@ -41,12 +41,11 @@ def train_model(
     batch_size: int = 16,
     seed: int = 0,
     stop_fn=None,
-    batch_tokens: int | None = BATCH_TOKENS,
 ) -> TrainResult:
     """Train with Adam and BCE; keep the epoch with the best validation
     AUC-ROC (ties go to the earlier epoch).  Each batch is built as its step
-    comes, closed at `batch_size` documents or `batch_tokens` padded word
-    slots (`data.iter_batches`); validation batches the same way.
+    comes, closed at `batch_size` documents or `data.BATCH_TOKENS` padded
+    word slots (`data.iter_batches`); validation batches the same way.
 
     `stop_fn(stats)` may return True to stop early after an epoch.
     """
@@ -59,7 +58,7 @@ def train_model(
         order = derive_rng(seed, "shuffle", epoch).permutation(len(train_docs))
         shuffled = [train_docs[i] for i in order]
         losses = []
-        for batch in iter_batches(shuffled, vocab, cfg.max_words, cfg.max_sents, batch_size, batch_tokens):
+        for batch in iter_batches(shuffled, vocab, cfg.max_words, cfg.max_sents, batch_size):
             opt.zero_grad()
             with batch_memory_guard(batch.token_ids.shape):
                 logits = model.forward(batch, training=True)
@@ -67,7 +66,7 @@ def train_model(
                 loss.backward()
                 opt.step()
             losses.append(loss.item())
-        val_report = compute_metrics(score_documents(model, val_docs, vocab, batch_size, batch_tokens))
+        val_report = compute_metrics(score_documents(model, val_docs, vocab, batch_size))
         stats = EpochStats(epoch, float(np.mean(losses)), val_report)
         result.history.append(stats)
         log.info(

@@ -376,31 +376,30 @@ def test_pad_and_batch_equals_the_oracle_on_a_corpus():
         assert_same_batches(dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size), expected)
 
 
-def test_a_token_budget_closes_each_batch_before_the_document_that_would_pass_it(caplog):
+def test_a_token_budget_closes_each_batch_before_the_document_that_would_pass_it(caplog, monkeypatch):
     """Budget 10, batch size 3: a batch takes a document while its kept
     sentences times its longest kept sentence stay within 10 (equal to it
     included), a document over the budget goes alone, and `batch_size` still
     closes a batch; an empty document is skipped with its warning."""
+    monkeypatch.setattr(dm, "BATCH_TOKENS", 10)
     vocab = dm.build_vocab([["a"]], min_freq=1)
     lens = {"d0": [5], "d1": [3], "d2": [1], "d3": [2, 2], "d4": [4], "d5": [11], "d6": [],
             "d7": [1], "d8": [1], "d9": [1], "d10": [1]}
     docs = [dm.PatientDocument(i, [["a"] * n for n in ns], 0) for i, ns in lens.items()]
     with caplog.at_level(logging.WARNING, logger="salab.data"):
-        batches = list(dm.iter_batches(docs, vocab, 20, 5, 3, batch_tokens=10))
+        batches = list(dm.iter_batches(docs, vocab, 20, 5, 3))
     assert [b.doc_ids for b in batches] == [["d0", "d1"], ["d2", "d3"], ["d4"], ["d5"], ["d7", "d8", "d9"],
                                             ["d10"]]
     # N * W: 2 * 5 (equal to the budget), 3 * 2, 4, 11 (alone, over it), 3 * 1, 1
     assert [b.token_ids.shape for b in batches] == [(2, 1, 5), (2, 2, 2), (1, 1, 4), (1, 1, 11), (3, 1, 1),
                                                     (1, 1, 1)]
     assert [r.getMessage() for r in caplog.records] == [SKIPPED.format("d6")]
-    with pytest.raises(ValueError, match="batch_tokens must be >= 1, got 0"):
-        next(dm.iter_batches(docs, vocab, 20, 5, 3, batch_tokens=0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=7), max_size=6), max_size=20),
-    st.integers(1, 8), st.integers(1, 5), st.sampled_from([1, 3, 16]), st.sampled_from([1, 4, 12, 40, None]),
+    st.integers(1, 8), st.integers(1, 5), st.sampled_from([1, 3, 16]), st.sampled_from([1, 4, 12, 40]),
 )
 def test_streamed_batches_equal_the_oracle_under_any_budget(docs, max_words, max_sents, batch_size,
                                                             batch_tokens):
@@ -409,29 +408,30 @@ def test_streamed_batches_equal_the_oracle_under_any_budget(docs, max_words, max
     vocab = dm.build_vocab([["a", "b"]], min_freq=1)
     docs = [dm.PatientDocument(f"d{i}", s, i % 2) for i, s in enumerate(docs)]
     expected, _ = pad_and_batch_oracle(docs, vocab, max_words, max_sents, batch_size, batch_tokens)
-    stream = dm.iter_batches(docs, vocab, max_words, max_sents, batch_size, batch_tokens)
-    for want in expected:
-        assert_same_batches([next(stream)], [want])
-    assert next(stream, None) is None
-    if batch_tokens is None:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dm, "BATCH_TOKENS", batch_tokens)
+        stream = dm.iter_batches(docs, vocab, max_words, max_sents, batch_size)
+        for want in expected:
+            assert_same_batches([next(stream)], [want])
+        assert next(stream, None) is None
         assert_same_batches(dm.pad_and_batch(docs, vocab, max_words, max_sents, batch_size), expected)
 
 
 def test_the_default_budget_never_binds_on_the_synthetic_corpora():
     """At BATCH_TOKENS, the default corpus and the long-note shapes (80-120
-    sentences of 3-6 words) batch exactly as with no budget, at the default
-    caps and batch size."""
+    sentences of 3-6 words) batch exactly as the oracle does with no budget,
+    at the default caps and batch size."""
     for cfg in (dm.SyntheticCorpusConfig(n_documents=300, seed=5),
                 dm.SyntheticCorpusConfig(n_documents=48, min_sentences=80, max_sentences=120, min_words=3,
                                          max_words=6, seed=5)):
         docs = dm.generate_synthetic_corpus(cfg)
         vocab = dm.build_vocab((s for d in docs for s in d.sentences), min_freq=1)
-        free = dm.pad_and_batch(docs, vocab, 50, 1000, 16)
+        free, _ = pad_and_batch_oracle(docs, vocab, 50, 1000, 16)
         assert max(b.sentence_mask.sum() * b.token_ids.shape[2] for b in free) < dm.BATCH_TOKENS
-        assert_same_batches(list(dm.iter_batches(docs, vocab, 50, 1000, 16, dm.BATCH_TOKENS)), free)
+        assert_same_batches(list(dm.iter_batches(docs, vocab, 50, 1000, 16)), free)
 
 
-def test_iter_batches_reads_documents_only_as_far_as_its_batch():
+def test_iter_batches_reads_documents_only_as_far_as_its_batch(monkeypatch):
     """A batch is built on reading the first document that does not fit it,
     whether by `batch_size` or by the budget, and the last one when the
     documents end; no document past those is read."""
@@ -446,11 +446,12 @@ def test_iter_batches_reads_documents_only_as_far_as_its_batch():
     stream = dm.iter_batches(docs(8), vocab, 20, 5, 2)
     assert next(stream).doc_ids == ["d0", "d1"] and read == [0, 1, 2]
     read.clear()
-    stream = dm.iter_batches(docs(8), vocab, 20, 5, 4, batch_tokens=6)  # 1, then 2 * 2 = 4, then 3 * 3 > 6
-    assert next(stream).doc_ids == ["d0", "d1"] and read == [0, 1, 2]
-    read.clear()
     stream = dm.iter_batches(docs(3), vocab, 20, 5, 4)
     assert next(stream).doc_ids == ["d0", "d1", "d2"] and read == [0, 1, 2]
+    read.clear()
+    monkeypatch.setattr(dm, "BATCH_TOKENS", 6)
+    stream = dm.iter_batches(docs(8), vocab, 20, 5, 4)  # 1, then 2 * 2 = 4, then 3 * 3 > 6
+    assert next(stream).doc_ids == ["d0", "d1"] and read == [0, 1, 2]
 
 
 def test_reserved_tokens_in_a_document_read_as_unknown():

@@ -293,8 +293,8 @@ def record_attention_grids(monkeypatch, qkv: list, grids: list, weights: list):
     attend, unpack, pack = attention.scaled_dot_attention, attention.Packing.unpack, attention.Packing.pack
     inside = []
 
-    def recorded_unpack(units, rows, *dtype):
-        grid = unpack(units, rows, *dtype)
+    def recorded_unpack(units, rows):
+        grid = unpack(units, rows)
         if inside:
             inside.append(_owner(grid))
         return grid
@@ -495,9 +495,10 @@ def test_training_and_scoring_under_a_binding_budget_see_every_document_once_in_
     """At a budget of 30 slots (a batch of 4 of these documents holds up to 96),
     each epoch's steps read the shuffled training documents and validation
     and scoring read theirs, each once and in order, in batches within the
-    budget; scoring gives the unbudgeted records' ids and labels."""
+    budget; scoring gives the default budget's records' ids and labels."""
     docs, vocab = corpus
     model = AttentionClassifier(att_cfg(vocab), seed=1)
+    monkeypatch.setattr(dm, "BATCH_TOKENS", 30)
     forward, seen = model.forward, []
 
     def recorded_forward(batch, training=False):
@@ -506,7 +507,7 @@ def test_training_and_scoring_under_a_binding_budget_see_every_document_once_in_
 
     monkeypatch.setattr(model, "forward", recorded_forward)
     train_docs, val_docs = docs[:8], docs[8:]
-    train_model(model, train_docs, val_docs, vocab, epochs=2, batch_size=4, seed=3, batch_tokens=30)
+    train_model(model, train_docs, val_docs, vocab, epochs=2, batch_size=4, seed=3)
     expected = []
     for epoch in (1, 2):
         order = derive_rng(3, "shuffle", epoch).permutation(len(train_docs))
@@ -515,9 +516,10 @@ def test_training_and_scoring_under_a_binding_budget_see_every_document_once_in_
     assert max(slots for _, _, slots in seen) <= 30
     assert len(seen) > 2 * (2 + 1)  # more batches than 4 documents each would make
     seen.clear()
-    records = score_documents(model, docs, vocab, batch_size=4, batch_tokens=30)
+    records = score_documents(model, docs, vocab, batch_size=4)
     assert [r.doc_id for r in records] == [i for _, ids, _ in seen for i in ids] == [d.id for d in docs]
-    free = score_documents(model, docs, vocab, batch_size=4, batch_tokens=None)
+    monkeypatch.undo()
+    free = score_documents(model, docs, vocab, batch_size=4)
     assert [(r.doc_id, r.label) for r in records] == [(r.doc_id, r.label) for r in free]
     assert [r.score for r in records] == pytest.approx([r.score for r in free], abs=1e-6)
 
@@ -910,16 +912,17 @@ def test_iter_attention_maps_limit_maps_only_the_documents_it_yields(split_docs,
 def test_iter_attention_maps_under_a_binding_budget_map_every_document_once_in_order(split_docs, family,
                                                                                      filter_tokens, monkeypatch):
     """At a budget of 40 slots the read-out runs the word level on more,
-    smaller chunks, each within the budget, and yields the unbudgeted
+    smaller chunks, each within the budget, and yields the default budget's
     documents in order with the same records: `tr` bit for bit, `att` within
     1e-6 with the same exact zeros."""
     docs, vocab = split_docs
     cfg_fn = att_cfg if family is AttentionClassifier else tr_cfg
     model = family(cfg_fn(vocab, MappingKind.parse("sparsemax"), hidden=16), seed=17)
     every = list(iter_attention_maps(model, docs, vocab, filter_tokens))
+    monkeypatch.setattr(dm, "BATCH_TOKENS", 40)
     word_level, batches = model.word_level, []
     monkeypatch.setattr(model, "word_level", lambda batch, **kw: batches.append(batch) or word_level(batch, **kw))
-    got = list(iter_attention_maps(model, docs, vocab, filter_tokens, batch_tokens=40))
+    got = list(iter_attention_maps(model, docs, vocab, filter_tokens))
     assert [i for b in batches for i in b.doc_ids] == [doc.id for doc, _ in got] == [doc.id for doc, _ in every]
     assert len(batches) > -(-len(every) // MAPS_CHUNK) and max(map(_slots, batches)) <= 40
     for (_, recs), (_, want) in zip(got, every):

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from salab.rng import StreamDecoder, derive_rng, random_at_least, stream_words
+from salab.rng import StreamDecoder, derive_rng, stream_words
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
 
@@ -108,28 +108,3 @@ def test_a_range_of_2_to_the_32_values_or_more_is_refused():
     assert rng.integers(0, 2**32, np.array([0])).dtype == np.int64
     with pytest.raises(ValueError, match="64 bits"):
         rng.integers(0, 2**32 + 1, np.array([0]))
-
-
-def _state(gen) -> dict:
-    """The bit generator's whole state, its arrays as lists."""
-    def plain(v):
-        return {k: plain(x) for k, x in v.items()} if isinstance(v, dict) else np.asarray(v).tolist()
-    return plain(gen.bit_generator.state)
-
-
-@pytest.mark.parametrize("rate", [0.0, 1e-9, 0.2, 0.3333, 0.9999999])
-def test_random_at_least_is_the_float32_draws_compared_and_leaves_the_stream_as_they_do(rate):
-    """In one shared stream, sizes 1, 2, 3, 7, 999 and 35,200 and two shapes, each
-    started with and without a buffered half-word (one float32 draw leaves one or takes it):
-    the mask equals `random(shape, dtype=np.float32) >= rate`, the generator's state
-    after it equals numpy's (buffer and flag included), and so does the next draw."""
-    ours, ref = derive_rng(5, "dropout", "att"), derive_rng(5, "dropout", "att")
-    for shape in [(1,), (2,), (3,), (7,), (999,), (35_200,), (0,), (550, 64), (5, 7, 3)]:
-        for buffered in (False, True):
-            if ours.bit_generator.state["has_uint32"] != buffered:
-                assert ours.random(dtype=np.float32) == ref.random(dtype=np.float32)
-            assert ours.bit_generator.state["has_uint32"] == buffered
-            np.testing.assert_array_equal(random_at_least(ours, shape, rate),
-                                          ref.random(shape, dtype=np.float32) >= rate)
-            assert _state(ours) == _state(ref)
-    assert ours.random(3).tolist() == ref.random(3).tolist()
